@@ -70,16 +70,6 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-_SCHEMES = {
-    "lines": nodal.line_scheme,
-    "bitangents": nodal.bitangent_scheme,
-    "blowdowns": nodal.blowdown_scheme,
-    "doublesix": nodal.double_six_scheme,
-    "eventheta": nodal.even_theta_scheme,
-    "aronhold": nodal.aronhold_scheme,
-}
-
-
 def cmd_nodal(args) -> int:
     with open(args.config) as fh:
         cfg = nodal.parse_config(fh.read())
@@ -91,7 +81,10 @@ def cmd_nodal(args) -> int:
         rows.append(("total",) + nodal.profile_column_totals(profile))
         _emit(rows, header, args.format)
         return 0
-    scheme = _SCHEMES[args.scheme](cfg)
+    if args.scheme == "eventheta":
+        scheme = nodal.even_theta_scheme(cfg)
+    else:
+        scheme = nodal.scheme(cfg, args.scheme)
     rows = [(_fmt_point(rep), m) for rep, m in scheme.points]
     _emit(rows, ("representative", "multiplicity"), args.format)
     profile = " + ".join(f"{n}x{m}" for m, n in
@@ -110,13 +103,14 @@ def cmd_nodal(args) -> int:
 def cmd_spin(args) -> int:
     with open(args.graph) as fh:
         graph = spin.parse_graph(fh.read())
+    supports = spin.spin_scheme(graph)
     rows = []
-    for support in spin.spin_scheme(graph):
+    for support in supports:
         delta = " ".join(f"({graph.edges[i][0]},{graph.edges[i][1]})"
                          for i in support.delta) or "-"
         rows.append((delta, support.count, support.multiplicity))
     _emit(rows, ("support", "count", "multiplicity"), args.format)
-    total = sum(s.count * s.multiplicity for s in spin.spin_scheme(graph))
+    total = sum(s.count * s.multiplicity for s in supports)
     g = graph.genus
     line = f"genus {g}, total degree {total} = 2^{2 * g}"
     print(f"summary\t{line}" if args.format == "tsv" else line)
@@ -169,6 +163,7 @@ def cmd_detrep(args) -> int:
     with open(args.input) as fh:
         fields = detrep.parse_data_block(fh.read())
     if args.action == "quartic":
+        detrep.check_keys(fields, {"L", "Q", "H"})
         missing = {"L", "Q", "H"} - set(fields)
         if missing:
             raise ValueError(f"quartic action needs keys {sorted(missing)}")
@@ -223,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("nodal", help="multiplicity schemes of a root configuration")
     p.add_argument("config", help="configuration file (degree/root lines)")
     p.add_argument("--scheme", required=True,
-                   choices=tuple(_SCHEMES) + ("profile",))
+                   choices=tuple(nodal.SCHEMES) + ("eventheta", "profile"))
     p.set_defaults(func=cmd_nodal)
 
     p = add_parser("spin", help="spin structures on a dual graph")

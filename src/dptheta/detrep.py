@@ -205,12 +205,16 @@ def parse_data_block(text: str) -> dict[str, MultiPoly]:
     return out
 
 
-def data_from_block(fields: dict[str, MultiPoly]) -> SymThetaData:
-    zero = MultiPoly.zero(PLANE_VARS)
-    known = {"L11", "L12", "L22", "Q1", "Q2", "H"}
+def check_keys(fields: dict[str, MultiPoly], known: set[str]) -> None:
+    """Reject a parsed data block that has keys outside `known`."""
     extra = set(fields) - known
     if extra:
         raise ValueError(f"unknown keys: {sorted(extra)}")
+
+
+def data_from_block(fields: dict[str, MultiPoly]) -> SymThetaData:
+    zero = MultiPoly.zero(PLANE_VARS)
+    check_keys(fields, {"L11", "L12", "L22", "Q1", "Q2", "H"})
     return SymThetaData(
         l11=fields.get("L11", zero), l12=fields.get("L12", zero),
         l22=fields.get("L22", zero), q1=fields.get("Q1", zero),

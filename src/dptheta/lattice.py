@@ -182,9 +182,8 @@ def simple_roots(lat: PicardLattice) -> tuple[DivisorClass, ...]:
     return tuple(roots)
 
 
-def weyl_orbit(lat: PicardLattice, seed: DivisorClass) -> tuple[DivisorClass, ...]:
-    """Orbit of seed under the reflection group, sorted lexicographically."""
-    roots = simple_roots(lat)
+def _orbit(lat: PicardLattice, seed: DivisorClass, roots) -> set[DivisorClass]:
+    """Orbit of seed under the group generated by reflections in roots."""
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -196,21 +195,29 @@ def weyl_orbit(lat: PicardLattice, seed: DivisorClass) -> tuple[DivisorClass, ..
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return tuple(sorted(seen))
+    return seen
+
+
+def weyl_orbit(lat: PicardLattice, seed: DivisorClass) -> tuple[DivisorClass, ...]:
+    """Orbit of seed under the reflection group, sorted lexicographically."""
+    return tuple(sorted(_orbit(lat, seed, simple_roots(lat))))
 
 
 @lru_cache(maxsize=None)
 def weyl_order(lat: PicardLattice) -> int:
-    """Order of the reflection group, via its faithful permutation action
-    on the exceptional classes (orbit-stabilizer chain)."""
-    from sympy.combinatorics import Permutation, PermutationGroup
+    """Order of the reflection group, as a chain of parabolic stabilizers.
 
-    lines = enumerate_classes(lat, ClassKind.EXCEPTIONAL)
-    index = {d: i for i, d in enumerate(lines)}
-    perms = []
-    for r in simple_roots(lat):
-        perms.append(Permutation([index[reflect(lat, r, d)] for d in lines]))
-    return PermutationGroup(perms).order()
+    Each seed L, E_n, ..., E_1 pairs non-negatively with the simple roots
+    still left, so by Chevalley's theorem its stabilizer is the subgroup
+    generated by those orthogonal to it; |W| is the product of the orbit
+    sizes along the chain.
+    """
+    roots = simple_roots(lat)
+    order = 1
+    for seed in [class_L(lat)] + [class_E(lat, i) for i in range(lat.npoints, 0, -1)]:
+        order *= len(_orbit(lat, seed, roots))
+        roots = tuple(r for r in roots if pair(lat, seed, r) == 0)
+    return order
 
 
 def geiser(lat: PicardLattice, x: DivisorClass) -> DivisorClass:

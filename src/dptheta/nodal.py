@@ -12,10 +12,11 @@ characteristics of the branch curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 
 from . import lattice as lt
 from .lattice import ClassKind, DivisorClass, PicardLattice
+from .spin import components
 
 PROFILE_COLUMNS = (2, 1, 0, -1, -2)
 
@@ -113,21 +114,10 @@ def validate_config(cfg: NodalConfig) -> str:
         if minor * (-1) ** k <= 0:
             raise ValueError("root span is not negative definite")
     # connected components of the pairing graph
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram[i][j] == 1:
-                parent[find(i)] = find(j)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if gram[i][j] == 1]
     comps: dict[int, list[int]] = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
+    for i, label in enumerate(components(n, edges)):
+        comps.setdefault(label, []).append(i)
     names = []
     for verts in comps.values():
         degs = [sum(gram[i][j] for j in verts if j != i) for i in verts]
@@ -150,51 +140,47 @@ def validate_config(cfg: NodalConfig) -> str:
     return "+".join(sorted(names, key=lambda s: (s[0], int(s[1:]))))
 
 
-class _CosetKey:
-    """Canonical key for the coset of a class modulo the root span N.
+def _echelon(roots) -> list[tuple[int, list[int]]]:
+    """Integer echelon basis of the span of the roots, as (pivot column, row).
 
-    Writing v = p + q with p the rational orthogonal projection onto N and
-    q in the orthogonal complement, two classes are congruent mod N exactly
-    when their q-parts agree and their p-parts differ by an integral root
-    combination, i.e. when the root coefficients of p agree modulo 1.
+    Column by column, Euclid's algorithm on the rows not yet used leaves one
+    row with a positive pivot and clears the column in all the others
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
     """
-
-    def __init__(self, cfg: NodalConfig):
-        self.lat = cfg.lattice
-        self.roots = cfg.roots
-        n = len(self.roots)
-        gram = [[Fraction(lt.pair(self.lat, a, b)) for b in self.roots]
-                for a in self.roots]
-        self.inv = _fraction_inverse(gram) if n else []
-
-    def key(self, v: DivisorClass):
-        if not self.roots:
-            return v
-        pairings = [Fraction(lt.pair(self.lat, v, r)) for r in self.roots]
-        coeffs = [sum(row[j] * pairings[j] for j in range(len(pairings)))
-                  for row in self.inv]
-        perp = [Fraction(x) for x in v]
-        for c, r in zip(coeffs, self.roots):
-            for i, ri in enumerate(r):
-                perp[i] -= c * ri
-        frac = tuple(c - (c.numerator // c.denominator) for c in coeffs)
-        return (tuple(perp), frac)
+    rows = [list(r) for r in roots]
+    basis = []
+    for col in range(len(rows[0]) if rows else 0):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:
+            piv = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    for k in range(col, len(r)):
+                        r[k] -= q * piv[k]
+            live = [r for r in live if r[col]]
+        if live:
+            piv = live[0]
+            if piv[col] < 0:
+                piv[:] = [-x for x in piv]
+            basis.append((col, piv))
+            rows = [r for r in rows if r is not piv]
+    return basis
 
 
-def _fraction_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _coset_key(basis, v: DivisorClass) -> DivisorClass:
+    """Canonical representative of v modulo the span of an echelon basis.
+
+    Each pivot coordinate is reduced into [0, p); two classes are congruent
+    exactly when their reductions agree.
+    """
+    v = list(v)
+    for col, row in basis:
+        q = v[col] // row[col]
+        if q:
+            for k in range(col, len(v)):
+                v[k] -= q * row[k]
+    return tuple(v)
 
 
 def congruence_classes(
@@ -208,30 +194,12 @@ def congruence_classes(
     kinds = {lt.kind_of(cfg.lattice, c) for c in classes}
     if len(kinds) > 1:
         raise ValueError("classes of mixed kinds")
-    keyer = _CosetKey(cfg)
-    parts: dict[object, list[DivisorClass]] = {}
+    basis = _echelon(cfg.roots)
+    parts: dict[DivisorClass, list[DivisorClass]] = {}
     for c in classes:
-        parts.setdefault(keyer.key(c), []).append(c)
+        parts.setdefault(_coset_key(basis, c), []).append(c)
     return tuple(sorted((tuple(sorted(p)) for p in parts.values()),
                         key=lambda p: p[0]))
-
-
-def _partition_scheme(parts) -> MultiplicityScheme:
-    return MultiplicityScheme(tuple((p[0], len(p)) for p in parts))
-
-
-def line_scheme(cfg: NodalConfig) -> MultiplicityScheme:
-    """Exceptional classes modulo N; total 56 (degree 2) or 27 (degree 3)."""
-    validate_config(cfg)
-    classes = lt.enumerate_classes(cfg.lattice, ClassKind.EXCEPTIONAL)
-    return _partition_scheme(congruence_classes(cfg, list(classes)))
-
-
-def blowdown_scheme(cfg: NodalConfig) -> MultiplicityScheme:
-    """Blow-down classes modulo N; total 576 (degree 2) or 72 (degree 3)."""
-    validate_config(cfg)
-    classes = lt.enumerate_classes(cfg.lattice, ClassKind.BLOWDOWN)
-    return _partition_scheme(congruence_classes(cfg, list(classes)))
 
 
 def _involution_quotient(parts, involution) -> MultiplicityScheme:
@@ -258,34 +226,49 @@ def _involution_quotient(parts, involution) -> MultiplicityScheme:
     return MultiplicityScheme(tuple(points))
 
 
-def bitangent_scheme(cfg: NodalConfig) -> MultiplicityScheme:
-    """Line scheme modulo the Geiser involution; total 28."""
-    if cfg.lattice.degree != 2:
-        raise ValueError("bitangent scheme requires degree 2")
+# Scheme name -> (class kind, required degree, involution).  The scheme is
+# the kind's classes modulo N, quotiented by the involution if there is one.
+# Totals in degree 2 / 3: lines 56 / 27, blow-downs 576 / 72, bitangents 28,
+# double sixes 36, Aronhold sets 288.
+SCHEMES = {
+    "lines": (ClassKind.EXCEPTIONAL, None, None),
+    "bitangents": (ClassKind.EXCEPTIONAL, 2, lt.geiser),
+    "blowdowns": (ClassKind.BLOWDOWN, None, None),
+    "doublesix": (ClassKind.BLOWDOWN, 3, lt.double_six_partner),
+    "aronhold": (ClassKind.BLOWDOWN, 2, lt.geiser),
+}
+
+
+def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
+    """The multiplicity scheme `name` of SCHEMES for a configuration."""
+    kind, degree, involution = SCHEMES[name]
+    if degree is not None and cfg.lattice.degree != degree:
+        raise ValueError(f"{name} scheme requires degree {degree}")
     validate_config(cfg)
-    classes = lt.enumerate_classes(cfg.lattice, ClassKind.EXCEPTIONAL)
-    parts = congruence_classes(cfg, list(classes))
-    return _involution_quotient(parts, lambda c: lt.geiser(cfg.lattice, c))
+    parts = congruence_classes(cfg, list(lt.enumerate_classes(cfg.lattice, kind)))
+    if involution is None:
+        return MultiplicityScheme(tuple((p[0], len(p)) for p in parts))
+    return _involution_quotient(parts, partial(involution, cfg.lattice))
+
+
+def line_scheme(cfg: NodalConfig) -> MultiplicityScheme:
+    return scheme(cfg, "lines")
+
+
+def blowdown_scheme(cfg: NodalConfig) -> MultiplicityScheme:
+    return scheme(cfg, "blowdowns")
+
+
+def bitangent_scheme(cfg: NodalConfig) -> MultiplicityScheme:
+    return scheme(cfg, "bitangents")
 
 
 def double_six_scheme(cfg: NodalConfig) -> MultiplicityScheme:
-    """Blow-down scheme modulo the double-six pairing; total 36."""
-    if cfg.lattice.degree != 3:
-        raise ValueError("double-six scheme requires degree 3")
-    validate_config(cfg)
-    classes = lt.enumerate_classes(cfg.lattice, ClassKind.BLOWDOWN)
-    parts = congruence_classes(cfg, list(classes))
-    return _involution_quotient(parts, lambda c: lt.double_six_partner(cfg.lattice, c))
+    return scheme(cfg, "doublesix")
 
 
 def aronhold_scheme(cfg: NodalConfig) -> MultiplicityScheme:
-    """Blow-down scheme modulo the Geiser involution; total 288."""
-    if cfg.lattice.degree != 2:
-        raise ValueError("Aronhold scheme requires degree 2")
-    validate_config(cfg)
-    classes = lt.enumerate_classes(cfg.lattice, ClassKind.BLOWDOWN)
-    parts = congruence_classes(cfg, list(classes))
-    return _involution_quotient(parts, lambda c: lt.geiser(cfg.lattice, c))
+    return scheme(cfg, "aronhold")
 
 
 def even_theta_scheme(cfg: NodalConfig) -> MultiplicityScheme:
@@ -305,25 +288,13 @@ def even_theta_scheme(cfg: NodalConfig) -> MultiplicityScheme:
     classes = lt.enumerate_classes(lat, ClassKind.BLOWDOWN)
     labels = {c: theta_f2.even_theta_of_blowdown(lat, c) for c in classes}
     parts = congruence_classes(cfg, list(classes))
-    # union-find over the 36 labels
-    parent: dict[object, object] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in classes:
-        find(labels[c])
-    for p in parts:
-        base = find(labels[p[0]])
-        for c in p[1:]:
-            parent[find(labels[c])] = base
-    groups: dict[object, list] = {}
-    for label in set(labels.values()):
-        groups.setdefault(find(label), []).append(label)
+    # connected components of the 36 labels, joined within each part
+    distinct = list(set(labels.values()))
+    index = {label: i for i, label in enumerate(distinct)}
+    joins = [(index[labels[p[0]]], index[labels[c]]) for p in parts for c in p[1:]]
+    groups: dict[int, list] = {}
+    for label, comp in zip(distinct, components(len(distinct), joins)):
+        groups.setdefault(comp, []).append(label)
     points = sorted((min(g), len(g)) for g in groups.values())
     return MultiplicityScheme(tuple(points))
 

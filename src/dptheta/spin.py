@@ -40,7 +40,7 @@ class DualGraph:
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range")
-        if _components(n, edges) != 1:
+        if len(set(components(n, edges))) != 1:
             raise ValueError("graph is not connected")
         for v in range(n):
             if genera[v] == 0 and self.incidences(v) < 3:
@@ -56,24 +56,31 @@ class DualGraph:
         return sum(self.genera) + betti(len(self.genera), self.edges)
 
 
-def _components(n: int, edges) -> int:
+def components(n: int, pairs) -> list[int]:
+    """Component label of each of n vertices joined by the given index pairs.
+
+    Union-find with path halving; two vertices share a label exactly when
+    they are connected.
+    """
     parent = list(range(n))
-
-    def find(i):
+    for i, j in pairs:
         while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in edges:
-        parent[find(i)] = find(j)
-    return len({find(i) for i in range(n)})
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        parent[i] = j
+    labels = []
+    for v in range(n):
+        while parent[v] != v:
+            v = parent[v]
+        labels.append(v)
+    return labels
 
 
 def betti(n_vertices: int, edges) -> int:
     """First Betti number: edges - vertices + components."""
     edges = list(edges)
-    return len(edges) - n_vertices + _components(n_vertices, edges)
+    return len(edges) - n_vertices + len(set(components(n_vertices, edges)))
 
 
 def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:

@@ -147,6 +147,14 @@ def test_detrep_quartic(capsys, data_dir):
     assert "bitangent verified" in out
 
 
+def test_detrep_quartic_unknown_key_exit2(capsys, tmp_path):
+    bad = tmp_path / "bogus.txt"
+    bad.write_text("L: x0\nQ: x1^2\nH: x2^3\nBOGUS: x0\n")
+    code, out, err = run(capsys, "detrep", str(bad), "--action", "quartic")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: unknown keys: ['BOGUS']"]
+
+
 def test_reports_are_deterministic(capsys, data_dir):
     _, first, _ = run(capsys, "detrep", str(data_dir / "detrep_sample.txt"),
                       "--action", "check", "--format", "tsv")

@@ -1,6 +1,10 @@
 """Picard-lattice enumeration, Weyl groups and involutions."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,10 +102,30 @@ def test_weyl_orders():
 
 
 def test_weyl_order_orbit_stabilizer():
-    """|W| = orbit size x stabilizer order; the stabilizer of L is the
-    symmetric group permuting the E_i: 72*720 and 576*5040."""
-    assert 51840 == 72 * 720
-    assert 2903040 == 576 * 5040
+    """Oracle: sympy's Schreier-Sims order of the permutation group that the
+    simple reflections generate on the exceptional classes (a faithful
+    action) equals the stabilizer-chain order."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    for degree in (3, 2):
+        lat = lt.make_lattice(degree)
+        lines = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL)
+        index = {d: i for i, d in enumerate(lines)}
+        gens = [Permutation([index[lt.reflect(lat, r, d)] for d in lines])
+                for r in lt.simple_roots(lat)]
+        assert PermutationGroup(gens).order() == lt.weyl_order(lat)
+
+
+def test_runtime_imports_no_sympy():
+    """The CLI and the Weyl orders run without importing sympy."""
+    code = ("import sys, dptheta.cli; from dptheta import lattice as lt; "
+            "print(lt.weyl_order(lt.make_lattice(2)), "
+            "lt.weyl_order(lt.make_lattice(3)), 'sympy' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.stdout.split() == ["2903040", "51840", "False"]
 
 
 def test_reflections_preserve_pairing():

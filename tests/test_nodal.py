@@ -1,5 +1,8 @@
 """ADE root configurations and multiplicity schemes."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from dptheta import lattice as lt, nodal
@@ -152,3 +155,74 @@ def test_parse_config():
         nodal.parse_config("root [0, 1, -1, 0, 0, 0, 0, 0]\n")
     with pytest.raises(ValueError):
         nodal.parse_config("degree 3\nroot [0, 1, -1]\n")
+
+
+def rational_key(lat, roots):
+    """Oracle coset key by rational orthogonal projection onto the root span.
+
+    Writing v = sum(c_i r_i) + q with q orthogonal to every root, two classes
+    are congruent mod N exactly when their q agree and their c agree mod 1.
+    """
+    n = len(roots)
+    aug = [[Fraction(lt.pair(lat, a, b)) for b in roots]
+           + [Fraction(i == j) for j in range(n)] for i, a in enumerate(roots)]
+    for col in range(n):  # Gauss-Jordan: aug becomes [I | gram^-1]
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    inv = [row[n:] for row in aug]
+
+    def key(v):
+        pv = [lt.pair(lat, v, r) for r in roots]
+        c = [sum(a * b for a, b in zip(row, pv)) for row in inv]
+        q = tuple(x - sum(ci * r[k] for ci, r in zip(c, roots))
+                  for k, x in enumerate(v))
+        return q, tuple(ci % 1 for ci in c)
+    return key
+
+
+def conjugated_configs(lat, rng, count):
+    """Random simple-root subsets moved by a random word of reflections."""
+    simple = lt.simple_roots(lat)
+    for _ in range(count):
+        roots = rng.sample(simple, rng.randint(1, len(simple)))
+        for s in rng.choices(simple, k=rng.randint(0, 12)):
+            roots = [lt.reflect(lat, s, r) for r in roots]
+        yield nodal.NodalConfig(lat, roots)
+
+
+def random_configs(lat, rng, count):
+    """Greedy random root subsets that pass validate_config."""
+    all_roots = lt.enumerate_classes(lat, ClassKind.ROOT)
+    for _ in range(count):
+        target, roots = rng.randint(1, lat.rank - 1), []
+        for r in rng.sample(all_roots, len(all_roots)):
+            try:
+                nodal.validate_config(nodal.NodalConfig(lat, roots + [r]))
+            except ValueError:
+                continue
+            roots.append(r)
+            if len(roots) == target:
+                break
+        yield nodal.NodalConfig(lat, roots)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("kind", [ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN])
+def test_congruence_classes_match_rational_oracle(degree, kind):
+    lat = lt.make_lattice(degree)
+    rng = random.Random(degree)
+    classes = lt.enumerate_classes(lat, kind)
+    cfgs = [config(degree), config(degree, *lt.simple_roots(lat))]
+    cfgs += conjugated_configs(lat, rng, 5)
+    cfgs += random_configs(lat, rng, 5)
+    for cfg in cfgs:
+        key = rational_key(lat, cfg.roots)
+        parts = {}
+        for c in classes:
+            parts.setdefault(key(c), []).append(c)
+        expected = tuple(sorted(tuple(sorted(p)) for p in parts.values()))
+        assert nodal.congruence_classes(cfg, classes) == expected
