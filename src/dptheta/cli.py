@@ -149,11 +149,11 @@ def cmd_theta(args) -> int:
         _emit([("intermediate", intermediate), ("Z", z), ("pairs", pairs)],
               ("quantity", "value"), args.format)
         return 0
-    space = theta_f2.make_space(args.dim // 2, args.arf)
-    if space.dim != args.dim:
-        print(f"error: dimension must be even, got {args.dim}", file=sys.stderr)
-        return EXIT_INPUT
-    count = theta_f2.count_zeros(space)
+    # check before make_space, which builds dim rows of dim-bit ints
+    if args.dim % 2 or not 2 <= args.dim <= theta_f2.MAX_COUNT_DIM:
+        raise ValueError(f"--dim must be even and between 2 and "
+                         f"{theta_f2.MAX_COUNT_DIM}, got {args.dim}")
+    count = theta_f2.count_zeros(theta_f2.make_space(args.dim // 2, args.arf))
     _emit([("dim", args.dim), ("arf", args.arf), ("zeros", count)],
           ("quantity", "value"), args.format)
     return 0

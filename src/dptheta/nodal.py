@@ -71,20 +71,6 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _component_type(size: int, degrees: list[int], arms: list[int] | None) -> str:
-    """Name a connected ADE diagram from its vertex degrees and arm lengths."""
-    if max(degrees, default=0) <= 2:
-        return f"A{size}"
-    # exactly one branch vertex of degree 3; arms sorted ascending
-    assert arms is not None
-    a, b, c = sorted(arms)
-    if a == 1 and b == 1:
-        return f"D{size}"
-    if (a, b) == (1, 2) and c in (2, 3, 4):
-        return f"E{size}"
-    raise ValueError("connected component is not an ADE diagram")
-
-
 def validate_config(cfg: NodalConfig) -> str:
     """Check the root invariants and return the Dynkin type, e.g. "A1+A2".
 
@@ -118,25 +104,18 @@ def validate_config(cfg: NodalConfig) -> str:
     comps: dict[int, list[int]] = {}
     for i, label in enumerate(components(n, edges)):
         comps.setdefault(label, []).append(i)
+    # each component is an ADE diagram (Smith: 2I - A is positive definite);
+    # the branch vertex has two or three leaf neighbours in D_n, one in E_n
+    deg = [sum(row) + 2 for row in gram]  # the diagonal contributes -2
     names = []
     for verts in comps.values():
-        degs = [sum(gram[i][j] for j in verts if j != i) for i in verts]
-        arms = None
-        if max(degs) == 3 and degs.count(3) == 1:
-            branch = verts[degs.index(3)]
-            arms = []
-            for start in (j for j in verts if gram[branch][j] == 1):
-                length, prev, cur = 1, branch, start
-                while True:
-                    nxt = [j for j in verts if gram[cur][j] == 1 and j != prev]
-                    if not nxt:
-                        break
-                    prev, cur = cur, nxt[0]
-                    length += 1
-                arms.append(length)
-        elif max(degs) > 2:
-            raise ValueError("connected component is not an ADE diagram")
-        names.append(_component_type(len(verts), degs, arms))
+        branch = [i for i in verts if deg[i] == 3]
+        if not branch:
+            family = "A"
+        else:
+            leaves = sum(deg[j] == 1 for j in verts if gram[branch[0]][j] == 1)
+            family = "D" if leaves >= 2 else "E"
+        names.append(f"{family}{len(verts)}")
     return "+".join(sorted(names, key=lambda s: (s[0], int(s[1:]))))
 
 

@@ -209,12 +209,14 @@ class MultiPoly:
 
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|\^|\*|\+|-|\(|\))")
+MAX_NESTING = 100  # parentheses and unary minus signs, each one recursion
 
 
 def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     """Parse expressions like "3*x0^2*x1 - 1/2*x2^3" over the given variables.
 
-    Supports + - * ^ and parentheses, with rational coefficients.
+    Supports + - * ^ and parentheses, with rational coefficients.  Nesting
+    deeper than MAX_NESTING raises ValueError.
     """
     variables = tuple(variables)
     tokens = []
@@ -228,7 +230,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append(None)  # sentinel
-    idx = 0
+    idx = depth = 0
 
     def peek():
         return tokens[idx]
@@ -274,14 +276,17 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
         return base
 
     def parse_atom():
+        nonlocal depth
         tok = take()
-        if tok == "(":
-            node = parse_sum()
-            if take() != ")":
+        if tok in ("(", "-"):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ValueError(f"expression nested deeper than {MAX_NESTING}")
+            node = parse_sum() if tok == "(" else -parse_atom()
+            if tok == "(" and take() != ")":
                 raise ValueError("unbalanced parentheses")
+            depth -= 1
             return node
-        if tok == "-":
-            return -parse_atom()
         if tok is None:
             raise ValueError("unexpected end of expression")
         if tok[0].isdigit():

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 Edge = tuple[int, int]
+MAX_B1 = 16  # even_subsets lists all 2^b1 kernel vectors
 
 
 @dataclass(frozen=True)
@@ -21,7 +22,8 @@ class DualGraph:
 
     Edges are unordered pairs of 0-based vertex indices, loops allowed.
     Validates connectivity, stability (genus-0 vertices need at least three
-    edge incidences, loops counting twice) and arithmetic genus >= 2.
+    edge incidences, loops counting twice), arithmetic genus >= 2 and a
+    first Betti number of at most MAX_B1.
     """
 
     genera: tuple[int, ...]
@@ -42,6 +44,9 @@ class DualGraph:
                 raise ValueError(f"edge ({i}, {j}) out of range")
         if len(set(components(n, edges))) != 1:
             raise ValueError("graph is not connected")
+        b1 = len(edges) - n + 1  # the graph is connected
+        if b1 > MAX_B1:
+            raise ValueError(f"first Betti number {b1} exceeds {MAX_B1}")
         for v in range(n):
             if genera[v] == 0 and self.incidences(v) < 3:
                 raise ValueError(f"vertex {v} violates stability")

@@ -1,52 +1,74 @@
 """The F2 algebra of theta characteristics.
 
 Genus-3 model: even-cardinality subsets of {1..8} modulo complement form a
-group of order 64 under symmetric difference.  The 28 classes with a 2-element
-representative are the odd theta characteristics, the other 36 the even ones.
-The module provides the syzygy test, Aronhold set enumeration, the labeling of
-degree-2 blow-down classes by even theta characteristics, and a generic
-quadratic-form engine over F2 symplectic spaces (Arf invariant, zero counts,
-the genus-6 conic-pair count).
+group of order 64 under symmetric difference, here the XOR of 8-bit masks.
+The 28 classes with a 2-element representative are the odd theta
+characteristics, the other 36 the even ones.  The module provides the syzygy
+test, Aronhold set enumeration, the labeling of degree-2 blow-down classes by
+even theta characteristics, and a generic quadratic-form engine over F2
+symplectic spaces (Arf invariant, zero counts, the genus-6 conic-pair count).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce, total_ordering
 from itertools import combinations
+from operator import xor
 
 from . import lattice as lt
 from .lattice import DivisorClass, PicardLattice
 
-GROUND = frozenset(range(1, 9))
+
+def _odd(mask: int) -> int:
+    """Parity of a class mask: 1 for popcount 2 or 6, 0 for 0 or 4."""
+    return (mask.bit_count() >> 1) & 1
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True)
 class EvenSubsetClass:
-    """An even subset of {1..8} modulo complement, stored canonically.
+    """An even subset of {1..8} modulo complement, as an 8-bit mask.
 
-    The representative has size <= 4; a size-4 representative contains 1.
-    Comparison and sorting use the sorted representative tuple.
+    Bit i-1 stands for element i; a subset containing 8 is stored as its
+    complement, so bit 7 is never set and the sum of two classes is the XOR
+    of their masks.  `elems` is the sorted representative of size <= 4 (a
+    size-4 representative contains 1); comparison and sorting use it.
     """
 
-    elems: tuple[int, ...]
+    mask: int
 
     def __init__(self, elems):
-        s = frozenset(elems)
-        if len(s) % 2 != 0 or not s <= GROUND:
-            raise ValueError(f"not an even subset of 1..8: {sorted(s)}")
-        if len(s) > 4 or (len(s) == 4 and 1 not in s):
-            s = GROUND - s
-        object.__setattr__(self, "elems", tuple(sorted(s)))
+        s = sorted(set(elems))
+        if len(s) % 2 != 0 or not all(e in range(1, 9) for e in s):
+            raise ValueError(f"not an even subset of 1..8: {s}")
+        mask = sum(1 << (e - 1) for e in s)
+        object.__setattr__(self, "mask", mask ^ 0xFF if mask & 0x80 else mask)
+
+    @classmethod
+    def _from_mask(cls, mask: int) -> "EvenSubsetClass":
+        c = object.__new__(cls)
+        object.__setattr__(c, "mask", mask)
+        return c
 
     def __add__(self, other: "EvenSubsetClass") -> "EvenSubsetClass":
-        return EvenSubsetClass(set(self.elems) ^ set(other.elems))
+        return EvenSubsetClass._from_mask(self.mask ^ other.mask)
+
+    def __lt__(self, other: "EvenSubsetClass") -> bool:
+        return self.elems < other.elems
+
+    @property
+    def elems(self) -> tuple[int, ...]:
+        m = self.mask
+        if m.bit_count() > 4 or (m.bit_count() == 4 and not m & 1):
+            m ^= 0xFF
+        return tuple(i + 1 for i in range(8) if (m >> i) & 1)
 
     @property
     def parity(self) -> int:
         """1 for the 28 odd theta characteristics, 0 for the 36 even ones."""
-        return 1 if len(self.elems) == 2 else 0
+        return _odd(self.mask)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.elems) + "}"
@@ -57,10 +79,8 @@ IDENTITY = EvenSubsetClass(())
 
 @lru_cache(maxsize=1)
 def all_classes() -> tuple[EvenSubsetClass, ...]:
-    out = {IDENTITY}
-    for k in (2, 4):
-        out.update(EvenSubsetClass(c) for c in combinations(range(1, 9), k))
-    return tuple(sorted(out))
+    return tuple(sorted(EvenSubsetClass._from_mask(m) for m in range(128)
+                        if m.bit_count() % 2 == 0))
 
 
 def odd_classes() -> tuple[EvenSubsetClass, ...]:
@@ -73,12 +93,12 @@ def even_classes() -> tuple[EvenSubsetClass, ...]:
 
 def weil_pair(a: EvenSubsetClass, b: EvenSubsetClass) -> int:
     """Symplectic pairing |A n B| mod 2 (complement-invariant since |A| is even)."""
-    return len(set(a.elems) & set(b.elems)) % 2
+    return (a.mask & b.mask).bit_count() & 1
 
 
 def q_theta(theta: EvenSubsetClass, eta: EvenSubsetClass) -> int:
     """Quadratic form attached to theta: parity(theta + eta) + parity(theta)."""
-    return ((theta + eta).parity + theta.parity) % 2
+    return _odd(theta.mask ^ eta.mask) ^ _odd(theta.mask)
 
 
 def syzygetic(t1: EvenSubsetClass, t2: EvenSubsetClass, t3: EvenSubsetClass) -> bool:
@@ -87,47 +107,41 @@ def syzygetic(t1: EvenSubsetClass, t2: EvenSubsetClass, t3: EvenSubsetClass) -> 
         raise ValueError("syzygy test needs three distinct classes")
     if any(t.parity != 1 for t in (t1, t2, t3)):
         raise ValueError("syzygy test needs odd classes")
-    return q_theta(t1, t2 + t3) == 0
-
-
-def _is_aronhold(classes: tuple[EvenSubsetClass, ...]) -> bool:
-    return all(not syzygetic(a, b, c) for a, b, c in combinations(classes, 3))
+    # q_t1(t2 + t3) = parity(t1 + t2 + t3) + 1 vanishes iff the sum is odd
+    return _odd(t1.mask ^ t2.mask ^ t3.mask) == 1
 
 
 @lru_cache(maxsize=1)
 def enumerate_aronhold() -> tuple[tuple[EvenSubsetClass, ...], ...]:
-    """All 7-sets of odd classes whose triples are all asyzygetic (288 sets)."""
-    odds = odd_classes()
+    """All 7-sets of odd classes whose triples are all asyzygetic (288 sets).
+
+    Depth-first over the sorted odd classes, so the sets come out sorted; a
+    candidate c joins when c + s is even for every pair sum s in `sums`.
+    """
+    odds = [t.mask for t in odd_classes()]
     out: list[tuple[EvenSubsetClass, ...]] = []
 
-    def extend(chosen: list[EvenSubsetClass], start: int):
+    def extend(chosen: list[int], sums: list[int], start: int):
         if len(chosen) == 7:
-            out.append(tuple(chosen))
+            out.append(tuple(map(EvenSubsetClass._from_mask, chosen)))
             return
         for i in range(start, len(odds)):
             c = odds[i]
-            if all(not syzygetic(a, b, c)
-                   for a, b in combinations(chosen, 2)):
-                chosen.append(c)
-                extend(chosen, i + 1)
-                chosen.pop()
+            if not any(_odd(s ^ c) for s in sums):
+                extend(chosen + [c], sums + [a ^ c for a in chosen], i + 1)
 
-    extend([], 0)
-    return tuple(sorted(out))
+    extend([], [], 0)
+    return tuple(out)
 
 
 def even_theta_of_aronhold(aronhold: tuple[EvenSubsetClass, ...]) -> EvenSubsetClass:
     """Even class attached to an Aronhold set: the sum of its seven members."""
-    members = tuple(sorted(aronhold))
-    if len(members) != 7 or any(t.parity != 1 for t in members):
+    masks = [t.mask for t in aronhold]
+    if len(masks) != 7 or not all(_odd(m) for m in masks):
         raise ValueError("expected seven distinct odd classes")
-    if not _is_aronhold(members):
+    if any(_odd(a ^ b ^ c) for a, b, c in combinations(masks, 3)):
         raise ValueError("not an Aronhold set")
-    total = IDENTITY
-    for t in members:
-        total = total + t
-    assert total.parity == 0
-    return total
+    return EvenSubsetClass._from_mask(reduce(xor, masks))
 
 
 def _odd_label(d: DivisorClass) -> EvenSubsetClass:
@@ -162,8 +176,7 @@ def even_theta_of_blowdown(lat: PicardLattice, blowdown: DivisorClass) -> EvenSu
         raise ValueError("blow-down labeling requires degree 2")
     lines = lt.contracted_lines(lat, blowdown)
     assert len(lines) == 7
-    labels = tuple(sorted(_odd_label(d) for d in lines))
-    return even_theta_of_aronhold(labels)
+    return even_theta_of_aronhold(tuple(_odd_label(d) for d in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +233,13 @@ def make_space(g: int, arf_invariant: int = 0) -> QuadraticSpace:
     return QuadraticSpace(dim, tuple(rows))
 
 
+MAX_COUNT_DIM = 20  # count_zeros evaluates all 2^dim vectors
+
+
 def count_zeros(space: QuadraticSpace) -> int:
     """Number of vectors with q(v) = 0, by exhaustive evaluation."""
-    if space.dim > 20:
-        raise ValueError("exhaustive count limited to dimension 20")
+    if space.dim > MAX_COUNT_DIM:
+        raise ValueError(f"exhaustive count limited to dimension {MAX_COUNT_DIM}")
     return sum(1 for v in range(1 << space.dim) if space.evaluate(v) == 0)
 
 

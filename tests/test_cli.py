@@ -1,6 +1,10 @@
 """End-to-end CLI tests: golden TSV reports and exit codes."""
 
+import hashlib
 
+import pytest
+
+from dptheta import spin, theta_f2
 from dptheta.cli import main
 
 
@@ -168,3 +172,69 @@ def test_pretty_and_tsv_carry_same_counts(capsys):
                     "--format", "tsv")
     _, pretty, _ = run(capsys, "lattice", "--degree", "3", "--kind", "root")
     assert "total\t72" in tsv and "total: 72" in pretty
+
+
+# sha256 of the full stdout; the rows pin every Aronhold set, every even
+# theta representative and every scheme point, not only the summary lines
+GOLDEN_STDOUT = [
+    (("theta", "aronhold", "--format", "tsv"),
+     "8ccd1403bc0f12096cc430e1b9c036c13972912767068050abd86b8ef5c3162f"),
+    (("theta", "aronhold", "--format", "pretty"),
+     "9d48d9d9574a7771eb65fc79e1e8b6748cb5f081e7892a2307c812543e320f47"),
+    (("nodal", "node_a1.cfg", "--scheme", "eventheta", "--format", "tsv"),
+     "31ce86b14a5e9f5eba0cd6eeb65612b23064e1d79b20002ec1c9031ebab96f18"),
+    (("nodal", "cusp_a2_deg2.cfg", "--scheme", "eventheta", "--format", "tsv"),
+     "3f296ef4b863cfabfda33ed7a52dadc27927dbf716a06b44a842968318303f93"),
+    (("nodal", "e7.cfg", "--scheme", "eventheta", "--format", "tsv"),
+     "7cefd353046c34c02b8e3651d041f2960aa706f891a060211748f429f8694516"),
+    (("nodal", "node_a1.cfg", "--scheme", "aronhold", "--format", "tsv"),
+     "dfcba80f836731ee2b7cd8007d906c81aadcc386e5443fc0aa335dd5872d07ce"),
+    (("nodal", "e7.cfg", "--scheme", "aronhold", "--format", "tsv"),
+     "62039ed5b1b51d05c43ad75d86ce81289b2ab70e9e146274ffab66466a33128f"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+                         ids=[" ".join(a[:4]) for a, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, data_dir, argv, digest):
+    if argv[0] == "nodal":
+        argv = (argv[0], str(data_dir / argv[1])) + argv[2:]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def one_error_line(code, out, err):
+    return code == 2 and out == "" and len(err.splitlines()) == 1 \
+        and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim", ["40000", "0", "7"])
+def test_theta_zeros_bad_dim_exit2(capsys, monkeypatch, dim):
+    make_space = theta_f2.make_space
+
+    def guarded(g, *args):
+        assert g <= 10, f"make_space({g}) built before the dim check"
+        return make_space(g, *args)
+
+    monkeypatch.setattr(theta_f2, "make_space", guarded)
+    assert one_error_line(*run(capsys, "theta", "zeros", "--dim", dim))
+
+
+@pytest.mark.parametrize("expr", ["(" * 3000 + "x0" + ")" * 3000,
+                                  "x0*" + "-" * 3000 + "x1"],
+                         ids=["parentheses", "unary-minus"])
+def test_detrep_deep_nesting_exit2(capsys, tmp_path, expr):
+    bad = tmp_path / "deep.txt"
+    bad.write_text(f"H: {expr}\n")
+    assert one_error_line(*run(capsys, "detrep", str(bad), "--action", "check"))
+
+
+def test_spin_too_many_loops_exit2(capsys, monkeypatch, tmp_path):
+    def unbounded(graph):
+        raise AssertionError("2^26 supports enumerated before the b1 check")
+
+    monkeypatch.setattr(spin, "spin_scheme", unbounded)
+    bad = tmp_path / "loops.gr"
+    bad.write_text("v 1\n" + "e 0 0\n" * 26)
+    assert one_error_line(*run(capsys, "spin", str(bad)))

@@ -7,6 +7,7 @@ import pytest
 
 from dptheta import lattice as lt, nodal
 from dptheta.lattice import ClassKind
+from dptheta.spin import components
 
 
 def config(degree, *roots):
@@ -226,3 +227,79 @@ def test_congruence_classes_match_rational_oracle(degree, kind):
             parts.setdefault(key(c), []).append(c)
         expected = tuple(sorted(tuple(sorted(p)) for p in parts.values()))
         assert nodal.congruence_classes(cfg, classes) == expected
+
+
+def component_type_by_arms(size, degrees, arms):
+    """Oracle: name a connected ADE diagram from its degrees and arm lengths."""
+    if max(degrees, default=0) <= 2:
+        return f"A{size}"
+    a, b, c = sorted(arms)
+    if a == 1 and b == 1:
+        return f"D{size}"
+    if (a, b) == (1, 2) and c in (2, 3, 4):
+        return f"E{size}"
+    raise ValueError("connected component is not an ADE diagram")
+
+
+def dynkin_by_arm_walk(cfg):
+    """Oracle Dynkin type: walk each arm of every branch vertex to its end."""
+    lat, roots = cfg.lattice, cfg.roots
+    if not roots:
+        return "trivial"
+    n = len(roots)
+    gram = [[lt.pair(lat, a, b) for b in roots] for a in roots]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if gram[i][j] == 1]
+    comps = {}
+    for i, label in enumerate(components(n, edges)):
+        comps.setdefault(label, []).append(i)
+    names = []
+    for verts in comps.values():
+        degs = [sum(gram[i][j] for j in verts if j != i) for i in verts]
+        arms = None
+        if max(degs) == 3 and degs.count(3) == 1:
+            branch = verts[degs.index(3)]
+            arms = []
+            for start in (j for j in verts if gram[branch][j] == 1):
+                length, prev, cur = 1, branch, start
+                while True:
+                    nxt = [j for j in verts if gram[cur][j] == 1 and j != prev]
+                    if not nxt:
+                        break
+                    prev, cur = cur, nxt[0]
+                    length += 1
+                arms.append(length)
+        elif max(degs) > 2:
+            raise ValueError("connected component is not an ADE diagram")
+        names.append(component_type_by_arms(len(verts), degs, arms))
+    return "+".join(sorted(names, key=lambda s: (s[0], int(s[1:]))))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_dynkin_names_match_arm_walk_oracle(degree):
+    """Every subset of the E7 / E6 simple roots and random valid subsets."""
+    lat = lt.make_lattice(degree)
+    simple = lt.simple_roots(lat)
+    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
+            for mask in range(1 << len(simple))]
+    cfgs += random_configs(lat, random.Random(10 + degree), 40)
+    names = set()
+    for cfg in cfgs:
+        name = nodal.validate_config(cfg)
+        assert name == dynkin_by_arm_walk(cfg)
+        names.add(name)
+    assert {"E6", "D5", "A5", "A1+A2"} <= names
+    assert ("E7" in names) == (degree == 2)
+
+
+@pytest.mark.parametrize("roots", [
+    # a triangle: an affine A2 cycle
+    [(-2, 0, 1, 1, 1, 1, 1, 1), (0, 1, -1, 0, 0, 0, 0, 0),
+     (2, -1, 0, -1, -1, -1, -1, -1)],
+    # a centre with four arms: affine D4
+    [(-2, 0, 1, 1, 1, 1, 1, 1), (0, 1, -1, 0, 0, 0, 0, 0),
+     (1, 0, 0, -1, -1, -1, 0, 0), (1, 0, 0, -1, 0, 0, -1, -1),
+     (2, -1, -1, 0, -1, -1, -1, -1)],
+], ids=["triangle", "four-arm-star"])
+def test_non_ade_diagrams_rejected(roots):
+    with pytest.raises(ValueError, match="root span is not negative definite"):
+        nodal.validate_config(config(2, *roots))

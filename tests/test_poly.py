@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dptheta import poly
 from dptheta.poly import (MultiPoly, determinant, parse_poly, resultant,
                           squarefree_multiplicities, uni_from_binary_form)
 
@@ -50,6 +51,21 @@ def test_parse_str_roundtrip():
 def test_parse_rejects_garbage():
     for bad in ("x3", "x0 +", "1//2", "x0^", "(x0", "x0 x1 )"):
         with pytest.raises(ValueError):
+            parse_poly(bad, V)
+
+
+def test_parse_nesting_bounded():
+    """Parentheses and unary minus signs each nest one level; past
+    MAX_NESTING the parser raises ValueError, not RecursionError."""
+    deep = poly.MAX_NESTING
+    assert parse_poly("(" * deep + "x0" + ")" * deep, V) == parse_poly("x0", V)
+    assert parse_poly("x1*" + "-" * deep + "x0", V) \
+        == parse_poly(("-" if deep % 2 else "") + "x0*x1", V)
+    for bad in ("(" * (deep + 1) + "x0" + ")" * (deep + 1),
+                "x1*" + "-" * (deep + 1) + "x0",
+                "(" * 3000 + "x0" + ")" * 3000,
+                "x0*" + "-" * 3000 + "x1"):
+        with pytest.raises(ValueError, match="nested"):
             parse_poly(bad, V)
 
 

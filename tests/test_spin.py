@@ -121,6 +121,16 @@ def test_graph_validation():
         DualGraph([2], [(0, 1)])  # edge endpoint out of range
 
 
+def test_betti_number_capped():
+    """2^b1 supports: b1 = MAX_B1 is accepted, one more loop is rejected
+    before anything is enumerated."""
+    assert DualGraph([1], [(0, 0)] * spin.MAX_B1).genus == spin.MAX_B1 + 1
+    with pytest.raises(ValueError, match="Betti"):
+        DualGraph([1], [(0, 0)] * (spin.MAX_B1 + 1))
+    with pytest.raises(ValueError, match="Betti"):
+        DualGraph([1], [(0, 0)] * 26)
+
+
 def test_parse_graph():
     g = spin.parse_graph("# comment\nv 2\ne 0 0\n")
     assert g.genera == (2,) and g.edges == ((0, 0),)

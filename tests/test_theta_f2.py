@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -170,3 +171,68 @@ def test_all_56_labels_cover_odds():
                      for d in lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL))
     assert len(labels) == 28
     assert set(labels.values()) == {2}
+
+
+# Set-based reference model of the 64 classes: sorted representative tuples.
+GROUND = frozenset(range(1, 9))
+
+
+def ref_class(elems):
+    s = frozenset(elems)
+    if len(s) > 4 or (len(s) == 4 and 1 not in s):
+        s = GROUND - s
+    return tuple(sorted(s))
+
+
+def ref_add(a, b):
+    return ref_class(set(a) ^ set(b))
+
+
+def ref_parity(a):
+    return int(len(a) == 2)
+
+
+def ref_pair(a, b):
+    return len(set(a) & set(b)) % 2
+
+
+def ref_q(theta, eta):
+    return (ref_parity(ref_add(theta, eta)) + ref_parity(theta)) % 2
+
+
+def test_mask_model_matches_set_oracle():
+    """Sum, parity, pairing and q_theta agree with the set model on all
+    64 x 64 pairs; every even subset of 1..8 lands on its representative."""
+    evens = [c for k in range(0, 9, 2) for c in combinations(range(1, 9), k)]
+    assert len(evens) == 128
+    for e in evens:
+        cls = tf.EvenSubsetClass(e)
+        assert cls.elems == ref_class(e)
+        assert cls == tf.EvenSubsetClass(GROUND - set(e))
+        assert hash(cls) == hash(tf.EvenSubsetClass(GROUND - set(e)))
+    classes = tf.all_classes()
+    assert [c.elems for c in classes] == sorted({ref_class(e) for e in evens})
+    for a in classes:
+        assert a.parity == ref_parity(a.elems)
+        assert str(a) == "{" + ",".join(map(str, a.elems)) + "}"
+        for b in classes:
+            assert (a + b).elems == ref_add(a.elems, b.elems)
+            assert tf.weil_pair(a, b) == ref_pair(a.elems, b.elems)
+            assert tf.q_theta(a, b) == ref_q(a.elems, b.elems)
+
+
+def test_aronhold_sets_asyzygetic_under_set_oracle():
+    sets = tf.enumerate_aronhold()
+    assert list(sets) == sorted(sets)
+    assert len(set(sets)) == 288
+    for s in sets:
+        members = [t.elems for t in s]
+        assert len(set(members)) == 7
+        assert all(ref_parity(t) == 1 for t in members)
+        for a, b, c in combinations(members, 3):
+            assert ref_q(a, ref_add(b, c)) == 1  # asyzygetic
+        total = ()
+        for t in members:
+            total = ref_add(total, t)
+        assert tf.even_theta_of_aronhold(s).elems == total
+        assert tf.even_theta_of_aronhold(s[::-1]).elems == total
