@@ -129,8 +129,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # a square after the top bit would be thrown away
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -210,13 +211,16 @@ class MultiPoly:
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|\^|\*|\+|-|\(|\))")
 MAX_NESTING = 100  # parentheses and unary minus signs, each one recursion
+MAX_DEGREE = 16  # exponents and the total degree of each product
 
 
 def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     """Parse expressions like "3*x0^2*x1 - 1/2*x2^3" over the given variables.
 
     Supports + - * ^ and parentheses, with rational coefficients.  Nesting
-    deeper than MAX_NESTING raises ValueError.
+    deeper than MAX_NESTING, an exponent above MAX_DEGREE, or a product or
+    power of total degree above MAX_DEGREE raises ValueError before
+    anything is expanded.
     """
     variables = tuple(variables)
     tokens = []
@@ -252,18 +256,22 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             node = node + parse_product() * (1 if op == "+" else -1)
         return node
 
+    def check_degree(degree):
+        if degree > MAX_DEGREE:
+            raise ValueError(f"degree {degree} exceeds {MAX_DEGREE}")
+
     def parse_product():
         node = parse_power()
         while True:
             tok = peek()
             if tok == "*":
                 take()
-                node = node * parse_power()
-            elif tok is not None and (tok[0].isalnum() or tok in ("(",)):
-                # implicit multiplication like "2x0" or "x0(x1+1)"
-                node = node * parse_power()
-            else:
+            elif tok is None or not (tok[0].isalnum() or tok == "("):
                 return node
+            # "*" or implicit multiplication like "2x0" or "x0(x1+1)"
+            factor = parse_power()
+            check_degree(node.total_degree() + factor.total_degree())
+            node = node * factor
 
     def parse_power():
         base = parse_atom()
@@ -272,7 +280,11 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             exp = take()
             if exp is None or not exp.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
-            return base ** int(exp)
+            exp = int(exp)
+            if exp > MAX_DEGREE:
+                raise ValueError(f"exponent {exp} exceeds {MAX_DEGREE}")
+            check_degree(base.total_degree() * exp)
+            return base ** exp
         return base
 
     def parse_atom():

@@ -5,15 +5,21 @@ genera) and its nodes (edges, loops allowed).  The supports of spin
 structures correspond to the even subsets of edges; each support carries
 2^{2 sum(g_v) + b1(support)} spin structures, every one counting with
 multiplicity 2^{b1(graph) - b1(support)}.
+
+The F2 linear algebra runs on one format: the boundary of an edge is the
+vertex bitmask (1 << i) ^ (1 << j), 0 for a loop, and an edge subset is
+even exactly when the boundaries of its edges XOR to 0.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 Edge = tuple[int, int]
 MAX_B1 = 16  # even_subsets lists all 2^b1 kernel vectors
+MAX_GENUS = 100  # spin-table: at most 5151 rows, counts below 2^200
 
 
 @dataclass(frozen=True)
@@ -47,39 +53,35 @@ class DualGraph:
         b1 = len(edges) - n + 1  # the graph is connected
         if b1 > MAX_B1:
             raise ValueError(f"first Betti number {b1} exceeds {MAX_B1}")
+        degree = Counter(v for e in edges for v in e)  # a loop counts twice
         for v in range(n):
-            if genera[v] == 0 and self.incidences(v) < 3:
+            if genera[v] == 0 and degree[v] < 3:
                 raise ValueError(f"vertex {v} violates stability")
         if self.genus < 2:
             raise ValueError("arithmetic genus must be >= 2")
 
-    def incidences(self, v: int) -> int:
-        return sum((e[0] == v) + (e[1] == v) for e in self.edges)
-
     @property
     def genus(self) -> int:
-        return sum(self.genera) + betti(len(self.genera), self.edges)
+        # sum of vertex genera plus b1; __init__ proved the graph connected
+        return sum(self.genera) + len(self.edges) - len(self.genera) + 1
 
 
 def components(n: int, pairs) -> list[int]:
     """Component label of each of n vertices joined by the given index pairs.
 
-    Union-find with path halving; two vertices share a label exactly when
-    they are connected.
+    Union-find with path halving, also while labelling; two vertices share
+    a label (the index of their root) exactly when they are connected.
     """
     parent = list(range(n))
-    for i, j in pairs:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        parent[i] = j
-    labels = []
-    for v in range(n):
+
+    def find(v):
         while parent[v] != v:
-            v = parent[v]
-        labels.append(v)
-    return labels
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    return [find(v) for v in range(n)]
 
 
 def betti(n_vertices: int, edges) -> int:
@@ -88,63 +90,56 @@ def betti(n_vertices: int, edges) -> int:
     return len(edges) - n_vertices + len(set(components(n_vertices, edges)))
 
 
+def _boundary(edge: Edge) -> int:
+    """Vertex bitmask of an edge's endpoints mod 2: 0 for a loop."""
+    i, j = edge
+    return (1 << i) ^ (1 << j)
+
+
 def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
     """All even subsets of edges, as sorted tuples of edge indices.
 
-    A subset is even when every vertex has an even number of incidences
-    with it (loops contribute two).  These are the kernel vectors of the
-    vertex / non-loop-edge incidence matrix over F2; loops are free.  The
-    result has exactly 2^{b1} members.
+    A subset is even when the boundaries of its edges XOR to 0, that is
+    when every vertex meets it an even number of times (loops have
+    boundary 0).  One pass reduces each boundary against pivots keyed by
+    their lowest set bit, carrying a one-hot tag of the edges combined;
+    a boundary that reduces to 0 leaves its tag as a kernel vector.  The
+    kernel vectors form a basis, and their span, built by doubling, has
+    exactly 2^{b1} members.
     """
-    edges = graph.edges
-    m = len(edges)
-    n = len(graph.genera)
-    # rows: one bitmask of edge-columns per vertex; loops drop out mod 2
-    rows = []
-    for v in range(n):
-        mask = 0
-        for e_idx, (i, j) in enumerate(edges):
-            if i != j and (i == v or j == v):
-                mask |= 1 << e_idx
-        if mask:
-            rows.append(mask)
-    # Gaussian elimination to find a kernel basis
-    pivots: dict[int, int] = {}
-    for row in rows:
-        for col in range(m):
-            if (row >> col) & 1:
-                if col in pivots:
-                    row ^= pivots[col]
-                else:
-                    pivots[col] = row
-                    break
-    free_cols = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = 1 << fc
-        # back-substitute: set pivot variables forced by this free column
-        for col in sorted(pivots, reverse=True):
-            if (pivots[col] & vec).bit_count() & 1:
-                vec ^= 1 << col
-        basis.append(vec)
-    subsets = []
-    for combo in range(1 << len(basis)):
-        vec = 0
-        for b_idx, b in enumerate(basis):
-            if (combo >> b_idx) & 1:
-                vec ^= b
-        subsets.append(tuple(i for i in range(m) if (vec >> i) & 1))
-    assert len(subsets) == 1 << betti(n, edges)
-    return tuple(sorted(subsets))
+    pivots: dict[int, tuple[int, int]] = {}
+    span = [0]
+    for e, edge in enumerate(graph.edges):
+        boundary, tag = _boundary(edge), 1 << e
+        while boundary:
+            low = boundary & -boundary
+            if low not in pivots:
+                pivots[low] = boundary, tag
+                break
+            boundary ^= pivots[low][0]
+            tag ^= pivots[low][1]
+        else:
+            span += [s ^ tag for s in span]
+    assert len(span) == 1 << betti(len(graph.genera), graph.edges)
+    return tuple(sorted(map(_indices, span)))
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def is_even_subset(graph: DualGraph, delta) -> bool:
-    delta_edges = [graph.edges[i] for i in delta]
-    for v in range(len(graph.genera)):
-        deg = sum((i == v) + (j == v) for i, j in delta_edges)
-        if deg % 2:
-            return False
-    return True
+    """True when the boundaries of the edges in delta XOR to 0."""
+    total = 0
+    for i in delta:
+        total ^= _boundary(graph.edges[i])
+    return total == 0
 
 
 @dataclass(frozen=True)
@@ -165,9 +160,8 @@ def spin_counts(graph: DualGraph, delta) -> SpinSupport:
     delta = tuple(sorted(delta))
     if not is_even_subset(graph, delta):
         raise ValueError("subset is not even")
-    n = len(graph.genera)
-    b_full = betti(n, graph.edges)
-    b_delta = betti(n, [graph.edges[i] for i in delta])
+    b_full = graph.genus - sum(graph.genera)
+    b_delta = betti(len(graph.genera), [graph.edges[i] for i in delta])
     count = 1 << (2 * sum(graph.genera) + b_delta)
     return SpinSupport(delta, count, 1 << (b_full - b_delta))
 
@@ -205,6 +199,8 @@ def spin_table_irreducible(g: int, n: int) -> tuple[SpinTableRow, ...]:
     """
     if g < 2:
         raise ValueError("arithmetic genus must be >= 2")
+    if g > MAX_GENUS:
+        raise ValueError(f"arithmetic genus {g} exceeds {MAX_GENUS}")
     if not 0 <= n <= g:
         raise ValueError("node count must be between 0 and g")
     rows = []

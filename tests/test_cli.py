@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from dptheta import spin, theta_f2
+from dptheta import poly, spin, theta_f2
 from dptheta.cli import main
 
 
@@ -238,3 +238,38 @@ def test_spin_too_many_loops_exit2(capsys, monkeypatch, tmp_path):
     bad = tmp_path / "loops.gr"
     bad.write_text("v 1\n" + "e 0 0\n" * 26)
     assert one_error_line(*run(capsys, "spin", str(bad)))
+
+
+@pytest.mark.parametrize("expr", ["(x0+x1+x2)^120", "2^99999999",
+                                  "*".join(["x0"] * 17)],
+                         ids=["power", "constant-power", "product"])
+def test_detrep_degree_capped_exit2(capsys, monkeypatch, tmp_path, expr):
+    power = poly.MultiPoly.__pow__
+
+    def guarded(self, n):
+        assert n <= 16, f"power {n} expanded before the degree check"
+        return power(self, n)
+
+    monkeypatch.setattr(poly.MultiPoly, "__pow__", guarded)
+    bad = tmp_path / "high.txt"
+    bad.write_text(f"H: {expr}\n")
+    code, out, err = run(capsys, "detrep", str(bad), "--action", "check")
+    assert one_error_line(code, out, err)
+    assert f"exceeds {poly.MAX_DEGREE}" in err
+
+
+@pytest.mark.parametrize("genus", ["8000", "101"])
+def test_spin_table_genus_capped_exit2(capsys, genus):
+    code, out, err = run(capsys, "spin-table", "--genus", genus,
+                         "--nodes", "0")
+    assert one_error_line(code, out, err)
+    assert f"exceeds {spin.MAX_GENUS}" in err
+
+
+def test_spin_table_at_genus_cap(capsys):
+    code, out, _ = run(capsys, "spin-table", "--genus", "100", "--nodes", "2",
+                       "--format", "tsv")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 1 + 2 + 3
+    assert lines[1].split("\t")[:4] == ["0", "0", str(4 ** 100), "1"]

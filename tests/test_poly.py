@@ -69,6 +69,46 @@ def test_parse_nesting_bounded():
             parse_poly(bad, V)
 
 
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    """p ** 16 forms no product of degree above 16: the square after the
+    top bit, p^32 here, is never built."""
+    base = parse_poly("x0 + x1 + x2", V)
+    mul = MultiPoly.__mul__
+    degrees = []
+
+    def recording(a, b):
+        out = mul(a, b)
+        degrees.append(out.total_degree())
+        return out
+
+    monkeypatch.setattr(MultiPoly, "__mul__", recording)
+    power = base ** 16
+    assert power.total_degree() == 16 and len(power.terms) == 153
+    assert max(degrees) == 16
+
+
+def test_parse_degree_bounded(monkeypatch):
+    """Exponents above MAX_DEGREE and products or powers of total degree
+    above it raise ValueError before anything is expanded."""
+    top = poly.MAX_DEGREE
+    assert parse_poly(f"(x0+x1+x2+1)^{top}", V).total_degree() == top
+    assert parse_poly("*".join(["x0"] * top), V) == parse_poly(f"x0^{top}", V)
+    assert parse_poly(f"2^{top}*x0^{top}", V).total_degree() == top
+    power = MultiPoly.__pow__
+
+    def guarded(self, n):
+        assert n <= top, f"power {n} expanded before the degree check"
+        return power(self, n)
+
+    monkeypatch.setattr(MultiPoly, "__pow__", guarded)
+    for bad in (f"x0^{top + 1}", f"2^{top + 1}", "(x0+x1+x2)^120",
+                "2^99999999", "*".join(["x0"] * (top + 1)),
+                f"x0^{top}*x1", f"x0^{top} x1", f"(x0^9)^2",
+                f"(x0^9)(x1^8)"):
+        with pytest.raises(ValueError, match=f"exceeds {top}"):
+            parse_poly(bad, V)
+
+
 def test_ring_axioms_random():
     rng = random.Random(1)
     for _ in range(30):

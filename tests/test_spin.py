@@ -2,11 +2,23 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from dptheta import spin
 from dptheta.spin import DualGraph
+
+
+def degree_even(graph, delta):
+    """Oracle predicate: every vertex meets delta an even number of times,
+    counted vertex by vertex (loops contribute two)."""
+    delta_edges = [graph.edges[i] for i in delta]
+    for v in range(len(graph.genera)):
+        deg = sum((i == v) + (j == v) for i, j in delta_edges)
+        if deg % 2:
+            return False
+    return True
 
 
 def brute_even_subsets(graph):
@@ -15,9 +27,48 @@ def brute_even_subsets(graph):
     out = []
     for k in range(m + 1):
         for combo in itertools.combinations(range(m), k):
-            if spin.is_even_subset(graph, combo):
+            if degree_even(graph, combo):
                 out.append(combo)
     return tuple(sorted(out))
+
+
+def elimination_even_subsets(graph):
+    """Oracle: kernel of the vertex / non-loop-edge incidence matrix over
+    F2, by row elimination and back-substitution, one row per vertex."""
+    edges = graph.edges
+    m = len(edges)
+    rows = []
+    for v in range(len(graph.genera)):
+        mask = 0
+        for e_idx, (i, j) in enumerate(edges):
+            if i != j and (i == v or j == v):
+                mask |= 1 << e_idx
+        if mask:
+            rows.append(mask)
+    pivots = {}
+    for row in rows:
+        for col in range(m):
+            if (row >> col) & 1:
+                if col in pivots:
+                    row ^= pivots[col]
+                else:
+                    pivots[col] = row
+                    break
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        vec = 1 << fc
+        for col in sorted(pivots, reverse=True):
+            if (pivots[col] & vec).bit_count() & 1:
+                vec ^= 1 << col
+        basis.append(vec)
+    subsets = []
+    for combo in range(1 << len(basis)):
+        vec = 0
+        for b_idx, b in enumerate(basis):
+            if (combo >> b_idx) & 1:
+                vec ^= b
+        subsets.append(tuple(i for i in range(m) if (vec >> i) & 1))
+    return tuple(sorted(subsets))
 
 
 def random_graph(rng):
@@ -89,6 +140,72 @@ def test_even_subsets_against_brute_force():
     for _ in range(50):
         g = random_graph(rng)
         assert spin.even_subsets(g) == brute_even_subsets(g)
+
+
+def random_large_graph(rng):
+    """A random connected stable dual graph: a spanning tree on up to 30
+    vertices plus up to 10 extra edges (at most 40 edges, b1 <= 10)."""
+    while True:
+        nv = rng.randint(1, 30)
+        edges = [(rng.randrange(v), v) for v in range(1, nv)]
+        edges += [(rng.randrange(nv), rng.randrange(nv))
+                  for _ in range(rng.randint(0, min(10, 40 - len(edges))))]
+        degree = Counter(v for e in edges for v in e)
+        genera = [rng.randint(0 if degree[v] >= 3 else 1, 2)
+                  for v in range(nv)]
+        try:
+            return DualGraph(genera, edges)
+        except ValueError:
+            continue
+
+
+def test_even_subsets_against_elimination():
+    """Beyond the brute force's reach: 120 graphs with up to 40 edges."""
+    rng = random.Random(17)
+    sizes = []
+    for _ in range(120):
+        g = random_large_graph(rng)
+        subsets = spin.even_subsets(g)
+        assert subsets == elimination_even_subsets(g)
+        assert all(degree_even(g, d) for d in subsets)
+        sizes.append((g.genus - sum(g.genera), len(g.edges)))
+    assert max(b1 for b1, _ in sizes) == 10
+    assert max(m for _, m in sizes) > 12
+
+
+def test_is_even_subset_against_degree_count():
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_graph(rng)
+        m = len(g.edges)
+        for k in range(m + 1):
+            for combo in itertools.combinations(range(m), k):
+                assert spin.is_even_subset(g, combo) == degree_even(g, combo)
+
+
+def caterpillar(n):
+    """n genus-0 spine vertices in a path, each with a genus-1 leaf; the
+    two ends carry a second leaf so that every spine vertex is stable."""
+    genera = [0] * n + [1] * (n + 2)
+    edges = [(v, v + 1) for v in range(n - 1)]
+    edges += [(v, n + v) for v in range(n)] + [(0, 2 * n), (n - 1, 2 * n + 1)]
+    return DualGraph(genera, edges)
+
+
+def test_caterpillar_tree():
+    """A tree has one even subset, the empty one, carrying all 4^g."""
+    g = caterpillar(2000)
+    assert g.genus == 2002
+    (support,) = spin.spin_scheme(g)
+    assert support.delta == ()
+    assert support.count * support.multiplicity == 4 ** g.genus
+
+
+def test_components_on_long_path():
+    n = 5000
+    assert spin.components(n, [(v, v + 1) for v in range(n - 1)]) \
+        == [n - 1] * n
+    assert spin.components(n, [(v + 1, v) for v in range(n - 1)]) == [0] * n
 
 
 def test_random_graph_properties():
