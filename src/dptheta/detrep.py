@@ -150,15 +150,16 @@ def total_tangency_check(f: MultiPoly, t: MultiPoly, seed: int = 0) -> TangencyR
     x0 = MultiPoly.variable(PLANE_VARS, "x0")
     x1 = MultiPoly.variable(PLANE_VARS, "x1")
     x2 = MultiPoly.variable(PLANE_VARS, "x2")
+    # the x2^d coefficient of a degree-d form p after the shear is p(a, b, 1)
     for _ in range(100):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-        fs = f.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
-        ts = t.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
-        if (fs.coefficient("x2", 5).total_degree() == 0
-                and ts.coefficient("x2", 2).total_degree() == 0):
+        point = {"x0": a, "x1": b, "x2": 1}
+        if f.evaluate(point) and t.evaluate(point):
             break
     else:
         raise DegenerateError("no shear put the curves in general position")
+    fs = f.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
+    ts = t.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
     res = resultant(fs, ts, "x2")
     if res.is_zero():
         return TangencyReport(Tangency.COMMON_COMPONENT, (a, b))

@@ -16,6 +16,7 @@ from functools import partial
 
 from . import lattice as lt
 from .lattice import ClassKind, DivisorClass, PicardLattice
+from .poly import determinant
 from .spin import components
 
 PROFILE_COLUMNS = (2, 1, 0, -1, -2)
@@ -49,28 +50,6 @@ class MultiplicityScheme:
         return prof
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of a small integer matrix by fraction-free elimination."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def validate_config(cfg: NodalConfig) -> str:
     """Check the root invariants and return the Dynkin type, e.g. "A1+A2".
 
@@ -96,7 +75,7 @@ def validate_config(cfg: NodalConfig) -> str:
                     f"pairing {gram[i][j]} of {roots[i]} and {roots[j]} not in {{0, 1}}")
     # negative definite <=> leading principal minors alternate in sign
     for k in range(1, n + 1):
-        minor = _int_det([row[:k] for row in gram[:k]])
+        minor = determinant([row[:k] for row in gram[:k]])
         if minor * (-1) ** k <= 0:
             raise ValueError("root span is not negative definite")
     # connected components of the pairing graph

@@ -134,6 +134,29 @@ class MultiPoly:
                 base = base * base
         return result
 
+    def __floordiv__(self, other):
+        """Exact quotient by long division in lex order; ValueError if inexact."""
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.constant(self.vars, other)
+        self._check(other)
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
+        lead, lead_coeff = max(other.terms.items())
+        if not any(lead):  # a constant divisor
+            return self * (1 / lead_coeff)
+        rest, quotient = self, {}
+        while rest:
+            top, coeff = max(rest.terms.items())
+            shift = tuple(a - b for a, b in zip(top, lead))
+            if min(shift) < 0:
+                raise ValueError("polynomial division is not exact")
+            quotient[shift] = coeff / lead_coeff
+            rest = rest - MultiPoly(self.vars, {shift: quotient[shift]}) * other
+        return MultiPoly(self.vars, quotient)
+
+    def __bool__(self):
+        return bool(self.terms)
+
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.vars == other.vars
                 and self.terms == other.terms)
@@ -212,15 +235,17 @@ class MultiPoly:
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|\^|\*|\+|-|\(|\))")
 MAX_NESTING = 100  # parentheses and unary minus signs, each one recursion
 MAX_DEGREE = 16  # exponents and the total degree of each product
+MAX_COEFF_BITS = 4096  # exponent times the bit size of the base's coefficients
 
 
 def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     """Parse expressions like "3*x0^2*x1 - 1/2*x2^3" over the given variables.
 
     Supports + - * ^ and parentheses, with rational coefficients.  Nesting
-    deeper than MAX_NESTING, an exponent above MAX_DEGREE, or a product or
-    power of total degree above MAX_DEGREE raises ValueError before
-    anything is expanded.
+    deeper than MAX_NESTING, an exponent above MAX_DEGREE, a product or
+    power of total degree above MAX_DEGREE, or a power whose exponent times
+    the bit length of the base's largest numerator or denominator is above
+    MAX_COEFF_BITS raises ValueError before anything is expanded.
     """
     variables = tuple(variables)
     tokens = []
@@ -284,6 +309,10 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             if exp > MAX_DEGREE:
                 raise ValueError(f"exponent {exp} exceeds {MAX_DEGREE}")
             check_degree(base.total_degree() * exp)
+            bits = exp * max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                              for c in base.terms.values()), default=0)
+            if bits > MAX_COEFF_BITS:
+                raise ValueError(f"coefficient size {bits} bits exceeds {MAX_COEFF_BITS}")
             return base ** exp
         return base
 
@@ -313,38 +342,37 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     return result
 
 
-def determinant(matrix: list[list[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square matrix of polynomials.
+def determinant(matrix):
+    """Determinant by fraction-free (Bareiss) elimination.
 
-    Laplace expansion memoized on column subsets; no divisions, so it is
-    exact for any commutative entries.
+    The entries may be ints or MultiPolys, anything whose `//` divides
+    exactly: each step replaces the trailing block by its 2x2 minors with
+    the pivot, divided by the previous pivot.  Rows swap only on a zero pivot.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if n == 0:
         raise ValueError("empty matrix")
-    variables = matrix[0][0].vars
-    cache: dict[tuple[int, ...], MultiPoly] = {}
-
-    def minor(cols: tuple[int, ...]) -> MultiPoly:
-        row = n - len(cols)
-        if not cols:
-            return MultiPoly.constant(variables, 1)
-        if cols in cache:
-            return cache[cols]
-        total = MultiPoly.zero(variables)
-        for j, col in enumerate(cols):
-            entry = matrix[row][col]
-            if entry.is_zero():
-                continue
-            sub = minor(cols[:j] + cols[j + 1:])
-            term = entry * sub
-            total = total + (term if j % 2 == 0 else -term)
-        cache[cols] = total
-        return total
-
-    return minor(tuple(range(n)))
+    m = [list(row) for row in matrix]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return m[k][k]  # a zero column: the zero of the entry type
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                entry = row[j] * pivot
+                if lead:  # a zero below the pivot only rescales the row
+                    entry = entry - lead * top[j]
+                row[j] = entry // prev
+        prev = pivot
+    return m[-1][-1] * sign
 
 
 def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
@@ -355,20 +383,17 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
         raise ValueError(f"variable {name} absent from both polynomials")
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    if m < 1 or n < 1:
-        # Res(f, g) = f_lead^deg(g) when one argument is constant in name
-        const, other, deg = (f, g, n) if m < 1 else (g, f, m)
-        return const ** deg
+    # lower-degree rows first: the early pivots are its leading coefficient
+    if n < m:
+        return resultant(g, f, name) * (-1) ** (m * n)
     fc = [f.coefficient(name, m - i) for i in range(m + 1)]
     gc = [g.coefficient(name, n - i) for i in range(n + 1)]
-    size = m + n
     zero = MultiPoly.zero(f.vars)
     rows = []
     for shift in range(n):
         rows.append([zero] * shift + fc + [zero] * (n - 1 - shift))
     for shift in range(m):
         rows.append([zero] * shift + gc + [zero] * (m - 1 - shift))
-    assert all(len(r) == size for r in rows)
     return determinant(rows)
 
 

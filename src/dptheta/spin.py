@@ -20,6 +20,7 @@ from dataclasses import dataclass
 Edge = tuple[int, int]
 MAX_B1 = 16  # even_subsets lists all 2^b1 kernel vectors
 MAX_GENUS = 100  # spin-table: at most 5151 rows, counts below 2^200
+MAX_GRAPH_GENUS = 5000  # spin prints counts up to 2^{2g}: at most 3011 digits
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,8 @@ class DualGraph:
 
     Edges are unordered pairs of 0-based vertex indices, loops allowed.
     Validates connectivity, stability (genus-0 vertices need at least three
-    edge incidences, loops counting twice), arithmetic genus >= 2 and a
-    first Betti number of at most MAX_B1.
+    edge incidences, loops counting twice), an arithmetic genus from 2 to
+    MAX_GRAPH_GENUS and a first Betti number of at most MAX_B1.
     """
 
     genera: tuple[int, ...]
@@ -59,6 +60,8 @@ class DualGraph:
                 raise ValueError(f"vertex {v} violates stability")
         if self.genus < 2:
             raise ValueError("arithmetic genus must be >= 2")
+        if self.genus > MAX_GRAPH_GENUS:
+            raise ValueError(f"arithmetic genus {self.genus} exceeds {MAX_GRAPH_GENUS}")
 
     @property
     def genus(self) -> int:
@@ -85,9 +88,15 @@ def components(n: int, pairs) -> list[int]:
 
 
 def betti(n_vertices: int, edges) -> int:
-    """First Betti number: edges - vertices + components."""
+    """First Betti number of the edges on n_vertices vertices.
+
+    That is edges - vertices + components; a vertex no edge touches adds
+    one to both counts, so only the endpoints of the edges are labelled.
+    """
     edges = list(edges)
-    return len(edges) - n_vertices + len(set(components(n_vertices, edges)))
+    index = {v: k for k, v in enumerate({v for edge in edges for v in edge})}
+    labels = components(len(index), [(index[i], index[j]) for i, j in edges])
+    return len(edges) - len(index) + len(set(labels))
 
 
 def _boundary(edge: Edge) -> int:
@@ -160,7 +169,7 @@ def spin_counts(graph: DualGraph, delta) -> SpinSupport:
     delta = tuple(sorted(delta))
     if not is_even_subset(graph, delta):
         raise ValueError("subset is not even")
-    b_full = graph.genus - sum(graph.genera)
+    b_full = len(graph.edges) - len(graph.genera) + 1  # the graph is connected
     b_delta = betti(len(graph.genera), [graph.edges[i] for i in delta])
     count = 1 << (2 * sum(graph.genera) + b_delta)
     return SpinSupport(delta, count, 1 << (b_full - b_delta))

@@ -258,6 +258,35 @@ def test_detrep_degree_capped_exit2(capsys, monkeypatch, tmp_path, expr):
     assert f"exceeds {poly.MAX_DEGREE}" in err
 
 
+@pytest.mark.parametrize("expr", ["((((((((2)^16)^16)^16)^16)^16)^16)^16)^16",
+                                  "((((1/3)^16)^16)^16)^16",
+                                  f"{2 ** 256}^16"],
+                         ids=["tower", "fraction-tower", "literal"])
+def test_detrep_coefficient_size_capped_exit2(capsys, monkeypatch, tmp_path, expr):
+    power = poly.MultiPoly.__pow__
+
+    def guarded(self, n):
+        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                   for c in self.terms.values())
+        assert bits * n <= poly.MAX_COEFF_BITS, "power expanded before the size check"
+        return power(self, n)
+
+    monkeypatch.setattr(poly.MultiPoly, "__pow__", guarded)
+    bad = tmp_path / "tower.txt"
+    bad.write_text(f"H: {expr}*x0^3\n")
+    code, out, err = run(capsys, "detrep", str(bad), "--action", "check")
+    assert one_error_line(code, out, err)
+    assert f"exceeds {poly.MAX_COEFF_BITS}" in err
+
+
+def test_spin_genus_capped_exit2(capsys, tmp_path):
+    bad = tmp_path / "big.gr"
+    bad.write_text("v 8000\n")
+    code, out, err = run(capsys, "spin", str(bad))
+    assert one_error_line(code, out, err)
+    assert f"exceeds {spin.MAX_GRAPH_GENUS}" in err
+
+
 @pytest.mark.parametrize("genus", ["8000", "101"])
 def test_spin_table_genus_capped_exit2(capsys, genus):
     code, out, err = run(capsys, "spin-table", "--genus", genus,

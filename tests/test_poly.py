@@ -109,6 +109,21 @@ def test_parse_degree_bounded(monkeypatch):
             parse_poly(bad, V)
 
 
+def test_parse_coefficient_size_bounded():
+    """A power whose exponent times the bit length of the base's largest
+    numerator or denominator exceeds MAX_COEFF_BITS raises ValueError."""
+    top = poly.MAX_COEFF_BITS
+    assert top % 16 == 0
+    edge = 2 ** (top // 16) - 1  # top // 16 bits
+    assert parse_poly(f"{edge}^16", V) == MultiPoly.constant(V, edge ** 16)
+    assert parse_poly(f"(1/{edge}*x0)^16", V).total_degree() == 16
+    assert parse_poly("((2)^16)^16", V) == MultiPoly.constant(V, 2 ** 256)
+    for bad in (f"{edge + 1}^16", f"(x0 + 1/{edge + 1})^16",
+                "(((2)^16)^16)^16", "((((2)^16)^16)^16)^16"):
+        with pytest.raises(ValueError, match=f"exceeds {top}"):
+            parse_poly(bad, V)
+
+
 def test_ring_axioms_random():
     rng = random.Random(1)
     for _ in range(30):
@@ -146,6 +161,146 @@ def test_determinant_vs_sympy():
         oracle = sympy.expand(sympy.Matrix(
             [[to_sympy(e) for e in row] for row in m]).det())
         assert to_sympy(ours) == oracle
+
+
+def laplace_determinant(matrix, zero, one):
+    """The former `poly.determinant`: Laplace expansion along the rows,
+    memoised on the 2^n column subsets.  It never divides, so it serves as
+    an oracle for the fraction-free elimination on any commutative entries."""
+    n = len(matrix)
+    cache = {}
+
+    def minor(cols):
+        row = n - len(cols)
+        if not cols:
+            return one
+        if cols in cache:
+            return cache[cols]
+        total = zero
+        for j, col in enumerate(cols):
+            entry = matrix[row][col]
+            if entry == zero:
+                continue
+            term = entry * minor(cols[:j] + cols[j + 1:])
+            total = total + (term if j % 2 == 0 else -term)
+        cache[cols] = total
+        return total
+
+    return minor(tuple(range(n)))
+
+
+def laplace_resultant(f, g, name):
+    """Determinant of the Sylvester matrix in its textbook row order: the
+    deg(g) rows of f above the deg(f) rows of g."""
+    m, n = f.degree_in(name), g.degree_in(name)
+    fc = [f.coefficient(name, m - i) for i in range(m + 1)]
+    gc = [g.coefficient(name, n - i) for i in range(n + 1)]
+    zero = MultiPoly.zero(f.vars)
+    rows = [[zero] * s + fc + [zero] * (n - 1 - s) for s in range(n)]
+    rows += [[zero] * s + gc + [zero] * (m - 1 - s) for s in range(m)]
+    return laplace_determinant(rows, zero, MultiPoly.constant(f.vars, 1))
+
+
+def random_int_matrix(rng, n):
+    """Sparse-ish small entries; some singular, some with a zero pivot."""
+    m = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(n)]
+         for _ in range(n)]
+    kind = rng.randrange(3)
+    if kind == 1 and n > 1:  # a row combining two others: singular
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        m[c] = [x + 2 * y for x, y in zip(m[a], m[b])]
+    elif kind == 2:  # zero leading pivot: the elimination must swap rows
+        m[0][0] = 0
+    return m
+
+
+def test_determinant_matches_laplace_on_ints():
+    rng = random.Random(11)
+    swapped = singular = 0
+    for n in range(1, 9):
+        for _ in range(60):
+            m = random_int_matrix(rng, n)
+            expected = laplace_determinant(m, 0, 1)
+            assert determinant(m) == expected
+            swapped += m[0][0] == 0 and expected != 0
+            singular += expected == 0
+    assert swapped > 20 and singular > 20
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 0, 1], [0, 2, 3], [4, 5, 6]]) == -8
+
+
+def test_determinant_matches_laplace_on_polynomials():
+    rng = random.Random(12)
+    zero, one = MultiPoly.zero(V), MultiPoly.constant(V, 1)
+    swapped = singular = 0
+    for n in range(1, 6):
+        for _ in range(25):
+            m = [[random_poly(rng, degree=1, nterms=2) if rng.random() < 0.7
+                  else zero for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:
+                m[0][0] = zero
+            if n > 1 and rng.random() < 0.2:  # a polynomial multiple of a row
+                factor = random_poly(rng, degree=1, nterms=2)
+                m[-1] = [factor * e for e in m[0]]
+            expected = laplace_determinant(m, zero, one)
+            assert determinant(m) == expected
+            swapped += m[0][0].is_zero() and not expected.is_zero()
+            singular += expected.is_zero()
+    assert swapped > 5 and singular > 5
+
+
+def resultant_pair(rng, name):
+    """A random pair with a nonzero degree in name, a third of them sharing
+    a factor of positive degree in name."""
+    def part(top):
+        return MultiPoly(V, {tuple(rng.randint(0, top) if v == name
+                                   else rng.randint(0, 1) for v in V):
+                             rng.randint(-4, 4) for _ in range(3)})
+
+    while True:
+        if rng.random() < 1 / 3:
+            common = part(1)
+            f, g = common * part(1), common * part(2)
+        else:
+            f, g = part(3), part(3)
+        if (f.degree_in(name) >= 1 or g.degree_in(name) >= 1) \
+                and not f.is_zero() and not g.is_zero():
+            return f, g
+
+
+@pytest.mark.parametrize("name", V)
+def test_resultant_matches_laplace_oracle(name):
+    """Both row orders, the (-1)^(mn) sign and the zero resultant of a
+    common factor all agree with the textbook Sylvester determinant."""
+    rng = random.Random(f"resultant {name}")
+    seen = {"m<n": 0, "m>n": 0, "odd swap": 0, "zero": 0}
+    for _ in range(200):
+        f, g = resultant_pair(rng, name)
+        m, n = f.degree_in(name), g.degree_in(name)
+        res = resultant(f, g, name)
+        assert res == laplace_resultant(f, g, name)
+        seen["m<n"] += m < n
+        seen["m>n"] += m > n
+        seen["odd swap"] += m > n and m * n % 2 == 1
+        seen["zero"] += res.is_zero()
+    assert min(seen.values()) >= 10, seen
+
+
+def test_exact_division():
+    rng = random.Random(13)
+    for _ in range(40):
+        a, b = random_poly(rng), random_poly(rng, degree=2, nterms=3)
+        if not b.is_zero():
+            assert (a * b) // b == a
+    p = parse_poly("x0^2 + x1", V)
+    assert p // 2 == p * Fraction(1, 2)
+    assert p // MultiPoly.constant(V, Fraction(3, 4)) == p * Fraction(4, 3)
+    assert bool(p) and not MultiPoly.zero(V)
+    for divisor in ("x0 + 1", "x1^2", "x0*x1"):
+        with pytest.raises(ValueError, match="not exact"):
+            p // parse_poly(divisor, V)
+    with pytest.raises(ZeroDivisionError):
+        p // MultiPoly.zero(V)
 
 
 def test_resultant_spec_examples():

@@ -248,6 +248,39 @@ def test_betti_number_capped():
         DualGraph([1], [(0, 0)] * 26)
 
 
+def test_genus_capped():
+    """spin prints counts up to 2^{2g}: MAX_GRAPH_GENUS is accepted, one
+    more is rejected by DualGraph itself."""
+    top = spin.MAX_GRAPH_GENUS
+    assert DualGraph([top], []).genus == top
+    assert DualGraph([0, top - 1], [(0, 0), (0, 1)]).genus == top
+    for genera in ([top + 1], [8000], [top, 1]):
+        edges = [(0, 1)] if len(genera) == 2 else []
+        with pytest.raises(ValueError, match=f"exceeds {top}"):
+            DualGraph(genera, edges)
+
+
+def betti_all_vertices(n_vertices, edges):
+    """The former `spin.betti`: a union-find labelling all n vertices."""
+    edges = list(edges)
+    return len(edges) - n_vertices + len(set(spin.components(n_vertices, edges)))
+
+
+def test_betti_against_all_vertex_oracle():
+    """Only endpoints are labelled; each untouched vertex adds one vertex
+    and one component, so the result is the same."""
+    rng = random.Random(21)
+    isolated = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        edges = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 14))]
+        isolated += len({v for e in edges for v in e}) < n
+        assert spin.betti(n, edges) == betti_all_vertices(n, edges)
+    assert isolated > 100
+    assert spin.betti(10 ** 6, [(5, 7), (7, 5), (3, 3)]) == 2
+
+
 def test_parse_graph():
     g = spin.parse_graph("# comment\nv 2\ne 0 0\n")
     assert g.genera == (2,) and g.edges == ((0, 0),)
