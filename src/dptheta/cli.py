@@ -81,10 +81,7 @@ def cmd_nodal(args) -> int:
         rows.append(("total",) + nodal.profile_column_totals(profile))
         _emit(rows, header, args.format)
         return 0
-    if args.scheme == "eventheta":
-        scheme = nodal.even_theta_scheme(cfg)
-    else:
-        scheme = nodal.scheme(cfg, args.scheme)
+    scheme = nodal.scheme(cfg, args.scheme)
     rows = [(_fmt_point(rep), m) for rep, m in scheme.points]
     _emit(rows, ("representative", "multiplicity"), args.format)
     profile = " + ".join(f"{n}x{m}" for m, n in
@@ -218,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("nodal", help="multiplicity schemes of a root configuration")
     p.add_argument("config", help="configuration file (degree/root lines)")
     p.add_argument("--scheme", required=True,
-                   choices=tuple(nodal.SCHEMES) + ("eventheta", "profile"))
+                   choices=tuple(nodal.SCHEMES) + ("profile",))
     p.set_defaults(func=cmd_nodal)
 
     p = add_parser("spin", help="spin structures on a dual graph")

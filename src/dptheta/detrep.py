@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .poly import (MultiPoly, parse_poly, resultant,
                    squarefree_multiplicities, uni_from_binary_form)
+from .text import data_lines
 
 PLANE_VARS = ("x0", "x1", "x2")
 SPACE_VARS = ("u1", "u2", "x0", "x1", "x2")
@@ -195,10 +196,7 @@ def quartic_from_odd_theta(
 def parse_data_block(text: str) -> dict[str, MultiPoly]:
     """Parse a keyed text block of `NAME: polynomial` lines (x0, x1, x2)."""
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         key, sep, expr = line.partition(":")
         if not sep:
             raise ValueError(f"line {lineno}: expected `NAME: polynomial`")

@@ -14,6 +14,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .text import parse_int
+
 DivisorClass = tuple[int, ...]
 
 
@@ -262,4 +264,4 @@ def parse_class(text: str) -> DivisorClass:
     parts = body.replace(",", " ").split()
     if not parts:
         raise ValueError("empty divisor class")
-    return tuple(int(p) for p in parts)
+    return tuple(parse_int(p) for p in parts)

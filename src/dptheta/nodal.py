@@ -3,21 +3,23 @@
 A configuration of effective (-2)-classes spans a negative definite root
 sublattice N of the Picard lattice.  Exceptional and blow-down classes that
 become congruent modulo N coalesce; the multiplicity of a point of the
-resulting scheme is the size of its congruence class.  Quotients by the
-Geiser involution (degree 2) or the double-six pairing (degree 3) give the
-schemes of bitangents, Aronhold sets, double sixes and even theta
-characteristics of the branch curve.
+resulting scheme is the size of its congruence class.  Labelling classes by
+their pair under the Geiser involution (degree 2) or the double-six pairing
+(degree 3), or by their even theta characteristic, and merging the labels
+that one congruence class meets gives the schemes of bitangents, Aronhold
+sets, double sixes and even theta characteristics of the branch curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
-from . import lattice as lt
+from . import lattice as lt, theta_f2
 from .lattice import ClassKind, DivisorClass, PicardLattice
 from .poly import determinant
 from .spin import components
+from .text import data_lines, parse_int
 
 PROFILE_COLUMNS = (2, 1, 0, -1, -2)
 
@@ -160,53 +162,53 @@ def congruence_classes(
                         key=lambda p: p[0]))
 
 
-def _involution_quotient(parts, involution) -> MultiplicityScheme:
-    """Quotient a congruence partition by an involution that permutes parts.
-
-    Each quotient point is a part-pair {P, sP}; its multiplicity is
-    |P u sP| / 2 (so a self-paired part of size 2m gives multiplicity m).
-    """
-    index = {}
-    for pi, p in enumerate(parts):
-        for c in p:
-            index[c] = pi
-    seen = set()
-    points = []
-    for pi, p in enumerate(parts):
-        qi = index[involution(p[0])]
-        if qi in seen or pi in seen:
-            continue
-        seen.update((pi, qi))
-        members = set(p) | set(parts[qi])
-        assert len(members) % 2 == 0
-        points.append((min(members), len(members) // 2))
-    points.sort()
-    return MultiplicityScheme(tuple(points))
+def _pair(involution):
+    """Label a class by the smaller member of its pair {c, s(c)}."""
+    return lambda lat, c: min(c, involution(lat, c))
 
 
-# Scheme name -> (class kind, required degree, involution).  The scheme is
-# the kind's classes modulo N, quotiented by the involution if there is one.
+# Scheme name -> (class kind, required degree, label).  The scheme is the
+# kind's classes modulo N; with a label, the labels met by one congruence
+# part merge, and a point counts the labels it absorbs.  A pair {c, s(c)}
+# under the Geiser involution (degree 2) or the double-six pairing
+# (degree 3) is a label, as is a blow-down's even theta characteristic.
 # Totals in degree 2 / 3: lines 56 / 27, blow-downs 576 / 72, bitangents 28,
-# double sixes 36, Aronhold sets 288.
+# double sixes 36, Aronhold sets 288, even thetas 36.
 SCHEMES = {
     "lines": (ClassKind.EXCEPTIONAL, None, None),
-    "bitangents": (ClassKind.EXCEPTIONAL, 2, lt.geiser),
+    "bitangents": (ClassKind.EXCEPTIONAL, 2, _pair(lt.geiser)),
     "blowdowns": (ClassKind.BLOWDOWN, None, None),
-    "doublesix": (ClassKind.BLOWDOWN, 3, lt.double_six_partner),
-    "aronhold": (ClassKind.BLOWDOWN, 2, lt.geiser),
+    "doublesix": (ClassKind.BLOWDOWN, 3, _pair(lt.double_six_partner)),
+    "aronhold": (ClassKind.BLOWDOWN, 2, _pair(lt.geiser)),
+    "eventheta": (ClassKind.BLOWDOWN, 2, theta_f2.even_theta_of_blowdown),
 }
+
+
+@lru_cache(maxsize=None)
+def _labels(lat: PicardLattice, name: str):
+    """The distinct labels of a scheme, and each class's index among them."""
+    kind, _, label = SCHEMES[name]
+    of_class = {c: label(lat, c) for c in lt.enumerate_classes(lat, kind)}
+    distinct = sorted(set(of_class.values()))
+    index = {x: i for i, x in enumerate(distinct)}
+    return tuple(distinct), {c: index[x] for c, x in of_class.items()}
 
 
 def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
     """The multiplicity scheme `name` of SCHEMES for a configuration."""
-    kind, degree, involution = SCHEMES[name]
+    kind, degree, label = SCHEMES[name]
     if degree is not None and cfg.lattice.degree != degree:
         raise ValueError(f"{name} scheme requires degree {degree}")
     validate_config(cfg)
     parts = congruence_classes(cfg, list(lt.enumerate_classes(cfg.lattice, kind)))
-    if involution is None:
+    if label is None:
         return MultiplicityScheme(tuple((p[0], len(p)) for p in parts))
-    return _involution_quotient(parts, partial(involution, cfg.lattice))
+    distinct, index = _labels(cfg.lattice, name)
+    joins = [(index[p[0]], index[c]) for p in parts for c in p[1:]]
+    groups: dict[int, list] = {}
+    for x, comp in zip(distinct, components(len(distinct), joins)):
+        groups.setdefault(comp, []).append(x)
+    return MultiplicityScheme(tuple(sorted((min(g), len(g)) for g in groups.values())))
 
 
 def line_scheme(cfg: NodalConfig) -> MultiplicityScheme:
@@ -230,31 +232,7 @@ def aronhold_scheme(cfg: NodalConfig) -> MultiplicityScheme:
 
 
 def even_theta_scheme(cfg: NodalConfig) -> MultiplicityScheme:
-    """Even theta characteristics with multiplicities; total 36.
-
-    Each degree-2 blow-down class carries an even theta characteristic label
-    (16 classes per label in the smooth case).  Labels merge when their
-    fibers meet the same congruence class mod N; the multiplicity of a merged
-    point is the number of labels it absorbs.
-    """
-    from . import theta_f2
-
-    if cfg.lattice.degree != 2:
-        raise ValueError("even theta scheme requires degree 2")
-    validate_config(cfg)
-    lat = cfg.lattice
-    classes = lt.enumerate_classes(lat, ClassKind.BLOWDOWN)
-    labels = {c: theta_f2.even_theta_of_blowdown(lat, c) for c in classes}
-    parts = congruence_classes(cfg, list(classes))
-    # connected components of the 36 labels, joined within each part
-    distinct = list(set(labels.values()))
-    index = {label: i for i, label in enumerate(distinct)}
-    joins = [(index[labels[p[0]]], index[labels[c]]) for p in parts for c in p[1:]]
-    groups: dict[int, list] = {}
-    for label, comp in zip(distinct, components(len(distinct), joins)):
-        groups.setdefault(comp, []).append(label)
-    points = sorted((min(g), len(g)) for g in groups.values())
-    return MultiplicityScheme(tuple(points))
+    return scheme(cfg, "eventheta")
 
 
 # The ten coefficient families of degree-2 blow-down classes, in the
@@ -306,13 +284,10 @@ def parse_config(text: str) -> NodalConfig:
     """Parse a config file: a `degree <d>` line and one `root <ints>` per root."""
     degree = None
     roots = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         head, _, rest = line.partition(" ")
         if head == "degree":
-            degree = int(rest)
+            degree = parse_int(rest)
         elif head == "root":
             roots.append(lt.parse_class(rest))
         else:

@@ -11,6 +11,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .text import parse_int
+
 Exponent = tuple[int, ...]
 
 
@@ -24,14 +26,12 @@ class MultiPoly:
         clean = {}
         nv = len(self.vars)
         for exp, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            exp = tuple(exp)
-            if len(exp) != nv or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent {exp} for variables {self.vars}")
-            clean[exp] = clean.get(exp, Fraction(0)) + coeff
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+            if coeff:
+                exp = tuple(exp)
+                if len(exp) != nv or any(e < 0 for e in exp):
+                    raise ValueError(f"bad exponent {exp} for variables {self.vars}")
+                clean[exp] = Fraction(coeff)  # exact `//` divides Fractions
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -97,7 +97,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
+            out[exp] = out.get(exp, 0) + coeff
         return MultiPoly(self.vars, out)
 
     def __neg__(self):
@@ -116,7 +116,7 @@ class MultiPoly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
+                out[exp] = out.get(exp, 0) + ca * cb
         return MultiPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -177,15 +177,9 @@ class MultiPoly:
     def substitute(self, name: str, replacement: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial (in the same variables) for one variable."""
         self._check(replacement)
-        i = self.vars.index(name)
         out = MultiPoly.zero(self.vars)
-        powers = {0: MultiPoly.constant(self.vars, 1)}
-        for exp, coeff in self.terms.items():
-            k = exp[i]
-            if k not in powers:
-                powers[k] = replacement ** k
-            rest = MultiPoly(self.vars, {exp[:i] + (0,) + exp[i + 1:]: coeff})
-            out = out + rest * powers[k]
+        for k in range(self.degree_in(name), -1, -1):  # Horner in `name`
+            out = out * replacement + self.coefficient(name, k)
         return out
 
     def rename_vars(self, variables: Iterable[str]) -> "MultiPoly":
@@ -305,7 +299,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             exp = take()
             if exp is None or not exp.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
-            exp = int(exp)
+            exp = parse_int(exp)
             if exp > MAX_DEGREE:
                 raise ValueError(f"exponent {exp} exceeds {MAX_DEGREE}")
             check_degree(base.total_degree() * exp)
@@ -331,7 +325,11 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
         if tok is None:
             raise ValueError("unexpected end of expression")
         if tok[0].isdigit():
-            return MultiPoly.constant(variables, Fraction(tok))
+            num, _, den = tok.partition("/")
+            den = parse_int(den or "1")
+            if not den:
+                raise ValueError(f"zero denominator in {tok!r}")
+            return MultiPoly.constant(variables, Fraction(parse_int(num), den))
         if tok in variables:
             return MultiPoly.variable(variables, tok)
         raise ValueError(f"unknown variable {tok!r}")

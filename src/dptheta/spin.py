@@ -17,6 +17,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .text import data_lines, parse_int
+
 Edge = tuple[int, int]
 MAX_B1 = 16  # even_subsets lists all 2^b1 kernel vectors
 MAX_GENUS = 100  # spin-table: at most 5151 rows, counts below 2^200
@@ -227,17 +229,14 @@ def parse_graph(text: str) -> DualGraph:
     """Parse a graph file: `v <genus>` lines then `e <i> <j>` lines."""
     genera = []
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split()
         if parts[0] == "v" and len(parts) == 2:
-            genera.append(int(parts[1]))
+            genera.append(parse_int(parts[1]))
         elif parts[0] == "e" and len(parts) == 3:
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((parse_int(parts[1]), parse_int(parts[2])))
         else:
-            raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+            raise ValueError(f"line {lineno}: cannot parse {line!r}")
     if not genera:
         raise ValueError("graph file has no vertices")
     return DualGraph(genera, edges)

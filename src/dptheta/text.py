@@ -1,0 +1,24 @@
+"""Line reading and integer literals shared by the input-file parsers."""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+MAX_LITERAL_DIGITS = 1000  # below Python's own 4300-digit int-parsing limit
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, content) of each line that is not blank once its `#`
+    comment and surrounding whitespace are stripped."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_int(text: str) -> int:
+    """int(text), refusing literals of more than MAX_LITERAL_DIGITS digits."""
+    digits = len(text.strip().lstrip("+-"))
+    if digits > MAX_LITERAL_DIGITS:
+        raise ValueError(f"integer literal of {digits} digits exceeds {MAX_LITERAL_DIGITS}")
+    return int(text)

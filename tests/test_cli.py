@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from dptheta import poly, spin, theta_f2
+from dptheta import poly, spin, text, theta_f2
 from dptheta.cli import main
 
 
@@ -78,6 +78,12 @@ def test_nodal_wrong_degree_scheme_exit2(capsys, data_dir):
     code, _, err = run(capsys, "nodal", str(data_dir / "cusp_a2.cfg"),
                        "--scheme", "bitangents")
     assert code == 2 and "error" in err
+
+
+def test_nodal_eventheta_degree3_exit2(capsys, data_dir):
+    code, out, err = run(capsys, "nodal", str(data_dir / "cusp_a2.cfg"),
+                         "--scheme", "eventheta")
+    assert (code, out, err) == (2, "", "error: eventheta scheme requires degree 2\n")
 
 
 def test_spin_report(capsys, data_dir):
@@ -302,3 +308,30 @@ def test_spin_table_at_genus_cap(capsys):
     lines = out.splitlines()
     assert len(lines) == 1 + 1 + 2 + 3
     assert lines[1].split("\t")[:4] == ["0", "0", str(4 ** 100), "1"]
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("name,body,argv", [
+    ("long.gr", f"v {LONG}\nv 2\ne 0 1\n", ("spin",)),
+    ("long.cfg", f"degree 2\nroot [{LONG}, 1, -1, 0, 0, 0, 0, 0]\n",
+     ("nodal", "--scheme", "lines")),
+    ("degree.cfg", f"degree {LONG}\n", ("nodal", "--scheme", "lines")),
+    ("long.txt", f"H: {LONG}*x0^3\n", ("detrep", "--action", "check")),
+], ids=["graph", "config-root", "config-degree", "H"])
+def test_long_integer_literal_exit2(capsys, tmp_path, name, body, argv):
+    bad = tmp_path / name
+    bad.write_text(body)
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    assert one_error_line(code, out, err)
+    assert err == (f"error: integer literal of 5000 digits exceeds "
+                   f"{text.MAX_LITERAL_DIGITS}\n")
+
+
+def test_detrep_zero_denominator_exit2(capsys, tmp_path):
+    bad = tmp_path / "zero.txt"
+    bad.write_text("H: x0^3 + 1/0*x1^3\n")
+    code, out, err = run(capsys, "detrep", str(bad), "--action", "check")
+    assert one_error_line(code, out, err)
+    assert "zero denominator" in err

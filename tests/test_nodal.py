@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from dptheta import lattice as lt, nodal
+from dptheta import lattice as lt, nodal, theta_f2
 from dptheta.lattice import ClassKind
 from dptheta.spin import components
 
@@ -303,3 +304,83 @@ def test_dynkin_names_match_arm_walk_oracle(degree):
 def test_non_ade_diagrams_rejected(roots):
     with pytest.raises(ValueError, match="root span is not negative definite"):
         nodal.validate_config(config(2, *roots))
+
+
+def involution_quotient(parts, involution):
+    """Oracle: quotient a congruence partition by an involution that permutes
+    parts.  Each point is a part-pair {P, sP} of multiplicity |P u sP| / 2
+    (a self-paired part of size 2m gives multiplicity m)."""
+    index = {c: pi for pi, p in enumerate(parts) for c in p}
+    seen, points = set(), []
+    for pi, p in enumerate(parts):
+        qi = index[involution(p[0])]
+        if qi in seen or pi in seen:
+            continue
+        seen.update((pi, qi))
+        members = set(p) | set(parts[qi])
+        assert len(members) % 2 == 0
+        points.append((min(members), len(members) // 2))
+    return tuple(sorted(points))
+
+
+def even_theta_grouping(lat, parts):
+    """Oracle: label every blow-down class by its even theta characteristic
+    and join the labels met by one congruence part, without a cached map."""
+    labels = {c: theta_f2.even_theta_of_blowdown(lat, c) for p in parts for c in p}
+    distinct = list(set(labels.values()))
+    index = {label: i for i, label in enumerate(distinct)}
+    joins = [(index[labels[p[0]]], index[labels[c]]) for p in parts for c in p[1:]]
+    groups = {}
+    for label, comp in zip(distinct, components(len(distinct), joins)):
+        groups.setdefault(comp, []).append(label)
+    return tuple(sorted((min(g), len(g)) for g in groups.values()))
+
+
+INVOLUTIONS = {"bitangents": lt.geiser, "aronhold": lt.geiser,
+               "doublesix": lt.double_six_partner}
+
+
+def scheme_oracle(cfg, name, parts):
+    lat = cfg.lattice
+    if name == "eventheta":
+        return even_theta_grouping(lat, parts)
+    if name in INVOLUTIONS:
+        return involution_quotient(parts, partial(INVOLUTIONS[name], lat))
+    return tuple((p[0], len(p)) for p in parts)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_schemes_match_quotient_oracles(degree):
+    """Every scheme on every E7 / E6 simple-root subset and on greedy random
+    root sets, against the part-pair quotient and the even-theta grouping."""
+    lat = lt.make_lattice(degree)
+    simple = lt.simple_roots(lat)
+    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
+            for mask in range(1 << len(simple))]
+    cfgs += random_configs(lat, random.Random(20 + degree), 40)
+    names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
+    assert len(names) == (5 if degree == 2 else 3)
+    for cfg in cfgs:
+        parts = {kind: nodal.congruence_classes(cfg, lt.enumerate_classes(lat, kind))
+                 for kind in (ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN)}
+        for name in names:
+            expected = scheme_oracle(cfg, name, parts[nodal.SCHEMES[name][0]])
+            assert nodal.scheme(cfg, name).points == expected, (name, cfg.roots)
+
+
+@pytest.mark.parametrize("name", sorted(INVOLUTIONS))
+def test_pair_involutions_fix_no_class(name):
+    """So a pair label {c, s(c)} always holds two classes."""
+    kind, degree, _ = nodal.SCHEMES[name]
+    lat = lt.make_lattice(degree)
+    classes = lt.enumerate_classes(lat, kind)
+    assert all(INVOLUTIONS[name](lat, c) != c for c in classes)
+    assert len({min(c, INVOLUTIONS[name](lat, c)) for c in classes}) == len(classes) // 2
+
+
+def test_even_theta_scheme_is_the_eventheta_entry():
+    cfg = config(3, *A2_CUSP_3)
+    with pytest.raises(ValueError, match="eventheta scheme requires degree 2"):
+        nodal.even_theta_scheme(cfg)
+    cfg = config(2, *A2_CUSP_2)
+    assert nodal.even_theta_scheme(cfg) == nodal.scheme(cfg, "eventheta")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dptheta import poly
 from dptheta.poly import (MultiPoly, determinant, parse_poly, resultant,
                           squarefree_multiplicities, uni_from_binary_form)
+from dptheta.text import MAX_LITERAL_DIGITS
 
 V = ("x0", "x1", "x2")
 SYMS = sympy.symbols("x0 x1 x2")
@@ -141,6 +142,56 @@ def test_substitute_and_evaluate():
     val = p.evaluate({"x0": Fraction(2), "x1": Fraction(1, 2),
                       "x2": Fraction(4)})
     assert val == Fraction(6)
+
+
+def substitute_term_by_term(p, name, replacement):
+    """Oracle: add coefficient * replacement^k to a running sum, term by term."""
+    i = p.vars.index(name)
+    out = MultiPoly.zero(p.vars)
+    powers = {0: MultiPoly.constant(p.vars, 1)}
+    for exp, coeff in p.terms.items():
+        k = exp[i]
+        if k not in powers:
+            powers[k] = replacement ** k
+        rest = MultiPoly(p.vars, {exp[:i] + (0,) + exp[i + 1:]: coeff})
+        out = out + rest * powers[k]
+    return out
+
+
+def test_substitute_matches_term_by_term_oracle():
+    rng = random.Random(7)
+    zero, seen = MultiPoly.zero(V), set()
+    pairs = [(zero, random_poly(rng)), (random_poly(rng), zero),
+             (MultiPoly.constant(V, 5), random_poly(rng))]
+    for _ in range(200):
+        pairs.append((random_poly(rng, rng.randint(0, 4), rng.randint(0, 6)),
+                      random_poly(rng, rng.randint(0, 2), rng.randint(0, 4))))
+    for p, r in pairs:
+        name = rng.choice(V)
+        seen.add(min(p.degree_in(name), 1))
+        assert p.substitute(name, r) == substitute_term_by_term(p, name, r)
+    assert seen == {-1, 0, 1}  # the zero polynomial, degree 0 and above
+
+
+def test_int_coefficients_stored_as_fractions():
+    p = MultiPoly(V, {(1, 0, 0): 3, (0, 1, 0): 0, (0, 0, 1): Fraction(1, 2)})
+    assert p.terms == {(1, 0, 0): 3, (0, 0, 1): Fraction(1, 2)}
+    for q in (p, p + p * p + 2, p - p * 7, p.substitute("x0", p)):
+        assert all(type(c) is Fraction for c in q.terms.values())
+    for bad in ({(1, 0): 1}, {(-1, 0, 0): 1}):
+        with pytest.raises(ValueError, match="bad exponent"):
+            MultiPoly(V, bad)
+
+
+def test_parse_literal_digits_bounded():
+    edge = "9" * MAX_LITERAL_DIGITS
+    assert parse_poly(edge, V) == MultiPoly.constant(V, int(edge))
+    assert parse_poly(f"1/{edge}", V) == MultiPoly.constant(V, Fraction(1, int(edge)))
+    for bad in (edge + "9", f"1/{edge}9", f"x0^{edge}9"):
+        with pytest.raises(ValueError, match=f"1001 digits exceeds {MAX_LITERAL_DIGITS}"):
+            parse_poly(bad, V)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_poly("x0 + 1/0", V)
 
 
 def test_homogeneity_and_degrees():
