@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .text import parse_int
@@ -33,6 +34,9 @@ class ClassKind(Enum):
     @property
     def canonical_degree(self) -> int:
         return self.value[1]
+
+
+_KIND_OF_KEY = {k.value: k for k in ClassKind}
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ def pair(lat: PicardLattice, a: DivisorClass, b: DivisorClass) -> int:
     """Intersection pairing under diag(1, -1, ..., -1)."""
     if len(a) != lat.rank or len(b) != lat.rank:
         raise ValueError("vector length does not match lattice rank")
-    return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+    return 2 * a[0] * b[0] - sum(map(mul, a, b))
 
 
 def add(a: DivisorClass, b: DivisorClass) -> DivisorClass:
@@ -106,11 +110,7 @@ def scale(k: int, a: DivisorClass) -> DivisorClass:
 
 def kind_of(lat: PicardLattice, d: DivisorClass) -> ClassKind | None:
     """Classify d by (self-intersection, degree against K), or None."""
-    key = (pair(lat, d, d), pair(lat, d, lat.canonical))
-    for kind in ClassKind:
-        if kind.value == key:
-            return kind
-    return None
+    return _KIND_OF_KEY.get((pair(lat, d, d), pair(lat, d, lat.canonical)))
 
 
 def _coeff_solutions(n: int, total: int, sq: int) -> Iterable[tuple[int, ...]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import lattice as lt, theta_f2
 from .lattice import ClassKind, DivisorClass, PicardLattice
@@ -100,12 +101,14 @@ def validate_config(cfg: NodalConfig) -> str:
     return "+".join(sorted(names, key=lambda s: (s[0], int(s[1:]))))
 
 
-def _echelon(roots) -> list[tuple[int, list[int]]]:
-    """Integer echelon basis of the span of the roots, as (pivot column, row).
+def _echelon(roots) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """Integer echelon basis of the span of the roots.
 
     Column by column, Euclid's algorithm on the rows not yet used leaves one
     row with a positive pivot and clears the column in all the others
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).  Each
+    row is returned sparse, as (pivot column, pivot, its nonzero
+    (column, entry) pairs); the row is zero left of its pivot.
     """
     rows = [list(r) for r in roots]
     basis = []
@@ -123,7 +126,7 @@ def _echelon(roots) -> list[tuple[int, list[int]]]:
             piv = live[0]
             if piv[col] < 0:
                 piv[:] = [-x for x in piv]
-            basis.append((col, piv))
+            basis.append((col, piv[col], [(k, x) for k, x in enumerate(piv) if x]))
             rows = [r for r in rows if r is not piv]
     return basis
 
@@ -135,12 +138,19 @@ def _coset_key(basis, v: DivisorClass) -> DivisorClass:
     exactly when their reductions agree.
     """
     v = list(v)
-    for col, row in basis:
-        q = v[col] // row[col]
+    for col, p, row in basis:
+        q = v[col] // p
         if q:
-            for k in range(col, len(v)):
-                v[k] -= q * row[k]
+            for k, x in row:
+                v[k] -= q * x
     return tuple(v)
+
+
+@lru_cache(maxsize=16)
+def _single_kind(lat: PicardLattice, classes: tuple[DivisorClass, ...]) -> None:
+    """Reject classes of more than one kind, once per class tuple."""
+    if len({lt.kind_of(lat, c) for c in classes}) > 1:
+        raise ValueError("classes of mixed kinds")
 
 
 def congruence_classes(
@@ -149,17 +159,17 @@ def congruence_classes(
     """Partition classes by congruence modulo the integral span of the roots.
 
     All inputs must be of a single kind.  Parts are sorted internally and by
-    their lexicographically minimal representative.
+    their lexicographically minimal representative: the classes are keyed
+    in sorted order, so each part fills in order and the parts appear in
+    order of their first member.
     """
-    kinds = {lt.kind_of(cfg.lattice, c) for c in classes}
-    if len(kinds) > 1:
-        raise ValueError("classes of mixed kinds")
+    classes = tuple(classes)
+    _single_kind(cfg.lattice, classes)
     basis = _echelon(cfg.roots)
     parts: dict[DivisorClass, list[DivisorClass]] = {}
-    for c in classes:
+    for c in sorted(classes):
         parts.setdefault(_coset_key(basis, c), []).append(c)
-    return tuple(sorted((tuple(sorted(p)) for p in parts.values()),
-                        key=lambda p: p[0]))
+    return tuple(map(tuple, parts.values()))
 
 
 def _pair(involution):
@@ -200,7 +210,7 @@ def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
     if degree is not None and cfg.lattice.degree != degree:
         raise ValueError(f"{name} scheme requires degree {degree}")
     validate_config(cfg)
-    parts = congruence_classes(cfg, list(lt.enumerate_classes(cfg.lattice, kind)))
+    parts = congruence_classes(cfg, lt.enumerate_classes(cfg.lattice, kind))
     if label is None:
         return MultiplicityScheme(tuple((p[0], len(p)) for p in parts))
     distinct, index = _labels(cfg.lattice, name)
@@ -265,13 +275,14 @@ def intersection_profile(cfg: NodalConfig) -> tuple[tuple[str, tuple[int, ...]],
     if len(cfg.roots) != 1:
         raise ValueError("profile requires a single A1 root")
     validate_config(cfg)
-    lat = cfg.lattice
     f = cfg.roots[0]
+    jf = (f[0],) + tuple(-x for x in f[1:])  # D.F = sum(d_i * jf_i)
+    column = {c: j for j, c in enumerate(PROFILE_COLUMNS)}
     table = {name: [0] * len(PROFILE_COLUMNS) for name, _ in _PROFILE_FAMILIES}
     sig_to_name = {sig: name for name, sig in _PROFILE_FAMILIES}
-    for d in lt.enumerate_classes(lat, ClassKind.BLOWDOWN):
+    for d in lt.enumerate_classes(cfg.lattice, ClassKind.BLOWDOWN):
         name = sig_to_name[(d[0], tuple(sorted(d[1:])))]
-        table[name][PROFILE_COLUMNS.index(lt.pair(lat, d, f))] += 1
+        table[name][column[sum(map(mul, d, jf))]] += 1
     return tuple((name, tuple(table[name])) for name, _ in _PROFILE_FAMILIES)
 
 

@@ -185,6 +185,27 @@ def test_contracted_lines():
             assert lt.pair(lat, a, b) == 0  # pairwise disjoint
 
 
+def pair_by_zip(lat, a, b):
+    """Oracle: the pairing as a zip over the E-coefficients."""
+    if len(a) != lat.rank or len(b) != lat.rank:
+        raise ValueError("vector length does not match lattice rank")
+    return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_pair_matches_zip_oracle(degree):
+    lat = lt.make_lattice(degree)
+    rng = np.random.default_rng(degree)
+    for _ in range(500):
+        a, b = (tuple(int(x) for x in rng.integers(-9, 10, lat.rank)) for _ in range(2))
+        assert lt.pair(lat, a, b) == pair_by_zip(lat, a, b)
+    big = (3 ** 80,) + (-(2 ** 70),) * lat.npoints
+    assert lt.pair(lat, big, big) == pair_by_zip(lat, big, big)
+    for a, b in [(big[:-1], big), (big, big + (1,)), ((), ())]:
+        with pytest.raises(ValueError, match="does not match lattice rank"):
+            lt.pair(lat, a, b)
+
+
 def test_kind_of():
     lat = lt.make_lattice(3)
     assert lt.kind_of(lat, lt.class_E(lat, 1)) is ClassKind.EXCEPTIONAL
@@ -192,6 +213,12 @@ def test_kind_of():
     assert lt.kind_of(lat, lt.sub(lt.class_E(lat, 1), lt.class_E(lat, 2))) \
         is ClassKind.ROOT
     assert lt.kind_of(lat, lat.canonical) is None
+    # the dict lookup agrees with a scan of ClassKind on every enumerated class
+    for lat in (lt.make_lattice(2), lat):
+        pool = [c for kind in ClassKind for c in lt.enumerate_classes(lat, kind)]
+        for c in pool + [lat.canonical, (0,) * lat.rank, lt.scale(2, lt.class_L(lat))]:
+            key = (lt.pair(lat, c, c), lt.pair(lat, c, lat.canonical))
+            assert lt.kind_of(lat, c) is next((k for k in ClassKind if k.value == key), None)
 
 
 def test_format_parse_roundtrip():

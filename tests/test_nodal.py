@@ -124,6 +124,29 @@ def test_profile_family_sizes():
     assert sizes == [1, 35, 105, 140, 7, 1, 35, 105, 140, 7]
 
 
+def profile_by_pair(cfg):
+    """Oracle: the profile table from lt.pair and PROFILE_COLUMNS.index."""
+    lat, f = cfg.lattice, cfg.roots[0]
+    sig_to_name = {sig: name for name, sig in nodal._PROFILE_FAMILIES}
+    table = {name: [0] * len(nodal.PROFILE_COLUMNS) for name in sig_to_name.values()}
+    for d in lt.enumerate_classes(lat, ClassKind.BLOWDOWN):
+        name = sig_to_name[(d[0], tuple(sorted(d[1:])))]
+        table[name][nodal.PROFILE_COLUMNS.index(lt.pair(lat, d, f))] += 1
+    return tuple((name, tuple(table[name])) for name, _ in nodal._PROFILE_FAMILIES)
+
+
+def test_intersection_profile_matches_pair_oracle():
+    """Every one of the 126 A1 roots of degree 2."""
+    lat = lt.make_lattice(2)
+    roots = lt.enumerate_classes(lat, ClassKind.ROOT)
+    assert len(roots) == 126
+    for r in roots:
+        cfg = config(2, r)
+        profile = nodal.intersection_profile(cfg)
+        assert profile == profile_by_pair(cfg), r
+        assert nodal.profile_column_totals(profile) == (32, 160, 192, 160, 32)
+
+
 def test_profile_requires_single_a1():
     with pytest.raises(ValueError):
         nodal.intersection_profile(config(2, *A2_CUSP_2))
@@ -384,3 +407,39 @@ def test_even_theta_scheme_is_the_eventheta_entry():
         nodal.even_theta_scheme(cfg)
     cfg = config(2, *A2_CUSP_2)
     assert nodal.even_theta_scheme(cfg) == nodal.scheme(cfg, "eventheta")
+
+
+def test_mixed_kinds_rejected():
+    """The check runs once per class tuple; a rejected tuple is never cached."""
+    cfg = config(2, *A1_NODE)
+    lat = cfg.lattice
+    mixed = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL)[:3] + (lt.class_L(lat),)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^classes of mixed kinds$"):
+            nodal.congruence_classes(cfg, mixed)
+    with pytest.raises(ValueError, match="^classes of mixed kinds$"):
+        nodal.congruence_classes(cfg, iter(mixed))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_congruence_classes_any_iterable(degree):
+    """Shuffled lists, generators and duplicated classes give sorted parts
+    that agree with the rational oracle."""
+    lat = lt.make_lattice(degree)
+    rng = random.Random(30 + degree)
+    cfgs = [config(degree, *lt.simple_roots(lat))]
+    cfgs += conjugated_configs(lat, rng, 2)
+    cfgs += random_configs(lat, rng, 2)
+    for kind in (ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN):
+        classes = lt.enumerate_classes(lat, kind)
+        for cfg in cfgs:
+            key = dict(zip(classes, map(rational_key(lat, cfg.roots), classes))).get
+            shuffled = rng.sample(classes, len(classes))
+            doubled = shuffled + rng.sample(classes, len(classes) // 3)
+            for given, members in ((shuffled, classes), ((c for c in shuffled), classes),
+                                   (doubled, doubled), (doubled[::-1], doubled)):
+                parts = {}
+                for c in members:
+                    parts.setdefault(key(c), []).append(c)
+                got = nodal.congruence_classes(cfg, given)
+                assert got == tuple(sorted(tuple(sorted(p)) for p in parts.values()))
