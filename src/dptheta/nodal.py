@@ -18,7 +18,7 @@ from operator import mul
 
 from . import lattice as lt, theta_f2
 from .lattice import ClassKind, DivisorClass, PicardLattice
-from .poly import determinant
+from .poly import leading_minors
 from .spin import components
 from .text import data_lines, parse_int
 
@@ -64,21 +64,22 @@ def validate_config(cfg: NodalConfig) -> str:
     roots = cfg.roots
     if not roots:
         return "trivial"
-    for r in roots:
-        if lt.pair(lat, r, r) != -2:
+    n = len(roots)
+    gram = [[0] * n for _ in range(n)]
+    for i, r in enumerate(roots):
+        gram[i][i] = lt.pair(lat, r, r)
+        if gram[i][i] != -2:
             raise ValueError(f"{r} has self-intersection != -2")
         if lt.pair(lat, r, lat.canonical) != 0:
             raise ValueError(f"{r} is not orthogonal to K")
-    n = len(roots)
-    gram = [[lt.pair(lat, a, b) for b in roots] for a in roots]
     for i in range(n):
         for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = lt.pair(lat, roots[i], roots[j])
             if gram[i][j] not in (0, 1):
                 raise ValueError(
                     f"pairing {gram[i][j]} of {roots[i]} and {roots[j]} not in {{0, 1}}")
     # negative definite <=> leading principal minors alternate in sign
-    for k in range(1, n + 1):
-        minor = determinant([row[:k] for row in gram[:k]])
+    for k, minor in enumerate(leading_minors(gram), 1):
         if minor * (-1) ** k <= 0:
             raise ValueError("root span is not negative definite")
     # connected components of the pairing graph

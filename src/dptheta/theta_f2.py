@@ -209,11 +209,13 @@ class QuadraticSpace:
         return r
 
     def shift(self, eta: int) -> "QuadraticSpace":
-        """The form q + <., eta>, adding the linear part on the diagonal."""
+        """The form q + <., eta>, adding the linear part on the diagonal.
+
+        Under the standard pairing <e_j, eta> is bit j ^ 1 of eta.
+        """
         rows = list(self.rows)
         for j in range(self.dim):
-            if self.bilinear(1 << j, eta):
-                rows[j] ^= 1 << j
+            rows[j] ^= ((eta >> (j ^ 1)) & 1) << j
         return QuadraticSpace(self.dim, tuple(rows))
 
 
@@ -233,25 +235,86 @@ def make_space(g: int, arf_invariant: int = 0) -> QuadraticSpace:
     return QuadraticSpace(dim, tuple(rows))
 
 
-MAX_COUNT_DIM = 20  # count_zeros evaluates all 2^dim vectors
+MAX_COUNT_DIM = 1000  # at 1000 the zero count has 301 digits
+
+
+def _witt(space: QuadraticSpace) -> tuple[int, int, int, int]:
+    """Witt decomposition of q: (h, r, q on the radical, Arf of the pairs).
+
+    The polar form of q(v) = sum over i, j < dim of B[i][j] v_i v_j is
+    <e_i, e_j> = B[i][j] + B[j][i] for i != j, and q(e_i) = B[i][i].  Pop
+    e, pair it with the first f such that <e, f> = 1, add q(e)q(f) to the
+    invariant and project every other v to v + <v, f>e + <v, e>f, which has
+    q(v) + <v, f>q(e) + <v, e>q(f) + <v, f><v, e>.  Each vector is kept as
+    its row of pairings, a bitmask.  A vector that pairs with nothing left
+    spans the radical with the others like it; the third entry is 1 when
+    q is nonzero there.
+    """
+    n = space.dim
+    if n > MAX_COUNT_DIM:
+        raise ValueError(f"count limited to dimension {MAX_COUNT_DIM}")
+    rows = space.rows
+    q = [(rows[i] >> i) & 1 for i in range(n)]
+    full = (1 << n) - 1
+    gram = [rows[i] & full & ~(1 << i) for i in range(n)]
+    for i, m in enumerate(gram[:]):  # add the transpose, bit by bit
+        while m:
+            low = m & -m
+            gram[low.bit_length() - 1] ^= 1 << i
+            m ^= low
+    h = r = odd = invariant = 0
+    for e, pe in enumerate(gram):
+        if pe is None:  # paired already
+            continue
+        if not pe:
+            r += 1
+            odd |= q[e]
+            continue
+        low = pe & -pe
+        f = low.bit_length() - 1
+        pf, qe, qf = gram[f], q[e], q[f]
+        gram[f] = None
+        h += 1
+        invariant ^= qe & qf
+        m = (pe | pf) ^ low ^ (1 << e)
+        while m:
+            bit = m & -m
+            m ^= bit
+            v = bit.bit_length() - 1
+            with_f, with_e = pf & bit, pe & bit
+            if with_f:
+                gram[v] ^= pe
+                q[v] ^= qe
+            if with_e:
+                gram[v] ^= pf
+                q[v] ^= qf
+            if with_f and with_e:
+                q[v] ^= 1
+    return h, r, odd, invariant
 
 
 def count_zeros(space: QuadraticSpace) -> int:
-    """Number of vectors with q(v) = 0, by exhaustive evaluation."""
-    if space.dim > MAX_COUNT_DIM:
-        raise ValueError(f"exhaustive count limited to dimension {MAX_COUNT_DIM}")
-    return sum(1 for v in range(1 << space.dim) if space.evaluate(v) == 0)
+    """Number of vectors with q(v) = 0, from the Witt decomposition.
+
+    Half of F2^dim if q is nonzero on the radical, else 2^r times the
+    count 2^{2h-1} + (-1)^arf 2^{h-1} on the h hyperbolic pairs.
+    """
+    h, r, odd, invariant = _witt(space)
+    if odd:
+        return 1 << (space.dim - 1)
+    if not h:
+        return 1 << r
+    sign = -1 if invariant else 1
+    return ((1 << (2 * h - 1)) + sign * (1 << (h - 1))) << r
 
 
 def arf(space: QuadraticSpace) -> int:
-    """Arf invariant: 0 if q has 2^{2g-1} + 2^{g-1} zeros, 1 otherwise."""
-    g = space.dim // 2
-    zeros = count_zeros(space)
-    if zeros == (1 << (space.dim - 1)) + (1 << (g - 1)):
-        return 0
-    if zeros == (1 << (space.dim - 1)) - (1 << (g - 1)):
-        return 1
-    raise ValueError("form is not nondegenerate")
+    """Arf invariant: 0 if q has 2^{2g-1} + 2^{g-1} zeros, 1 if it has
+    2^{2g-1} - 2^{g-1}; a degenerate form (r > 0) raises."""
+    _, r, _, invariant = _witt(space)
+    if r:
+        raise ValueError("form is not nondegenerate")
+    return invariant
 
 
 def count_conic_pairs(rng: random.Random | None = None) -> tuple[int, int, int]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from dptheta import lattice as lt, nodal
+from dptheta import lattice as lt, nodal, theta_f2
 from dptheta.cli import main
 
 FORMATS = st.sampled_from(["tsv", "pretty"])
@@ -71,7 +71,10 @@ def detrep_argv(draw):
 @st.composite
 def theta_argv(draw):
     task = draw(st.sampled_from(["zeros", "zeros", "zeros", "aronhold", "conic-pairs"]))
-    dim, arf = draw(st.integers(-2, 12)), draw(st.integers(-1, 2))
+    cap = theta_f2.MAX_COUNT_DIM
+    dim = draw(st.one_of(st.integers(-2, 12), st.sampled_from(
+        [cap - 2, cap - 1, cap, cap + 1, cap + 2])))
+    arf = draw(st.integers(-1, 2))
     return ("theta", task, "--dim", str(dim), "--arf", str(arf)), None
 
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptheta import poly
-from dptheta.poly import (MultiPoly, determinant, parse_poly, resultant,
-                          squarefree_multiplicities, uni_from_binary_form)
+from dptheta.poly import (MultiPoly, determinant, leading_minors, parse_poly,
+                          resultant, squarefree_multiplicities,
+                          uni_from_binary_form)
 from dptheta.text import MAX_LITERAL_DIGITS
 
 V = ("x0", "x1", "x2")
@@ -278,6 +279,22 @@ def test_determinant_matches_laplace_on_ints():
     assert swapped > 20 and singular > 20
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[0, 0, 1], [0, 2, 3], [4, 5, 6]]) == -8
+
+
+def test_leading_minors_match_laplace():
+    """One swap-free pass gives every leading minor, up to the first zero."""
+    rng = random.Random(13)
+    stopped = 0
+    for n in range(1, 8):
+        for _ in range(60):
+            m = random_int_matrix(rng, n)
+            expected = [laplace_determinant([row[:k] for row in m[:k]], 0, 1)
+                        for k in range(1, n + 1)]
+            if 0 in expected:
+                expected = expected[:expected.index(0) + 1]
+                stopped += len(expected) < n
+            assert list(leading_minors(m)) == expected
+    assert stopped > 20
 
 
 def test_determinant_matches_laplace_on_polynomials():

@@ -134,6 +134,111 @@ def test_conic_pairs_randomized_invariant():
         assert tf.count_conic_pairs(random.Random(seed)) == (496, 990, 495)
 
 
+def _count_zeros_oracle(space):
+    """The former `count_zeros`: evaluate q on all 2^dim vectors."""
+    return sum(1 for v in range(1 << space.dim) if space.evaluate(v) == 0)
+
+
+def _arf_oracle(space, zeros):
+    """Arf invariant from an exhaustive zero count.
+
+    The character sum W = 2 zeros - 2^dim is +-2^{dim/2} exactly when the
+    form is nondegenerate, the sign giving the invariant; at dim >= 2 this
+    is the former comparison of zeros with 2^{2g-1} +- 2^{g-1}.
+    """
+    w = 2 * zeros - (1 << space.dim)
+    if space.dim % 2 == 0 and abs(w) == 1 << (space.dim // 2):
+        return int(w < 0)
+    raise ValueError("form is not nondegenerate")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def random_space(rng, dim):
+    """Rows with bits on, below and above the diagonal, past dim too."""
+    density = rng.random()
+    rows = tuple(sum(1 << j for j in range(dim + 3) if rng.random() < density)
+                 for _ in range(dim))
+    return tf.QuadraticSpace(dim, rows)
+
+
+def test_witt_matches_exhaustive_oracle():
+    """count_zeros and arf, and which inputs raise, on 2000 random forms."""
+    rng = random.Random(2024)
+    raised = nondegenerate = 0
+    for _ in range(2000):
+        space = random_space(rng, rng.randint(0, 12))
+        if rng.random() < 0.25 and space.dim % 2 == 0 and space.dim:
+            space = tf.make_space(space.dim // 2, rng.randint(0, 1)).shift(
+                rng.getrandbits(space.dim + 2))
+        zeros = _count_zeros_oracle(space)
+        assert tf.count_zeros(space) == zeros, space
+        expected = _outcome(_arf_oracle, space, zeros)
+        assert _outcome(tf.arf, space) == expected, space
+        raised += isinstance(expected, str)
+        nondegenerate += not isinstance(expected, str)
+    assert raised > 500 and nondegenerate > 500
+
+
+def test_shifted_standard_forms_up_to_cap():
+    """arf(q + <., eta>) = arf(q) + q(eta), with q(eta) computed directly."""
+    def standard_form_value(g, arf_invariant, v):
+        q = sum((v >> (2 * i)) & (v >> (2 * i + 1)) & 1 for i in range(g))
+        if arf_invariant:
+            q += (v & 1) + ((v >> 1) & 1)
+        return q & 1
+
+    rng = random.Random(5)
+    cap = tf.MAX_COUNT_DIM
+    for g in (1, 2, 3, 8, 31, 100, cap // 2 - 1, cap // 2):
+        for a in (0, 1):
+            eta = rng.getrandbits(2 * g + 3)
+            space = tf.make_space(g, a).shift(eta)
+            expected = a ^ standard_form_value(g, a, eta)
+            assert tf.arf(space) == expected
+            sign = -1 if expected else 1
+            assert tf.count_zeros(space) == (1 << (2 * g - 1)) + sign * (1 << (g - 1))
+
+
+def test_count_beyond_cap_rejected():
+    dim = tf.MAX_COUNT_DIM + 2
+    space = tf.QuadraticSpace(dim, (0,) * dim)
+    for f in (tf.count_zeros, tf.arf):
+        with pytest.raises(ValueError, match="limited to dimension"):
+            f(space)
+
+
+def test_conic_pair_numbers_by_zero_count():
+    """496 zero classes on the genus-5 quotient is the zero count of an odd
+    genus-5 form, and Z is its double minus the classes of 0 and eta."""
+    odd5 = tf.count_zeros(tf.make_space(5, 1))
+    assert odd5 == 496
+    assert tf.count_conic_pairs() == (odd5, 2 * odd5 - 2, odd5 - 1)
+
+
+def _shift_oracle(space, eta):
+    """The former `QuadraticSpace.shift`: one `bilinear` call per basis vector."""
+    rows = list(space.rows)
+    for j in range(space.dim):
+        if space.bilinear(1 << j, eta):
+            rows[j] ^= 1 << j
+    return tf.QuadraticSpace(space.dim, tuple(rows))
+
+
+def test_shift_matches_bilinear_oracle():
+    """Odd dims and eta wider than dim included."""
+    rng = random.Random(11)
+    spaces = [random_space(rng, dim) for dim in range(24) for _ in range(3)]
+    for space in spaces + [tf.make_space(50, 1), tf.make_space(500, 1)]:
+        eta = rng.getrandbits(space.dim + 4)
+        assert space.shift(eta) == _shift_oracle(space, eta)
+
+
 def test_polarization_random_forms():
     """q(u + v) = q(u) + q(v) + B(u, v) for random forms up to dim 12."""
     rng = random.Random(13)
