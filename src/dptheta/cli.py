@@ -73,7 +73,6 @@ def cmd_lattice(args) -> int:
 def cmd_nodal(args) -> int:
     with open(args.config) as fh:
         cfg = nodal.parse_config(fh.read())
-    dynkin = nodal.validate_config(cfg)
     if args.scheme == "profile":
         profile = nodal.intersection_profile(cfg)
         header = ("family",) + tuple(str(c) for c in nodal.PROFILE_COLUMNS)
@@ -82,16 +81,17 @@ def cmd_nodal(args) -> int:
         _emit(rows, header, args.format)
         return 0
     scheme = nodal.scheme(cfg, args.scheme)
+    dynkin = nodal.validate_config(cfg)
     rows = [(_fmt_point(rep), m) for rep, m in scheme.points]
     _emit(rows, ("representative", "multiplicity"), args.format)
     profile = " + ".join(f"{n}x{m}" for m, n in
                          sorted(scheme.multiplicity_profile().items()))
     if args.format == "tsv":
-        print(f"dynkin\t{dynkin or '-'}")
+        print(f"dynkin\t{dynkin}")
         print(f"profile\t{profile}")
         print(f"total\t{scheme.total}")
     else:
-        print(f"configuration: {dynkin or 'empty'}")
+        print(f"configuration: {dynkin}")
         print(f"profile: {profile}")
         print(f"total: {scheme.total}")
     return 0
@@ -116,7 +116,7 @@ def cmd_spin(args) -> int:
 
 def cmd_spin_table(args) -> int:
     rows = []
-    for n in range(args.nodes + 1):
+    for n in range(min(args.nodes, 0), args.nodes + 1):  # the library rejects n < 0
         for row in spin.spin_table_irreducible(args.genus, n):
             rows.append((n, row.resolved, row.count, row.multiplicity,
                          row.odd, row.even))

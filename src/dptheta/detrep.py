@@ -189,7 +189,6 @@ def quartic_from_odd_theta(
     f = lf * h - q * q
     if f.is_zero():
         raise DegenerateError("quartic is identically zero")
-    assert (f + q * q - lf * h).is_zero()
     return f, lf
 
 

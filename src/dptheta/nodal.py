@@ -27,12 +27,19 @@ PROFILE_COLUMNS = (2, 1, 0, -1, -2)
 
 @dataclass(frozen=True)
 class NodalConfig:
+    """Distinct roots, kept sorted.  Valid by construction: building one raises
+    ValueError unless every root has the lattice's rank and validate_config passes."""
+
     lattice: PicardLattice
     roots: tuple[DivisorClass, ...]
 
-    def __init__(self, lattice: PicardLattice, roots):
-        object.__setattr__(self, "lattice", lattice)
+    def __post_init__(self):
+        lat, roots = self.lattice, tuple(self.roots)
+        for r in roots:
+            if len(r) != lat.rank:
+                raise ValueError(f"root {r} has wrong length for degree {lat.degree}")
         object.__setattr__(self, "roots", tuple(sorted(set(roots))))
+        validate_config(self)
 
 
 @dataclass(frozen=True)
@@ -210,7 +217,6 @@ def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
     kind, degree, label = SCHEMES[name]
     if degree is not None and cfg.lattice.degree != degree:
         raise ValueError(f"{name} scheme requires degree {degree}")
-    validate_config(cfg)
     parts = congruence_classes(cfg, lt.enumerate_classes(cfg.lattice, kind))
     if label is None:
         return MultiplicityScheme(tuple((p[0], len(p)) for p in parts))
@@ -275,7 +281,6 @@ def intersection_profile(cfg: NodalConfig) -> tuple[tuple[str, tuple[int, ...]],
         raise ValueError("profile requires degree 2")
     if len(cfg.roots) != 1:
         raise ValueError("profile requires a single A1 root")
-    validate_config(cfg)
     f = cfg.roots[0]
     jf = (f[0],) + tuple(-x for x in f[1:])  # D.F = sum(d_i * jf_i)
     column = {c: j for j, c in enumerate(PROFILE_COLUMNS)}
@@ -306,8 +311,4 @@ def parse_config(text: str) -> NodalConfig:
             raise ValueError(f"line {lineno}: unknown directive {head!r}")
     if degree is None:
         raise ValueError("config file missing degree")
-    lat = lt.make_lattice(degree)
-    for r in roots:
-        if len(r) != lat.rank:
-            raise ValueError(f"root {r} has wrong length for degree {degree}")
-    return NodalConfig(lat, roots)
+    return NodalConfig(lt.make_lattice(degree), roots)

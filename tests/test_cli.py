@@ -301,6 +301,18 @@ def test_spin_table_genus_capped_exit2(capsys, genus):
     assert f"exceeds {spin.MAX_GENUS}" in err
 
 
+@pytest.mark.parametrize("genus, message", [
+    ("3", "node count must be between 0 and g"),
+    ("1", "arithmetic genus must be >= 2"),
+    ("500", f"exceeds {spin.MAX_GENUS}"),
+], ids=["3", "1", "500"])
+def test_spin_table_negative_nodes_exit2(capsys, genus, message):
+    code, out, err = run(capsys, "spin-table", "--genus", genus,
+                         "--nodes", "-1")
+    assert one_error_line(code, out, err)
+    assert message in err
+
+
 def test_spin_table_at_genus_cap(capsys):
     code, out, _ = run(capsys, "spin-table", "--genus", "100", "--nodes", "2",
                        "--format", "tsv")

@@ -1,6 +1,7 @@
 """ADE root configurations and multiplicity schemes."""
 
 import random
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -35,11 +36,53 @@ def test_dynkin_classification():
     assert nodal.validate_config(mixed) == "A1+A2"
 
 
+INVALID_CONFIGS = [
+    (2, [(1, 0, 0, 0, 0, 0, 0, 0)], "(1, 0, 0, 0, 0, 0, 0, 0) has self-intersection != -2"),
+    (3, [(1, 0, 0, 0, 0, 0, 0)], "(1, 0, 0, 0, 0, 0, 0) has self-intersection != -2"),
+    (2, [(0, 1, 1, 0, 0, 0, 0, 0)], "(0, 1, 1, 0, 0, 0, 0, 0) is not orthogonal to K"),
+    (2, [(0, 1, -1, 0, 0, 0, 0, 0), (0, -1, 1, 0, 0, 0, 0, 0)],
+     "pairing 2 of (0, -1, 1, 0, 0, 0, 0, 0) and (0, 1, -1, 0, 0, 0, 0, 0) not in {0, 1}"),
+    # the affine A2 triangle
+    (2, [(-2, 0, 1, 1, 1, 1, 1, 1), (0, 1, -1, 0, 0, 0, 0, 0),
+         (2, -1, 0, -1, -1, -1, -1, -1)], "root span is not negative definite"),
+    (2, [(0, 1, -1, 0, 0, 0, 0, 0), (0, 1, -1, 0, 0, 0, 0)],
+     "root (0, 1, -1, 0, 0, 0, 0) has wrong length for degree 2"),
+]
+
+
 def test_invalid_roots_rejected():
-    with pytest.raises(ValueError):
-        nodal.validate_config(config(2, (0, 1, 1, 0, 0, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        nodal.validate_config(config(3, (1, 0, 0, 0, 0, 0, 0)))
+    """An invalid configuration cannot be built, directly or from a file."""
+    for degree, roots, message in INVALID_CONFIGS:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config(degree, *roots)
+        text = f"degree {degree}\n" + "".join(f"root {list(r)}\n" for r in roots)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            nodal.parse_config(text)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_schemes_do_not_revalidate(monkeypatch, degree):
+    """Schemes and the profile trust a built config: with validate_config
+    made to raise, each still returns what it returned before."""
+    lat = lt.make_lattice(degree)
+    simple = lt.simple_roots(lat)
+    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
+            for mask in range(1 << len(simple))]
+    if degree == 2:
+        cfgs.append(config(2, *A1_NODE))
+    names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
+
+    def results():
+        out = [nodal.scheme(cfg, name) for cfg in cfgs for name in names]
+        return out + [nodal.intersection_profile(cfg) for cfg in cfgs
+                      if degree == 2 and len(cfg.roots) == 1]
+
+    expected = results()
+
+    def refuse(cfg):
+        raise AssertionError("validate_config called on a built config")
+    monkeypatch.setattr(nodal, "validate_config", refuse)
+    assert results() == expected
 
 
 def test_node_schemes():
@@ -226,7 +269,7 @@ def random_configs(lat, rng, count):
         target, roots = rng.randint(1, lat.rank - 1), []
         for r in rng.sample(all_roots, len(all_roots)):
             try:
-                nodal.validate_config(nodal.NodalConfig(lat, roots + [r]))
+                nodal.NodalConfig(lat, roots + [r])
             except ValueError:
                 continue
             roots.append(r)
@@ -326,7 +369,7 @@ def test_dynkin_names_match_arm_walk_oracle(degree):
 ], ids=["triangle", "four-arm-star"])
 def test_non_ade_diagrams_rejected(roots):
     with pytest.raises(ValueError, match="root span is not negative definite"):
-        nodal.validate_config(config(2, *roots))
+        config(2, *roots)
 
 
 def involution_quotient(parts, involution):
