@@ -4,9 +4,11 @@ From a symmetric 3x3 matrix of forms [[L11, L12, Q1], [L12, L22, Q2],
 [Q1, Q2, H]] (linear / quadratic / cubic entries in x0, x1, x2) one obtains:
 a plane quintic as its determinant, a cubic threefold containing the line
 {x0 = x1 = x2 = 0}, and a contact conic L11*L22 - L12^2 totally tangent to
-the quintic.  Total tangency is certified exactly: the resultant of the two
-curves must be a perfect square up to a constant, decided by square-free
-decomposition over the rationals.
+the quintic.  Total tangency is certified exactly on Python ints: with
+denominators cleared and a seeded shear, the resultant of the two curves is
+one int determinant of Sylvester entries packed by Kronecker substitution,
+and the curves are totally tangent when it is a constant times a square,
+with the square root read from its top half and checked exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb, lcm
 
-from .poly import (MultiPoly, parse_poly, resultant,
-                   squarefree_multiplicities, uni_from_binary_form)
+from .poly import MultiPoly, determinant, parse_poly
 from .text import data_lines
 
 PLANE_VARS = ("x0", "x1", "x2")
@@ -133,46 +135,134 @@ class TangencyReport:
     shear: tuple[int, int]
 
 
+def _integral(p: MultiPoly) -> dict[tuple[int, ...], int]:
+    """The terms of p times the lcm of its denominators."""
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
+
+
+def _shear(form: dict, degree: int, a: int, b: int) -> list[list[int]]:
+    """x2-coefficients of form(x0 + a*x2, 1 + b*x2, x2), highest power first.
+
+    Each is a list of x0-coefficients, low degree first.  The term
+    c*x0^i*x1^j*x2^k gives c*C(i, p)*a^p*C(j, q)*b^q at x2^(p+q+k)*x0^(i-p).
+    """
+    out = [[0] * (degree + 1) for _ in range(degree + 1)]
+    for (i, j, k), c in form.items():
+        for p in range(i + 1):
+            cp = c * comb(i, p) * a ** p
+            for q in range(j + 1):
+                out[degree - p - q - k][i - p] += cp * comb(j, q) * b ** q
+    return out
+
+
+def _pack_bits(fc: list[list[int]], gc: list[list[int]]) -> int:
+    """Digit width k with every coefficient of Res(f, g) below 2^(k-1).
+
+    A determinant is a signed sum over permutations of products of one
+    entry per row, and ||pq||_1 <= ||p||_1 ||q||_1, so each coefficient is
+    at most the product over rows of the summed l1 norms of the row's
+    entries: ||f||_1^deg(g) * ||g||_1^deg(f), f and g as x2-coefficients.
+    """
+    norm_f = sum(abs(c) for coeffs in fc for c in coeffs)
+    norm_g = sum(abs(c) for coeffs in gc for c in coeffs)
+    bound = norm_f ** (len(gc) - 1) * norm_g ** (len(fc) - 1)
+    return bound.bit_length() + 1
+
+
+def _unpack(value: int, k: int) -> list[int]:
+    """Balanced base-2^k digits of value, low first: each in [-2^(k-1), 2^(k-1))."""
+    half, mask, digits = 1 << (k - 1), (1 << k) - 1, []
+    while value:
+        digit = ((value + half) & mask) - half
+        digits.append(digit)
+        value = (value - digit) >> k
+    return digits
+
+
+def _packed_resultant(fc: list[list[int]], gc: list[list[int]]) -> list[int]:
+    """Res_x2(f, g) as x0-coefficients, low degree first; [] if it is zero.
+
+    fc and gc are the x2-coefficients of f and g as from `_shear`, with
+    nonzero constant leading ones.  Each entry of the Sylvester matrix, a
+    polynomial in x0, is packed into one int by evaluating it at x0 = 2^k
+    (Kronecker substitution); the int determinant is the resultant at 2^k,
+    and the bound behind k makes its balanced digits the coefficients.
+    The g rows come first, so pass the lower-degree form as g: the early
+    Bareiss pivots are then its small leading coefficient.
+    """
+    k = _pack_bits(fc, gc)
+    m, n = len(fc) - 1, len(gc) - 1
+    fp = [sum(c << (k * e) for e, c in enumerate(coeffs)) for coeffs in fc]
+    gp = [sum(c << (k * e) for e, c in enumerate(coeffs)) for coeffs in gc]
+    rows = ([[0] * s + gp + [0] * (m - 1 - s) for s in range(m)]
+            + [[0] * s + fp + [0] * (n - 1 - s) for s in range(n)])
+    return _unpack(determinant(rows) * (-1) ** (m * n), k)
+
+
+def _square_root(r: list[int]) -> list[int] | None:
+    """S with S^2 = c*r, c the leading coefficient of r, or None if r/c is
+    not the square of a monic s.
+
+    Then S = c*s, which is integral by Gauss's lemma since (c*s)^2 = c*r
+    is.  S is read from the top half of c*r: its x^(m-i) coefficient is
+    2c*S[h-i] plus the products of the S[h-j] already known, so a division
+    that is not exact already rules a square out.
+    """
+    m, c = len(r) - 1, r[-1]
+    if m % 2:
+        return None
+    h = m // 2
+    s = [0] * h + [c]
+    for i in range(1, h + 1):
+        known = sum(s[h - j] * s[h - i + j] for j in range(1, i))
+        s[h - i], rest = divmod(c * r[m - i] - known, 2 * c)
+        if rest:
+            return None
+    square = [0] * (m + 1)
+    for i, x in enumerate(s):
+        for j, y in enumerate(s):
+            square[i + j] += x * y
+    return s if square == [c * x for x in r] else None
+
+
+def _is_square_form(res: list[int], degree: int) -> bool:
+    """Whether the nonzero binary form sum res[e] x0^e x1^(degree - e) is a
+    constant times a square: x1's multiplicity (the degree deficit) and
+    x0's (the valuation) are even, and so is every other factor's."""
+    x1_mult = degree - (len(res) - 1)
+    x0_mult = next(e for e, c in enumerate(res) if c)
+    return not x1_mult % 2 and not x0_mult % 2 and _square_root(res[x0_mult:]) is not None
+
+
 def total_tangency_check(f: MultiPoly, t: MultiPoly, seed: int = 0) -> TangencyReport:
     """Decide whether the conic t is totally tangent to the quintic f.
 
     A seeded shear x0 -> x0 + a*x2, x1 -> x1 + b*x2 puts both curves in
     general position with respect to x2.  The resultant in x2 is then a
-    binary form of degree 10 in (x0, x1): identically zero means a common
-    component; otherwise the curves are totally tangent exactly when every
-    multiplicity in its square-free decomposition (including the x0 and x1
-    factors) is even.
+    binary form of degree 10 in (x0, x1), computed on packed ints from f
+    and t with their denominators cleared: identically zero means a common
+    component; otherwise the curves are totally tangent exactly when it is
+    a constant times a square.
     """
     f = _check_form(f, 5, "quintic")
     t = _check_form(t, 2, "conic")
     if f.is_zero() or t.is_zero():
         raise DegenerateError("zero polynomial input")
+    fi, ti = _integral(f), _integral(t)
     rng = random.Random(seed)
-    x0 = MultiPoly.variable(PLANE_VARS, "x0")
-    x1 = MultiPoly.variable(PLANE_VARS, "x1")
-    x2 = MultiPoly.variable(PLANE_VARS, "x2")
     # the x2^d coefficient of a degree-d form p after the shear is p(a, b, 1)
     for _ in range(100):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-        point = {"x0": a, "x1": b, "x2": 1}
-        if f.evaluate(point) and t.evaluate(point):
+        if all(sum(c * a ** i * b ** j for (i, j, _), c in p.items()) for p in (fi, ti)):
             break
     else:
         raise DegenerateError("no shear put the curves in general position")
-    fs = f.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
-    ts = t.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
-    res = resultant(fs, ts, "x2")
-    if res.is_zero():
+    res = _packed_resultant(_shear(fi, 5, a, b), _shear(ti, 2, a, b))
+    if not res:
         return TangencyReport(Tangency.COMMON_COMPONENT, (a, b))
-    assert res.is_homogeneous(10)
-    p, degree = uni_from_binary_form(res, "x0", "x1")
-    x0_mult = degree - (len(p) - 1)
-    if x0_mult % 2:
-        return TangencyReport(Tangency.NOT_TANGENT, (a, b))
-    for _, mult in squarefree_multiplicities(p):
-        if mult % 2:
-            return TangencyReport(Tangency.NOT_TANGENT, (a, b))
-    return TangencyReport(Tangency.TOTALLY_TANGENT, (a, b))
+    verdict = Tangency.TOTALLY_TANGENT if _is_square_form(res, 10) else Tangency.NOT_TANGENT
+    return TangencyReport(verdict, (a, b))
 
 
 def quartic_from_odd_theta(

@@ -60,10 +60,6 @@ class PicardLattice:
     def canonical(self) -> DivisorClass:
         return (-3,) + (1,) * self.npoints
 
-    @property
-    def gram_diagonal(self) -> DivisorClass:
-        return (1,) + (-1,) * self.npoints
-
 
 def make_lattice(degree: int) -> PicardLattice:
     return PicardLattice(degree)

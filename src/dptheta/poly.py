@@ -420,7 +420,7 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     return determinant(rows)
 
 
-# -- univariate helpers (used by the tangency square test) -------------------
+# -- univariate helpers: Yun's square-free decomposition ---------------------
 
 UniPoly = list[Fraction]  # coefficients, low degree first; [] is zero
 
@@ -434,8 +434,9 @@ def _uni_trim(p: UniPoly) -> UniPoly:
 def uni_from_binary_form(poly: MultiPoly, x: str, y: str) -> tuple[UniPoly, int]:
     """Dehomogenize a binary form: returns (p(t) with t = x/y, degree in x+y).
 
-    The multiplicity of x as a factor is total_degree - deg(p); the
-    multiplicity of y is the valuation of p at 0.
+    For F = sum c_i x^i y^(d-i), the multiplicity of x as a factor is the
+    valuation of p at 0, and the multiplicity of y is d - deg(p): for
+    x^3*y^2 + x^4*y they are 3 and 1.
     """
     d = poly.total_degree()
     xi, yi = poly.vars.index(x), poly.vars.index(y)

@@ -1,6 +1,11 @@
 """End-to-end CLI tests: golden TSV reports and exit codes."""
 
 import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -347,3 +352,21 @@ def test_detrep_zero_denominator_exit2(capsys, tmp_path):
     code, out, err = run(capsys, "detrep", str(bad), "--action", "check")
     assert one_error_line(code, out, err)
     assert "zero denominator" in err
+
+
+def test_detrep_check_at_literal_cap(data_dir):
+    """Each matrix entry carries a literal at the digit cap and one
+    coefficient is rational: a fresh `detrep --action check` still answers
+    TotallyTangent well within 10 s."""
+    path = data_dir / "detrep_cap.txt"
+    digits = max(map(len, re.findall(r"\d+", path.read_text())))
+    assert digits == text.MAX_LITERAL_DIGITS
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dptheta.cli", "detrep", str(path),
+         "--action", "check", "--format", "tsv"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict\tTotallyTangent" in proc.stdout.splitlines()

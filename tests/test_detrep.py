@@ -12,7 +12,8 @@ from dptheta.detrep import (DegenerateError, SymThetaData, Tangency,
                             contact_conic, cubic_threefold,
                             discriminant_quintic, extract_matrix,
                             quartic_from_odd_theta, total_tangency_check)
-from dptheta.poly import MultiPoly, parse_poly
+from dptheta.poly import (MultiPoly, parse_poly, resultant,
+                          squarefree_multiplicities, uni_from_binary_form)
 
 P = detrep.PLANE_VARS
 
@@ -181,3 +182,149 @@ def test_degree_validation():
     with pytest.raises(ValueError):
         SymThetaData(pp("x0^2"), pp("x1"), pp("x2"), pp("x0^2"),
                      pp("x1^2"), pp("x2^3"))
+
+
+# -- the packed resultant and the square-root certificate ---------------------
+
+def yun_tangency(f, t, seed=0):
+    """The former check: a MultiPoly shear, the MultiPoly resultant and Yun's
+    square-free decomposition of the dehomogenized form."""
+    rng = random.Random(seed)
+    x0, x1, x2 = (MultiPoly.variable(P, v) for v in P)
+    for _ in range(100):
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        point = {"x0": a, "x1": b, "x2": 1}
+        if f.evaluate(point) and t.evaluate(point):
+            break
+    else:
+        raise DegenerateError("no shear put the curves in general position")
+    fs = f.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
+    ts = t.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
+    res = resultant(fs, ts, "x2")
+    if res.is_zero():
+        return Tangency.COMMON_COMPONENT, (a, b)
+    p, degree = uni_from_binary_form(res, "x0", "x1")
+    if (degree - (len(p) - 1)) % 2 or any(m % 2 for _, m in squarefree_multiplicities(p)):
+        return Tangency.NOT_TANGENT, (a, b)
+    return Tangency.TOTALLY_TANGENT, (a, b)
+
+
+def rational_form(rng, degree):
+    """A sparse form with coefficients in [-9, 9] over denominators up to 6."""
+    terms = {}
+    for combo in combinations_with_replacement(range(3), degree):
+        exp = [0, 0, 0]
+        for c in combo:
+            exp[c] += 1
+        if rng.random() < 0.7:
+            terms[tuple(exp)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return MultiPoly(P, terms)
+
+
+def test_packed_resultant_matches_multipoly_resultant():
+    """The unpacked digits are the MultiPoly resultant of the sheared forms
+    times lf^deg(g) * lg^deg(f), lf and lg the lcms that clear f and g, and
+    each coefficient sits below 2^(k-1), on integral and rational forms of
+    several degrees with either form first."""
+    rng = random.Random(12)
+    x0, x1, x2 = (MultiPoly.variable(P, v) for v in P)
+    cases = 0
+    while cases < 120:
+        df, dg = rng.choice([(5, 2), (2, 5), (3, 2), (2, 2), (4, 1), (3, 3)])
+        if cases % 2:
+            f, g = rational_form(rng, df), rational_form(rng, dg)
+        else:
+            f, g = random_form(rng, df, dense=False), random_form(rng, dg, dense=False)
+        if cases % 7 == 0:  # share a factor: a zero resultant
+            line = random_form(rng, 1)
+            f, g = line * random_form(rng, df - 1), line * random_form(rng, dg - 1)
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        point = {"x0": a, "x1": b, "x2": 1}
+        if not (f.evaluate(point) and g.evaluate(point)):
+            continue
+        fi, gi = detrep._integral(f), detrep._integral(g)
+        lf = next(iter(fi.values())) / next(iter(f.terms.values()))
+        lg = next(iter(gi.values())) / next(iter(g.terms.values()))
+        fc, gc = detrep._shear(fi, df, a, b), detrep._shear(gi, dg, a, b)
+        got = detrep._packed_resultant(fc, gc)
+        fs = f.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
+        gs = g.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
+        want, _ = uni_from_binary_form(resultant(fs, gs, "x2"), "x0", "x1")
+        want = [c * lf ** dg * lg ** df for c in want]
+        assert got == want, (f, g, a, b)
+        k = detrep._pack_bits(fc, gc)
+        assert all(abs(c) < 1 << (k - 1) for c in want)
+        cases += 1
+
+
+def test_unpack_balanced_negative_digits():
+    k = 5
+    for digits in ([-16, 15, 0, -1], [3, -16, -16], [0, 0, -7], [15], [-1, 0, 0, 1],
+                   [1, -1, 1, -1, 1]):
+        value = sum(d << (k * e) for e, d in enumerate(digits))
+        assert detrep._unpack(value, k) == digits
+    assert detrep._unpack(0, k) == []
+    assert detrep._unpack(-1, 1) == [-1]
+
+
+@pytest.mark.parametrize("x0_mult", range(4))
+@pytest.mark.parametrize("x1_mult", range(4))
+def test_square_certificate_vs_yun(x0_mult, x1_mult):
+    """c * x0^i * x1^j * (interior factors) is a constant times a square
+    exactly when Yun finds every multiplicity even; the leading
+    coefficients make the square root rational, not integral."""
+    x0, x1 = MultiPoly.variable(P, "x0"), MultiPoly.variable(P, "x1")
+    interiors = [pp("2*x0 + x1"), pp("x0^2 + 3*x1^2"), pp("3*x0 - 5*x1")]
+    for lead in (1, -6, 4):
+        for mults in ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 2, 1), (2, 2, 0),
+                      (0, 1, 2), (3, 0, 0)):
+            form = (x0 ** x0_mult) * (x1 ** x1_mult) * lead
+            for factor, m in zip(interiors, mults):
+                form = form * factor ** m
+            p, degree = uni_from_binary_form(form, "x0", "x1")
+            want = ((degree - (len(p) - 1)) % 2 == 0
+                    and all(m % 2 == 0 for _, m in squarefree_multiplicities(p)))
+            assert detrep._is_square_form([int(c) for c in p], degree) is want, form
+
+
+def test_square_root_is_integral_certificate():
+    """4x^2 + 4x + 1 = 4 (x + 1/2)^2: S = 4x + 2 with S^2 = 4 * r."""
+    assert detrep._square_root([1, 4, 4]) == [2, 4]
+    assert detrep._square_root([1, 4, 5]) is None  # not a square
+    assert detrep._square_root([2, 0, 1]) is None  # S = x fits the top half only
+    assert detrep._square_root([1, 0, 1, 0]) is None  # odd degree
+    assert detrep._square_root([-3]) == [-3]
+
+
+def test_packed_check_matches_yun_oracle():
+    """Verdict and shear of the packed check equal the former path on
+    contact conics, random conics, squared lines and shared components,
+    with integral and rational coefficients."""
+    rng = random.Random(21)
+    seen = {v: 0 for v in Tangency}
+    cases = 0
+    while sum(seen.values()) < 100:
+        make = rational_form if cases % 2 else (lambda r, d: random_form(r, d, dense=False))
+        data = SymThetaData(make(rng, 1), make(rng, 1), make(rng, 1),
+                            make(rng, 2), make(rng, 2), make(rng, 3))
+        try:
+            f, t = discriminant_quintic(data), contact_conic(data)
+        except DegenerateError:
+            continue
+        line = make(rng, 1)
+        pairs = [(f, t), (f, make(rng, 2)), (f, line * line),
+                 (line * make(rng, 4), line * make(rng, 1))]
+        for f5, t2 in pairs:
+            if f5.is_zero() or t2.is_zero():
+                continue
+            try:
+                want = yun_tangency(f5, t2, seed=cases)
+            except DegenerateError:
+                with pytest.raises(DegenerateError):
+                    total_tangency_check(f5, t2, seed=cases)
+                continue
+            report = total_tangency_check(f5, t2, seed=cases)
+            assert (report.verdict, report.shear) == want, (f5, t2, cases)
+            seen[report.verdict] += 1
+        cases += 1
+    assert min(seen.values()) >= 15, seen
