@@ -56,17 +56,15 @@ _KINDS = {
 def cmd_lattice(args) -> int:
     lat = lt.make_lattice(args.degree)
     if args.kind == "double-six":
-        orbits = lt.double_six_orbits(lat)
-        rows = [(" ".join(sorted(lt.format_class(d) for d in orbit)),)
-                for orbit in orbits]
-        _emit(rows, ("orbit",), args.format)
-        print(f"total\t{len(orbits)}" if args.format == "tsv"
-              else f"total: {len(orbits)}")
-        return 0
-    classes = lt.enumerate_classes(lat, _KINDS[args.kind])
-    _emit([(lt.format_class(d),) for d in classes], ("class",), args.format)
-    print(f"total\t{len(classes)}" if args.format == "tsv"
-          else f"total: {len(classes)}")
+        header = ("orbit",)
+        rows = [(" ".join(sorted(map(lt.format_class, orbit))),)
+                for orbit in lt.double_six_orbits(lat)]
+    else:
+        header = ("class",)
+        rows = [(lt.format_class(d),)
+                for d in lt.enumerate_classes(lat, _KINDS[args.kind])]
+    _emit(rows, header, args.format)
+    print(f"total\t{len(rows)}" if args.format == "tsv" else f"total: {len(rows)}")
     return 0
 
 

@@ -289,7 +289,10 @@ def parse_data_block(text: str) -> dict[str, MultiPoly]:
         key, sep, expr = line.partition(":")
         if not sep:
             raise ValueError(f"line {lineno}: expected `NAME: polynomial`")
-        out[key.strip()] = parse_poly(expr, PLANE_VARS)
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = parse_poly(expr, PLANE_VARS)
     return out
 
 

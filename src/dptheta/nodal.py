@@ -304,6 +304,8 @@ def parse_config(text: str) -> NodalConfig:
     for lineno, line in data_lines(text):
         head, _, rest = line.partition(" ")
         if head == "degree":
+            if degree is not None:
+                raise ValueError(f"line {lineno}: duplicate degree")
             degree = parse_int(rest)
         elif head == "root":
             roots.append(lt.parse_class(rest))

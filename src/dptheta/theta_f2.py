@@ -4,9 +4,10 @@ Genus-3 model: even-cardinality subsets of {1..8} modulo complement form a
 group of order 64 under symmetric difference, here the XOR of 8-bit masks.
 The 28 classes with a 2-element representative are the odd theta
 characteristics, the other 36 the even ones.  The module provides the syzygy
-test, Aronhold set enumeration, the labeling of degree-2 blow-down classes by
-even theta characteristics, and a generic quadratic-form engine over F2
-symplectic spaces (Arf invariant, zero counts, the genus-6 conic-pair count).
+test, the 288 Aronhold sets built as two S8-orbits, the labeling of degree-2
+Picard classes by reduction mod 2 (lines to odd classes, blow-downs to even
+ones), and a generic quadratic-form engine over F2 symplectic spaces (Arf
+invariant, zero counts, the genus-6 conic-pair count).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations
 from operator import xor
 
 from . import lattice as lt
-from .lattice import DivisorClass, PicardLattice
+from .lattice import ClassKind, DivisorClass, PicardLattice
 
 
 def _odd(mask: int) -> int:
@@ -115,23 +116,20 @@ def syzygetic(t1: EvenSubsetClass, t2: EvenSubsetClass, t3: EvenSubsetClass) -> 
 def enumerate_aronhold() -> tuple[tuple[EvenSubsetClass, ...], ...]:
     """All 7-sets of odd classes whose triples are all asyzygetic (288 sets).
 
-    Depth-first over the sorted odd classes, so the sets come out sorted; a
-    candidate c joins when c + s is even for every pair sum s in `sums`.
+    With hx the odd class {h, x}, they are two S8-orbits (Dolgachev,
+    Classical Algebraic Geometry, ch. 6): the 8 stars {hx : x != h}, and for
+    each h and each triangle t of the other seven elements the 280 sets
+    {hx : x not in t} plus the three pairs inside t.  Sorted, sets and members.
     """
-    odds = [t.mask for t in odd_classes()]
-    out: list[tuple[EvenSubsetClass, ...]] = []
-
-    def extend(chosen: list[int], sums: list[int], start: int):
-        if len(chosen) == 7:
-            out.append(tuple(map(EvenSubsetClass._from_mask, chosen)))
-            return
-        for i in range(start, len(odds)):
-            c = odds[i]
-            if not any(_odd(s ^ c) for s in sums):
-                extend(chosen + [c], sums + [a ^ c for a in chosen], i + 1)
-
-    extend([], [], 0)
-    return tuple(out)
+    sets = []
+    for h in range(1, 9):
+        spokes = {x: (min(h, x), max(h, x)) for x in range(1, 9) if x != h}
+        sets.append(list(spokes.values()))
+        for t in combinations(spokes, 3):
+            sets.append([p for x, p in spokes.items() if x not in t]
+                        + list(combinations(t, 2)))
+    # a pair's sorted tuple is its class's elems, so sorting pairs sorts classes
+    return tuple(tuple(map(EvenSubsetClass, s)) for s in sorted(map(sorted, sets)))
 
 
 def even_theta_of_aronhold(aronhold: tuple[EvenSubsetClass, ...]) -> EvenSubsetClass:
@@ -144,39 +142,23 @@ def even_theta_of_aronhold(aronhold: tuple[EvenSubsetClass, ...]) -> EvenSubsetC
     return EvenSubsetClass._from_mask(reduce(xor, masks))
 
 
-def _odd_label(d: DivisorClass) -> EvenSubsetClass:
-    """Dictionary from the 56 exceptional classes to the 28 odd classes.
-
-    E_i and D_i map to {i, 8}; L_{i,j} and C_{i,j} map to {i, j}.  The
-    L-degree (0, 1, 2 or 3) identifies the family.
-    """
-    a, b = d[0], d[1:]
-    if a == 0:  # E_i
-        return EvenSubsetClass((b.index(1) + 1, 8))
-    if a == 1:  # L_{i,j}
-        idx = [i + 1 for i, c in enumerate(b) if c == -1]
-        return EvenSubsetClass(idx)
-    if a == 2:  # C_{i,j}
-        idx = [i + 1 for i, c in enumerate(b) if c == 0]
-        return EvenSubsetClass(idx)
-    if a == 3:  # D_i
-        return EvenSubsetClass((b.index(-2) + 1, 8))
-    raise ValueError(f"not a degree-2 exceptional class: {d}")
+def mod2_label(d: DivisorClass) -> EvenSubsetClass:
+    """Theta class of a degree-2 class (a; b_1..b_7): {i : b_i odd}, plus 8
+    when that set is odd.  Lines go to odd classes (E_i, D_i to {i, 8};
+    L_ij, C_ij to {i, j}), blow-downs to the sum over their seven contracted
+    lines.  Geiser partners agree: K = (-3; 1..1) has every b_i odd."""
+    m = sum(1 << i for i, b in enumerate(d[1:]) if b & 1)
+    return EvenSubsetClass._from_mask(m ^ 0x7F if m.bit_count() & 1 else m)
 
 
-@lru_cache(maxsize=None)
 def even_theta_of_blowdown(lat: PicardLattice, blowdown: DivisorClass) -> EvenSubsetClass:
-    """Even theta characteristic of a degree-2 blow-down class.
-
-    The seven exceptional classes orthogonal to the blow-down class are
-    mapped to odd classes; the resulting 7-set is an Aronhold set whose
-    attached even class is returned.  Geiser-paired inputs agree.
-    """
+    """Even theta characteristic of a degree-2 blow-down class: its mod2_label,
+    the even class of the Aronhold set of its seven contracted lines."""
     if lat.degree != 2:
         raise ValueError("blow-down labeling requires degree 2")
-    lines = lt.contracted_lines(lat, blowdown)
-    assert len(lines) == 7
-    return even_theta_of_aronhold(tuple(_odd_label(d) for d in lines))
+    if lt.kind_of(lat, blowdown) is not ClassKind.BLOWDOWN:
+        raise ValueError("not a blow-down class")
+    return mod2_label(blowdown)
 
 
 # ---------------------------------------------------------------------------

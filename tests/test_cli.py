@@ -202,6 +202,10 @@ GOLDEN_STDOUT = [
      "dfcba80f836731ee2b7cd8007d906c81aadcc386e5443fc0aa335dd5872d07ce"),
     (("nodal", "e7.cfg", "--scheme", "aronhold", "--format", "tsv"),
      "62039ed5b1b51d05c43ad75d86ce81289b2ab70e9e146274ffab66466a33128f"),
+    (("lattice", "--kind=double-six", "--format", "tsv", "--degree", "3"),
+     "c6663ad469b9c0b534cca77cf7a3cea23d92bb56e1d193b5191ed280665ef861"),
+    (("lattice", "--kind=double-six", "--format", "pretty", "--degree", "3"),
+     "243fb94101aff1dda3d4b76b02170f528ee4ec57af3b95c76a50de44a32ad4b0"),
 ]
 
 
@@ -352,6 +356,20 @@ def test_detrep_zero_denominator_exit2(capsys, tmp_path):
     code, out, err = run(capsys, "detrep", str(bad), "--action", "check")
     assert one_error_line(code, out, err)
     assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("name,body,argv,message", [
+    ("twice.txt", "L11: x0\nL22: x1\nL11: x2\nH: x2^3\n",
+     ("detrep", "--action", "check"), "line 3: duplicate key 'L11'"),
+    ("twice.cfg", "degree 2\nroot [0, 1, -1, 0, 0, 0, 0, 0]\ndegree 3\n",
+     ("nodal", "--scheme", "lines"), "line 3: duplicate degree"),
+], ids=["detrep-key", "nodal-degree"])
+def test_duplicate_directive_exit2(capsys, tmp_path, name, body, argv, message):
+    bad = tmp_path / name
+    bad.write_text(body)
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    assert one_error_line(code, out, err)
+    assert err == f"error: {message}\n"
 
 
 def test_detrep_check_at_literal_cap(data_dir):

@@ -178,6 +178,11 @@ def test_parse_data_block():
         detrep.parse_data_block("just some words\n")
 
 
+def test_parse_data_block_duplicate_key():
+    with pytest.raises(ValueError, match=r"^line 3: duplicate key 'L11'$"):
+        detrep.parse_data_block("L11: x0\nH: x2^3\n  L11 : x1\n")
+
+
 def test_degree_validation():
     with pytest.raises(ValueError):
         SymThetaData(pp("x0^2"), pp("x1"), pp("x2"), pp("x0^2"),

@@ -225,6 +225,14 @@ def test_parse_config():
         nodal.parse_config("degree 3\nroot [0, 1, -1]\n")
 
 
+def test_parse_config_duplicate_degree():
+    """A second degree line is refused, not silently taken over the first."""
+    with pytest.raises(ValueError, match=r"^line 3: duplicate degree$"):
+        nodal.parse_config("degree 2\n# comment\ndegree 3\n")
+    with pytest.raises(ValueError, match=r"^line 2: duplicate degree$"):
+        nodal.parse_config("degree 2\ndegree 2\nroot [0, 1, -1, 0, 0, 0, 0, 0]\n")
+
+
 def rational_key(lat, roots):
     """Oracle coset key by rational orthogonal projection onto the root span.
 

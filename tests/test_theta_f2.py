@@ -258,24 +258,112 @@ def test_polarization_random_forms():
             assert bl == full
 
 
+def _odd_label_oracle(d):
+    """The former four-family dictionary from the 56 exceptional classes to
+    the odd classes: E_i and D_i map to {i, 8}, L_{i,j} and C_{i,j} to {i, j},
+    the family read off the L-degree a."""
+    a, b = d[0], d[1:]
+    if a == 0:  # E_i
+        return tf.EvenSubsetClass((b.index(1) + 1, 8))
+    if a == 1:  # L_{i,j}
+        return tf.EvenSubsetClass([i + 1 for i, c in enumerate(b) if c == -1])
+    if a == 2:  # C_{i,j}
+        return tf.EvenSubsetClass([i + 1 for i, c in enumerate(b) if c == 0])
+    if a == 3:  # D_i
+        return tf.EvenSubsetClass((b.index(-2) + 1, 8))
+    raise ValueError(f"not a degree-2 exceptional class: {d}")
+
+
+def _blowdown_oracle(lat, blowdown):
+    """The former blow-down labeling: label the seven contracted lines by
+    the dictionary and add them up as an Aronhold set."""
+    lines = lt.contracted_lines(lat, blowdown)
+    assert len(lines) == 7
+    return tf.even_theta_of_aronhold(tuple(_odd_label_oracle(d) for d in lines))
+
+
+def _aronhold_dfs_oracle():
+    """The former enumeration: depth-first over the sorted odd classes, a
+    candidate c joining when c + s is even for every pair sum s so far."""
+    odds = [t.mask for t in tf.odd_classes()]
+    out = []
+
+    def extend(chosen, sums, start):
+        if len(chosen) == 7:
+            out.append(tuple(map(tf.EvenSubsetClass._from_mask, chosen)))
+            return
+        for i in range(start, len(odds)):
+            c = odds[i]
+            if not any(tf._odd(s ^ c) for s in sums):
+                extend(chosen + [c], sums + [a ^ c for a in chosen], i + 1)
+
+    extend([], [], 0)
+    return tuple(out)
+
+
 def test_odd_label_dictionary():
     """E_i and its Geiser partner D_i share the label {i, 8}; the lines
     L_{i,j} and conics C_{i,j} share {i, j}."""
     lat = lt.make_lattice(2)
     e3 = lt.class_E(lat, 3)
-    assert tf._odd_label(e3) == tf.EvenSubsetClass((3, 8))
-    assert tf._odd_label(lt.geiser(lat, e3)) == tf.EvenSubsetClass((3, 8))
+    assert tf.mod2_label(e3) == tf.EvenSubsetClass((3, 8))
+    assert tf.mod2_label(lt.geiser(lat, e3)) == tf.EvenSubsetClass((3, 8))
     l12 = (1, -1, -1, 0, 0, 0, 0, 0)
-    assert tf._odd_label(l12) == tf.EvenSubsetClass((1, 2))
-    assert tf._odd_label(lt.geiser(lat, l12)) == tf.EvenSubsetClass((1, 2))
+    assert tf.mod2_label(l12) == tf.EvenSubsetClass((1, 2))
+    assert tf.mod2_label(lt.geiser(lat, l12)) == tf.EvenSubsetClass((1, 2))
 
 
 def test_all_56_labels_cover_odds():
     lat = lt.make_lattice(2)
-    labels = Counter(tf._odd_label(d)
+    labels = Counter(tf.mod2_label(d)
                      for d in lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL))
     assert len(labels) == 28
     assert set(labels.values()) == {2}
+
+
+def test_mod2_label_matches_dictionary_oracle():
+    lines = lt.enumerate_classes(lt.make_lattice(2), ClassKind.EXCEPTIONAL)
+    assert len(lines) == 56
+    for d in lines:
+        assert tf.mod2_label(d) == _odd_label_oracle(d), d
+
+
+def test_blowdown_label_matches_contracted_lines_oracle():
+    lat = lt.make_lattice(2)
+    blowdowns = lt.enumerate_classes(lat, ClassKind.BLOWDOWN)
+    assert len(blowdowns) == 576
+    for bd in blowdowns:
+        assert tf.even_theta_of_blowdown(lat, bd) == _blowdown_oracle(lat, bd), bd
+
+
+def test_aronhold_matches_dfs_oracle():
+    """Same sets in the same order, members in the same order."""
+    assert tf.enumerate_aronhold() == _aronhold_dfs_oracle()
+
+
+def test_blowdown_lines_are_constructed_aronhold_sets():
+    """Lattice to F2: the mod-2 labels of the seven lines a blow-down
+    contracts form one of the 288 constructed Aronhold sets, each set comes
+    from exactly one Geiser pair, and its even class is the blow-down's."""
+    lat = lt.make_lattice(2)
+    sets = set(tf.enumerate_aronhold())
+    pairs_of = {}
+    for bd in lt.enumerate_classes(lat, ClassKind.BLOWDOWN):
+        labels = tuple(sorted(map(tf.mod2_label, lt.contracted_lines(lat, bd))))
+        assert labels in sets, bd
+        assert tf.even_theta_of_aronhold(labels) == tf.even_theta_of_blowdown(lat, bd)
+        pairs_of.setdefault(labels, set()).add(frozenset((bd, lt.geiser(lat, bd))))
+    assert pairs_of.keys() == sets
+    assert all(len(p) == 1 for p in pairs_of.values())
+
+
+def test_even_theta_of_blowdown_rejects():
+    lat2, lat3 = lt.make_lattice(2), lt.make_lattice(3)
+    with pytest.raises(ValueError, match="requires degree 2"):
+        tf.even_theta_of_blowdown(lat3, lt.enumerate_classes(lat3, ClassKind.BLOWDOWN)[0])
+    for d in (lt.class_E(lat2, 1), (0,) * 8, lt.enumerate_classes(lat2, ClassKind.ROOT)[0]):
+        with pytest.raises(ValueError, match="not a blow-down class"):
+            tf.even_theta_of_blowdown(lat2, d)
 
 
 # Set-based reference model of the 64 classes: sorted representative tuples.
