@@ -206,13 +206,27 @@ GOLDEN_STDOUT = [
      "c6663ad469b9c0b534cca77cf7a3cea23d92bb56e1d193b5191ed280665ef861"),
     (("lattice", "--kind=double-six", "--format", "pretty", "--degree", "3"),
      "243fb94101aff1dda3d4b76b02170f528ee4ec57af3b95c76a50de44a32ad4b0"),
+    (("lattice", "--kind", "exceptional", "--degree", "3", "--format", "tsv"),
+     "e7ca3cb69c329ff1ea72820c013c61b1dcf9d02a0fed879201b0a88962b5f3dd"),
+    (("spin", "genus3_node.gr", "--format", "tsv"),
+     "b1368ebaa25f4b269d47f4257f90e0e73ae23f47fb888dd6d52d5b5e04b20287"),
+    (("spin-table", "--genus", "3", "--nodes", "3", "--format", "tsv"),
+     "60288e37a68abe32d50e439796e4c31de1fa4fcab2d23accc4e3a127ab1586f3"),
+    (("theta", "conic-pairs", "--format", "tsv"),
+     "b7d5ef5047c1065ab2881b3526f520d127f9e9de901791e9575e09c4644fae66"),
+    (("theta", "zeros", "--dim", "16", "--arf", "1", "--format", "tsv"),
+     "237390c1c68f5f60f7bf00f665fa3a2afe46835cd8f333943e859ff0bf320481"),
+    (("detrep", "detrep_sample.txt", "--action", "check", "--format", "tsv"),
+     "0f65d4373f452339055a7521ebb93194ed3a3d19b95f31a8fa6baa65ad390cc3"),
+    (("detrep", "quartic_sample.txt", "--action", "quartic", "--format", "tsv"),
+     "d1b8d8c64783367099bf9027adb3438945c887dc905aeb13ef902e5af160ffc1"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
                          ids=[" ".join(a[:4]) for a, _ in GOLDEN_STDOUT])
 def test_golden_stdout(capsys, data_dir, argv, digest):
-    if argv[0] == "nodal":
+    if argv[0] in ("nodal", "spin", "detrep"):  # the first argument is a data file
         argv = (argv[0], str(data_dir / argv[1])) + argv[2:]
     code, out, _ = run(capsys, *argv)
     assert code == 0
