@@ -7,8 +7,9 @@ Modules:
     theta_f2  -- the F2 algebra of theta characteristics
     poly      -- exact sparse multivariate polynomials over Q
     detrep    -- symmetric determinantal representations and contact conics
+    kernels   -- Bareiss determinants and leading minors, union-find
     cli       -- command-line front end
 """
 
-__all__ = ["lattice", "nodal", "spin", "theta_f2", "poly", "detrep", "cli"]
+__all__ = ["lattice", "nodal", "spin", "theta_f2", "poly", "detrep", "kernels", "cli"]
 __version__ = "0.1.0"

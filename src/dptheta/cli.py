@@ -14,9 +14,6 @@ import argparse
 import sys
 from collections import defaultdict
 
-from . import detrep, lattice as lt, nodal, spin, theta_f2
-from .lattice import ClassKind
-
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
@@ -37,23 +34,13 @@ def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
-def _fmt_point(rep) -> str:
-    if isinstance(rep, tuple) and all(isinstance(c, int) for c in rep):
-        return lt.format_class(rep)
-    return str(rep)
-
-
 # ---------------------------------------------------------------------------
-# Subcommands.
-
-_KINDS = {
-    "exceptional": ClassKind.EXCEPTIONAL,
-    "root": ClassKind.ROOT,
-    "blowdown": ClassKind.BLOWDOWN,
-}
-
+# Subcommands.  Each handler imports the one layer it drives, so a fresh
+# process loads only the modules of the command it runs.
 
 def cmd_lattice(args) -> int:
+    from . import lattice as lt
+
     lat = lt.make_lattice(args.degree)
     if args.kind == "double-six":
         header = ("orbit",)
@@ -62,13 +49,15 @@ def cmd_lattice(args) -> int:
     else:
         header = ("class",)
         rows = [(lt.format_class(d),)
-                for d in lt.enumerate_classes(lat, _KINDS[args.kind])]
+                for d in lt.enumerate_classes(lat, lt.ClassKind[args.kind.upper()])]
     _emit(rows, header, args.format)
     print(f"total\t{len(rows)}" if args.format == "tsv" else f"total: {len(rows)}")
     return 0
 
 
 def cmd_nodal(args) -> int:
+    from . import lattice as lt, nodal
+
     with open(args.config) as fh:
         cfg = nodal.parse_config(fh.read())
     if args.scheme == "profile":
@@ -80,7 +69,9 @@ def cmd_nodal(args) -> int:
         return 0
     scheme = nodal.scheme(cfg, args.scheme)
     dynkin = nodal.validate_config(cfg)
-    rows = [(_fmt_point(rep), m) for rep, m in scheme.points]
+    rows = [(lt.format_class(rep) if isinstance(rep, tuple)
+             and all(isinstance(c, int) for c in rep) else str(rep), m)
+            for rep, m in scheme.points]
     _emit(rows, ("representative", "multiplicity"), args.format)
     profile = " + ".join(f"{n}x{m}" for m, n in
                          sorted(scheme.multiplicity_profile().items()))
@@ -96,6 +87,8 @@ def cmd_nodal(args) -> int:
 
 
 def cmd_spin(args) -> int:
+    from . import spin
+
     with open(args.graph) as fh:
         graph = spin.parse_graph(fh.read())
     supports = spin.spin_scheme(graph)
@@ -113,6 +106,8 @@ def cmd_spin(args) -> int:
 
 
 def cmd_spin_table(args) -> int:
+    from . import spin
+
     rows = []
     for n in range(min(args.nodes, 0), args.nodes + 1):  # the library rejects n < 0
         for row in spin.spin_table_irreducible(args.genus, n):
@@ -124,6 +119,8 @@ def cmd_spin_table(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    from . import theta_f2
+
     if args.task == "aronhold":
         sets = theta_f2.enumerate_aronhold()
         by_even = defaultdict(int)
@@ -154,7 +151,10 @@ def cmd_theta(args) -> int:
     return 0
 
 
-def cmd_detrep(args) -> int:
+def _detrep_rows(args) -> list[tuple[str, str]]:
+    """The (quantity, value) rows of one detrep action."""
+    from . import detrep
+
     with open(args.input) as fh:
         fields = detrep.parse_data_block(fh.read())
     if args.action == "quartic":
@@ -164,27 +164,32 @@ def cmd_detrep(args) -> int:
             raise ValueError(f"quartic action needs keys {sorted(missing)}")
         f, line = detrep.quartic_from_odd_theta(fields["L"], fields["Q"],
                                                 fields["H"])
-        _emit([("quartic", str(f)), ("bitangent", str(line))],
-              ("quantity", "value"), args.format)
-        print("bitangent verified" if args.format == "pretty"
-              else "status\tbitangent verified")
-        return 0
+        return [("quartic", str(f)), ("bitangent", str(line))]
     data = detrep.data_from_block(fields)
     if args.action == "quintic":
-        _emit([("quintic", str(detrep.discriminant_quintic(data)))],
-              ("quantity", "value"), args.format)
-        return 0
+        return [("quintic", str(detrep.discriminant_quintic(data)))]
     if args.action == "conic":
-        _emit([("conic", str(detrep.contact_conic(data)))],
-              ("quantity", "value"), args.format)
-        return 0
+        return [("conic", str(detrep.contact_conic(data)))]
     f = detrep.discriminant_quintic(data)
     t = detrep.contact_conic(data)
     report = detrep.total_tangency_check(f, t, seed=args.seed)
-    _emit([("quintic", str(f)), ("conic", str(t)),
-           ("verdict", report.verdict.value),
-           ("shear", f"{report.shear[0]} {report.shear[1]}")],
-          ("quantity", "value"), args.format)
+    return [("quintic", str(f)), ("conic", str(t)),
+            ("verdict", report.verdict.value),
+            ("shear", f"{report.shear[0]} {report.shear[1]}")]
+
+
+def cmd_detrep(args) -> int:
+    from .detrep import DegenerateError
+
+    try:
+        rows = _detrep_rows(args)
+    except DegenerateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    _emit(rows, ("quantity", "value"), args.format)
+    if args.action == "quartic":
+        print("bitangent verified" if args.format == "pretty"
+              else "status\tbitangent verified")
     return 0
 
 
@@ -212,8 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("nodal", help="multiplicity schemes of a root configuration")
     p.add_argument("config", help="configuration file (degree/root lines)")
+    # the keys of nodal.SCHEMES, spelled out so that parsing imports no layer
     p.add_argument("--scheme", required=True,
-                   choices=tuple(nodal.SCHEMES) + ("profile",))
+                   choices=("lines", "bitangents", "blowdowns", "doublesix",
+                            "aronhold", "eventheta", "profile"))
     p.set_defaults(func=cmd_nodal)
 
     p = add_parser("spin", help="spin structures on a dual graph")
@@ -244,9 +251,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except detrep.DegenerateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -19,7 +19,8 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
 
-from .poly import MultiPoly, determinant, parse_poly
+from .kernels import determinant
+from .poly import MultiPoly, parse_poly
 from .text import data_lines
 
 PLANE_VARS = ("x0", "x1", "x2")

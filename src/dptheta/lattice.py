@@ -9,11 +9,11 @@ immutable tuples, so results are hashable and safe to cache or share.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
 
 from .text import parse_int
 

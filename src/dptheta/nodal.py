@@ -17,9 +17,8 @@ from functools import lru_cache
 from operator import mul
 
 from . import lattice as lt, theta_f2
+from .kernels import components, leading_minors
 from .lattice import ClassKind, DivisorClass, PicardLattice
-from .poly import leading_minors
-from .spin import components
 from .text import data_lines, parse_int
 
 PROFILE_COLUMNS = (2, 1, 0, -1, -2)

@@ -17,6 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .kernels import components
 from .text import data_lines, parse_int
 
 Edge = tuple[int, int]
@@ -69,24 +70,6 @@ class DualGraph:
     def genus(self) -> int:
         # sum of vertex genera plus b1; __init__ proved the graph connected
         return sum(self.genera) + len(self.edges) - len(self.genera) + 1
-
-
-def components(n: int, pairs) -> list[int]:
-    """Component label of each of n vertices joined by the given index pairs.
-
-    Union-find with path halving, also while labelling; two vertices share
-    a label (the index of their root) exactly when they are connected.
-    """
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for i, j in pairs:
-        parent[find(i)] = find(j)
-    return [find(v) for v in range(n)]
 
 
 def betti(n_vertices: int, edges) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 MAX_LITERAL_DIGITS = 1000  # below Python's own 4300-digit int-parsing limit
 

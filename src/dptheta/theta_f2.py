@@ -307,21 +307,23 @@ def count_conic_pairs(rng: random.Random | None = None) -> tuple[int, int, int]:
     {0, eta}, and intermediate counts the zero classes of the form induced
     on the quotient eta-perp / eta.  The result (496, 990, 495) is
     independent of the admissible choice; pass an rng to randomize it.
+
+    q2 vanishes exactly where q1 = <., eta>, on the common zeros A of q1 and
+    eta-perp and on the vectors off eta-perp where q1 is 1.  Those are half
+    of F2^dim, so the two zero counts sum to 2|A| + 2^(dim-1).  A pairs off
+    as {v, v + eta}.
     """
     q1 = make_space(6, arf_invariant=1)
-    if rng is not None:
-        # a random odd form: shift by a zero vector (preserves the Arf class)
-        zeros = [v for v in range(1 << q1.dim) if q1.evaluate(v) == 0]
-        q1 = q1.shift(rng.choice(zeros))
-    zeros1 = [v for v in range(1, 1 << q1.dim) if q1.evaluate(v) == 0]
-    eta = rng.choice(zeros1) if rng is not None else zeros1[0]
+    if rng is None:
+        eta = next(v for v in range(1, 1 << q1.dim) if q1.evaluate(v) == 0)
+    else:
+        # a random odd form: shift by a zero vector (preserves the Arf class);
+        # about half of all vectors are zeros, so each draw ends in about two
+        while q1.evaluate(shift := rng.randrange(1 << q1.dim)):
+            pass
+        q1 = q1.shift(shift)
+        while q1.evaluate(eta := rng.randrange(1, 1 << q1.dim)):
+            pass
     q2 = q1.shift(eta)
-    assert q2.evaluate(eta) == 0
-    # common zeros: q1(v) = 0 and <v, eta> = 0; they pair off as {v, v+eta}
-    common = [v for v in range(1 << q1.dim)
-              if q1.evaluate(v) == 0 and q1.bilinear(v, eta) == 0]
-    assert len(common) % 2 == 0
-    intermediate = len(common) // 2
-    z = [v for v in zeros1 if v != eta and q2.evaluate(v) == 0]
-    assert len(z) == len(common) - 2 and len(z) % 2 == 0
-    return intermediate, len(z), len(z) // 2
+    common = (count_zeros(q1) + count_zeros(q2) - (1 << (q1.dim - 1))) // 2
+    return common // 2, common - 2, common // 2 - 1

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from dptheta import poly, spin, text, theta_f2
-from dptheta.cli import main
+from dptheta import nodal, poly, spin, text, theta_f2
+from dptheta.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -148,10 +148,15 @@ def test_detrep_check_sample(capsys, data_dir):
     assert "verdict\tTotallyTangent" in out
 
 
-def test_detrep_zero_exit3(capsys, data_dir):
-    code, _, err = run(capsys, "detrep", str(data_dir / "detrep_zero.txt"),
-                       "--action", "quintic")
-    assert code == 3 and "zero" in err
+@pytest.mark.parametrize("action", ["quintic", "conic", "check", "quartic"])
+def test_detrep_zero_exit3(capsys, data_dir, tmp_path, action):
+    path = data_dir / "detrep_zero.txt"
+    if action == "quartic":  # L*H - Q^2 = x0^4 - x0^4
+        path = tmp_path / "zero_quartic.txt"
+        path.write_text("L: x0\nQ: x0^2\nH: x0^3\n")
+    code, out, err = run(capsys, "detrep", str(path), "--action", action)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "zero" in err
 
 
 def test_detrep_quartic(capsys, data_dir):
@@ -231,6 +236,53 @@ def test_golden_stdout(capsys, data_dir, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the dptheta modules each subcommand loads: its own layer and what that
+# layer imports, never the layers of the other subcommands
+IMPORT_SETS = [
+    (("lattice", "--degree", "3", "--kind", "root"), {"lattice"}),
+    (("nodal", "e7.cfg", "--scheme", "eventheta"),
+     {"kernels", "lattice", "nodal", "theta_f2"}),
+    (("spin", "genus3_node.gr"), {"kernels", "spin"}),
+    (("spin-table", "--genus", "3", "--nodes", "2"), {"kernels", "spin"}),
+    (("theta", "aronhold"), {"lattice", "theta_f2"}),
+    (("detrep", "detrep_sample.txt", "--action", "check"), {"detrep", "kernels", "poly"}),
+]
+
+LOADED_MODULES = """\
+import sys
+from dptheta import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("dptheta."))
+print(code, "typing" in sys.modules, "fractions" in sys.modules, *loaded)
+"""
+
+
+@pytest.mark.parametrize("argv,layers", IMPORT_SETS, ids=[a[0] for a, _ in IMPORT_SETS])
+def test_subcommand_loads_only_its_layers(data_dir, argv, layers):
+    """Under -S (no site preloads) a command loads its layers and no
+    `typing`; only the polynomial layer loads `fractions`."""
+    if argv[0] in ("nodal", "spin", "detrep"):
+        argv = (argv[0], str(data_dir / argv[1])) + argv[2:]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED_MODULES, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    code, typing, fractions, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert set(loaded) == {"cli", "text"} | layers
+    assert typing == "False"
+    assert fractions == str("poly" in layers)
+
+
+def test_scheme_choices_match_library():
+    """The parser lists the schemes literally, so it need not import nodal."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    scheme = next(a for a in sub.choices["nodal"]._actions if a.dest == "scheme")
+    assert scheme.choices == tuple(nodal.SCHEMES) + ("profile",)
 
 
 def one_error_line(code, out, err):

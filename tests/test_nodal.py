@@ -9,7 +9,7 @@ import pytest
 
 from dptheta import lattice as lt, nodal, theta_f2
 from dptheta.lattice import ClassKind
-from dptheta.spin import components
+from dptheta.kernels import components
 
 
 def config(degree, *roots):

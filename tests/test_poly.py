@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptheta import poly
-from dptheta.poly import (MultiPoly, determinant, leading_minors, parse_poly,
-                          resultant, squarefree_multiplicities,
-                          uni_from_binary_form)
+from dptheta.kernels import determinant, leading_minors
+from dptheta.poly import (MultiPoly, parse_poly, resultant,
+                          squarefree_multiplicities, uni_from_binary_form)
 from dptheta.text import MAX_LITERAL_DIGITS
 
 V = ("x0", "x1", "x2")

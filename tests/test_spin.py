@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from dptheta import spin
+from dptheta import kernels, spin
 from dptheta.spin import DualGraph
 
 
@@ -203,9 +203,9 @@ def test_caterpillar_tree():
 
 def test_components_on_long_path():
     n = 5000
-    assert spin.components(n, [(v, v + 1) for v in range(n - 1)]) \
+    assert kernels.components(n, [(v, v + 1) for v in range(n - 1)]) \
         == [n - 1] * n
-    assert spin.components(n, [(v + 1, v) for v in range(n - 1)]) == [0] * n
+    assert kernels.components(n, [(v + 1, v) for v in range(n - 1)]) == [0] * n
 
 
 def test_random_graph_properties():
@@ -263,7 +263,7 @@ def test_genus_capped():
 def betti_all_vertices(n_vertices, edges):
     """The former `spin.betti`: a union-find labelling all n vertices."""
     edges = list(edges)
-    return len(edges) - n_vertices + len(set(spin.components(n_vertices, edges)))
+    return len(edges) - n_vertices + len(set(kernels.components(n_vertices, edges)))
 
 
 def test_betti_against_all_vertex_oracle():

@@ -134,6 +134,46 @@ def test_conic_pairs_randomized_invariant():
         assert tf.count_conic_pairs(random.Random(seed)) == (496, 990, 495)
 
 
+def _conic_pairs_oracle(rng=None):
+    """The former `count_conic_pairs`: enumerate the 4096 vectors of F2^12."""
+    q1 = tf.make_space(6, arf_invariant=1)
+    if rng is not None:
+        zeros = [v for v in range(1 << q1.dim) if q1.evaluate(v) == 0]
+        q1 = q1.shift(rng.choice(zeros))
+    zeros1 = [v for v in range(1, 1 << q1.dim) if q1.evaluate(v) == 0]
+    eta = rng.choice(zeros1) if rng is not None else zeros1[0]
+    q2 = q1.shift(eta)
+    assert q2.evaluate(eta) == 0
+    # common zeros: q1(v) = 0 and <v, eta> = 0; they pair off as {v, v+eta}
+    common = [v for v in range(1 << q1.dim)
+              if q1.evaluate(v) == 0 and q1.bilinear(v, eta) == 0]
+    assert len(common) % 2 == 0
+    z = [v for v in zeros1 if v != eta and q2.evaluate(v) == 0]
+    assert len(z) == len(common) - 2 and len(z) % 2 == 0
+    return len(common) // 2, len(z), len(z) // 2
+
+
+def test_conic_pairs_match_enumeration_oracle():
+    assert tf.count_conic_pairs() == _conic_pairs_oracle()
+    for seed in range(20):
+        assert tf.count_conic_pairs(random.Random(seed)) \
+            == _conic_pairs_oracle(random.Random(seed))
+
+
+def test_common_zeros_by_two_zero_counts():
+    """|{q = 0} & eta-perp| = (zeros(q) + zeros(q + <., eta>) - 2^(dim-1)) / 2
+    for random forms q and nonzero eta, against an exhaustive count."""
+    rng = random.Random(17)
+    for dim in (2, 4, 6, 8, 10, 12):
+        for _ in range(20):
+            space = random_space(rng, dim)
+            eta = rng.randrange(1, 1 << dim)
+            common = sum(1 for v in range(1 << dim)
+                         if space.evaluate(v) == 0 and space.bilinear(v, eta) == 0)
+            closed = tf.count_zeros(space) + tf.count_zeros(space.shift(eta)) - (1 << (dim - 1))
+            assert closed == 2 * common, (space, eta)
+
+
 def _count_zeros_oracle(space):
     """The former `count_zeros`: evaluate q on all 2^dim vectors."""
     return sum(1 for v in range(1 << space.dim) if space.evaluate(v) == 0)
