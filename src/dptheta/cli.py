@@ -69,9 +69,10 @@ def cmd_nodal(args) -> int:
         return 0
     scheme = nodal.scheme(cfg, args.scheme)
     dynkin = nodal.validate_config(cfg)
-    rows = [(lt.format_class(rep) if isinstance(rep, tuple)
-             and all(isinstance(c, int) for c in rep) else str(rep), m)
-            for rep, m in scheme.points]
+    rows = []
+    for rep, m in scheme.points:  # a Picard class or a theta characteristic
+        is_class = isinstance(rep, tuple) and all(isinstance(c, int) for c in rep)
+        rows.append((lt.format_class(rep) if is_class else str(rep), m))
     _emit(rows, ("representative", "multiplicity"), args.format)
     profile = " + ".join(f"{n}x{m}" for m, n in
                          sorted(scheme.multiplicity_profile().items()))

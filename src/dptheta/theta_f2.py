@@ -308,17 +308,17 @@ def count_conic_pairs(rng: random.Random | None = None) -> tuple[int, int, int]:
     on the quotient eta-perp / eta.  The result (496, 990, 495) is
     independent of the admissible choice; pass an rng to randomize it.
 
-    q2 vanishes exactly where q1 = <., eta>, on the common zeros A of q1 and
-    eta-perp and on the vectors off eta-perp where q1 is 1.  Those are half
-    of F2^dim, so the two zero counts sum to 2|A| + 2^(dim-1).  A pairs off
-    as {v, v + eta}.
+    q2 vanishes exactly where q1 = <., eta>: on A, the zeros of q1 inside
+    eta-perp, and off eta-perp where q1 is 1.  Off eta-perp lies half of
+    F2^dim, so the zero counts of q1 and q2 sum to 2|A| + 2^(dim-1).  A
+    pairs off as {v, v + eta}.
     """
     q1 = make_space(6, arf_invariant=1)
     if rng is None:
         eta = next(v for v in range(1, 1 << q1.dim) if q1.evaluate(v) == 0)
     else:
         # a random odd form: shift by a zero vector (preserves the Arf class);
-        # about half of all vectors are zeros, so each draw ends in about two
+        # about half of all vectors are zeros, so each loop takes about two draws
         while q1.evaluate(shift := rng.randrange(1 << q1.dim)):
             pass
         q1 = q1.shift(shift)
