@@ -14,7 +14,7 @@ with the square root read from its top half and checked exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
@@ -45,24 +45,18 @@ def _check_form(p: MultiPoly, degree: int, label: str) -> MultiPoly:
     return p
 
 
-@dataclass(frozen=True)
-class SymThetaData:
-    """Entries of the symmetric matrix: linear L, quadratic Q, cubic H forms."""
+class SymThetaData(namedtuple("SymThetaData", "l11 l12 l22 q1 q2 h")):
+    """Entries of the symmetric matrix: linear L, quadratic Q, cubic H forms.
+    The constructor (also under _make and _replace) checks each degree."""
 
-    l11: MultiPoly
-    l12: MultiPoly
-    l22: MultiPoly
-    q1: MultiPoly
-    q2: MultiPoly
-    h: MultiPoly
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "l11", _check_form(self.l11, 1, "L11"))
-        object.__setattr__(self, "l12", _check_form(self.l12, 1, "L12"))
-        object.__setattr__(self, "l22", _check_form(self.l22, 1, "L22"))
-        object.__setattr__(self, "q1", _check_form(self.q1, 2, "Q1"))
-        object.__setattr__(self, "q2", _check_form(self.q2, 2, "Q2"))
-        object.__setattr__(self, "h", _check_form(self.h, 3, "H"))
+    def __new__(cls, l11, l12, l22, q1, q2, h):
+        return super().__new__(
+            cls, _check_form(l11, 1, "L11"), _check_form(l12, 1, "L12"),
+            _check_form(l22, 1, "L22"), _check_form(q1, 2, "Q1"),
+            _check_form(q2, 2, "Q2"), _check_form(h, 3, "H"))
 
 
 def discriminant_quintic(data: SymThetaData) -> MultiPoly:
@@ -130,10 +124,7 @@ def contact_conic(data: SymThetaData) -> MultiPoly:
     return t
 
 
-@dataclass(frozen=True)
-class TangencyReport:
-    verdict: Tangency
-    shear: tuple[int, int]
+TangencyReport = namedtuple("TangencyReport", "verdict shear")  # shear is the (a, b) used
 
 
 def _integral(p: MultiPoly) -> dict[tuple[int, ...], int]:

@@ -9,8 +9,8 @@ immutable tuples, so results are hashable and safe to cache or share.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import mul
@@ -39,13 +39,14 @@ class ClassKind(Enum):
 _KIND_OF_KEY = {k.value: k for k in ClassKind}
 
 
-@dataclass(frozen=True)
-class PicardLattice:
-    degree: int
+class PicardLattice(namedtuple("PicardLattice", "degree")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if self.degree not in (2, 3):
-            raise ValueError(f"degree must be 2 or 3, got {self.degree}")
+    def __new__(cls, degree: int):
+        if degree not in (2, 3):
+            raise ValueError(f"degree must be 2 or 3, got {degree}")
+        return super().__new__(cls, degree)
 
     @property
     def rank(self) -> int:

@@ -12,7 +12,7 @@ sets, double sixes and even theta characteristics of the branch curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
@@ -24,28 +24,28 @@ from .text import data_lines, parse_int
 PROFILE_COLUMNS = (2, 1, 0, -1, -2)
 
 
-@dataclass(frozen=True)
-class NodalConfig:
-    """Distinct roots, kept sorted.  Valid by construction: building one raises
+class NodalConfig(namedtuple("NodalConfig", "lattice roots")):
+    """Distinct roots, kept sorted.  An immutable named tuple, valid by
+    construction: its constructor, also under _make and _replace, raises
     ValueError unless every root has the lattice's rank and validate_config passes."""
 
-    lattice: PicardLattice
-    roots: tuple[DivisorClass, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        lat, roots = self.lattice, tuple(self.roots)
+    def __new__(cls, lattice: PicardLattice, roots):
+        roots = tuple(roots)
         for r in roots:
-            if len(r) != lat.rank:
-                raise ValueError(f"root {r} has wrong length for degree {lat.degree}")
-        object.__setattr__(self, "roots", tuple(sorted(set(roots))))
+            if len(r) != lattice.rank:
+                raise ValueError(f"root {r} has wrong length for degree {lattice.degree}")
+        self = super().__new__(cls, lattice, tuple(sorted(set(roots))))
         validate_config(self)
+        return self
 
 
-@dataclass(frozen=True)
-class MultiplicityScheme:
+class MultiplicityScheme(namedtuple("MultiplicityScheme", "points")):
     """Zero-dimensional scheme: (canonical representative, multiplicity) points."""
 
-    points: tuple[tuple[object, int], ...]
+    __slots__ = ()
 
     @property
     def total(self) -> int:

@@ -37,6 +37,9 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return MultiPoly, (self.vars, self.terms)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

@@ -14,8 +14,7 @@ even exactly when the boundaries of its edges XOR to 0.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .kernels import components
 from .text import data_lines, parse_int
@@ -26,24 +25,23 @@ MAX_GENUS = 100  # spin-table: at most 5151 rows, counts below 2^200
 MAX_GRAPH_GENUS = 5000  # spin prints counts up to 2^{2g}: at most 3011 digits
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(namedtuple("DualGraph", "genera edges")):
     """Weighted multigraph: vertex geometric genera and node edges.
 
-    Edges are unordered pairs of 0-based vertex indices, loops allowed.
-    Validates connectivity, stability (genus-0 vertices need at least three
-    edge incidences, loops counting twice), an arithmetic genus from 2 to
+    Edges are unordered pairs of 0-based vertex indices, loops allowed, kept
+    sorted.  The constructor (also under _make and _replace) checks
+    connectivity, stability (genus-0 vertices need at least three edge
+    incidences, loops counting twice), an arithmetic genus from 2 to
     MAX_GRAPH_GENUS and a first Betti number of at most MAX_B1.
     """
 
-    genera: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __init__(self, genera, edges):
+    def __new__(cls, genera, edges):
         genera = tuple(genera)
         edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-        object.__setattr__(self, "genera", genera)
-        object.__setattr__(self, "edges", edges)
+        self = super().__new__(cls, genera, edges)
         n = len(genera)
         if n == 0:
             raise ValueError("graph needs at least one vertex")
@@ -65,10 +63,11 @@ class DualGraph:
             raise ValueError("arithmetic genus must be >= 2")
         if self.genus > MAX_GRAPH_GENUS:
             raise ValueError(f"arithmetic genus {self.genus} exceeds {MAX_GRAPH_GENUS}")
+        return self
 
     @property
     def genus(self) -> int:
-        # sum of vertex genera plus b1; __init__ proved the graph connected
+        # sum of vertex genera plus b1; __new__ proved the graph connected
         return sum(self.genera) + len(self.edges) - len(self.genera) + 1
 
 
@@ -136,13 +135,8 @@ def is_even_subset(graph: DualGraph, delta) -> bool:
     return total == 0
 
 
-@dataclass(frozen=True)
-class SpinSupport:
-    """Spin structures supported on a given even edge subset."""
-
-    delta: tuple[int, ...]
-    count: int
-    multiplicity: int
+# spin structures supported on a given even edge subset
+SpinSupport = namedtuple("SpinSupport", "delta count multiplicity")
 
 
 def spin_counts(graph: DualGraph, delta) -> SpinSupport:
@@ -174,13 +168,8 @@ def theta_counts(g: int) -> tuple[int, int]:
     return (2 ** (g - 1) * (2 ** g - 1), 2 ** (g - 1) * (2 ** g + 1))
 
 
-@dataclass(frozen=True)
-class SpinTableRow:
-    resolved: int  # k: number of resolved nodes
-    count: int
-    multiplicity: int
-    odd: int
-    even: int
+# resolved is k, the number of resolved nodes
+SpinTableRow = namedtuple("SpinTableRow", "resolved count multiplicity odd even")
 
 
 def spin_table_irreducible(g: int, n: int) -> tuple[SpinTableRow, ...]:

@@ -12,8 +12,7 @@ invariant, zero counts, the genus-6 conic-pair count).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce, total_ordering
 from itertools import combinations
 from operator import xor
@@ -28,30 +27,45 @@ def _odd(mask: int) -> int:
 
 
 @total_ordering
-@dataclass(frozen=True)
 class EvenSubsetClass:
     """An even subset of {1..8} modulo complement, as an 8-bit mask.
 
     Bit i-1 stands for element i; a subset containing 8 is stored as its
     complement, so bit 7 is never set and the sum of two classes is the XOR
-    of their masks.  `elems` is the sorted representative of size <= 4 (a
-    size-4 representative contains 1); comparison and sorting use it.
+    of their masks.  Equality and hashing read the mask.  `elems` is the
+    sorted representative of size <= 4 (a size-4 representative contains
+    1); comparison and sorting use it.  Immutable, and not a tuple, which
+    would pass for a Picard class.
     """
 
-    mask: int
+    __slots__ = ("mask",)
 
-    def __init__(self, elems):
+    def __new__(cls, elems):
         s = sorted(set(elems))
         if len(s) % 2 != 0 or not all(e in range(1, 9) for e in s):
             raise ValueError(f"not an even subset of 1..8: {s}")
         mask = sum(1 << (e - 1) for e in s)
-        object.__setattr__(self, "mask", mask ^ 0xFF if mask & 0x80 else mask)
+        return cls._from_mask(mask ^ 0xFF if mask & 0x80 else mask)
 
     @classmethod
     def _from_mask(cls, mask: int) -> "EvenSubsetClass":
         c = object.__new__(cls)
         object.__setattr__(c, "mask", mask)
         return c
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("EvenSubsetClass is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return EvenSubsetClass._from_mask, (self.mask,)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EvenSubsetClass) and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
 
     def __add__(self, other: "EvenSubsetClass") -> "EvenSubsetClass":
         return EvenSubsetClass._from_mask(self.mask ^ other.mask)
@@ -164,17 +178,15 @@ def even_theta_of_blowdown(lat: PicardLattice, blowdown: DivisorClass) -> EvenSu
 # ---------------------------------------------------------------------------
 # Generic quadratic forms on F2 symplectic spaces.
 
-@dataclass(frozen=True)
-class QuadraticSpace:
+class QuadraticSpace(namedtuple("QuadraticSpace", "dim rows")):
     """Quadratic form on F2^dim refining the standard symplectic pairing.
 
     Vectors are int bitmasks.  The form is stored as an upper-triangular bit
-    matrix: q(v) = sum over i <= j of B[i][j] v_i v_j.  Basis vectors come in
-    hyperbolic pairs (e_0, e_1), (e_2, e_3), ...
+    matrix, rows[i] with bits only at positions >= i: q(v) = sum over i <= j
+    of B[i][j] v_i v_j.  Basis vectors come in pairs (e_0, e_1), (e_2, e_3), ...
     """
 
-    dim: int
-    rows: tuple[int, ...]  # rows[i] has bits only at positions >= i
+    __slots__ = ()
 
     def evaluate(self, v: int) -> int:
         r = 0
@@ -299,14 +311,14 @@ def arf(space: QuadraticSpace) -> int:
     return invariant
 
 
-def count_conic_pairs(rng: random.Random | None = None) -> tuple[int, int, int]:
+def count_conic_pairs(rng=None) -> tuple[int, int, int]:
     """Genus-6 count of totally tangent conic pairs.
 
     Returns (intermediate, |Z|, |Z|/2) where Z is the common zero set of
     two odd forms q1 and q2 = q1 + <., eta> (eta a nonzero q1-zero), minus
     {0, eta}, and intermediate counts the zero classes of the form induced
     on the quotient eta-perp / eta.  The result (496, 990, 495) is
-    independent of the admissible choice; pass an rng to randomize it.
+    independent of the admissible choice; a random.Random rng randomizes it.
 
     q2 vanishes exactly where q1 = <., eta>: on A, the zeros of q1 inside
     eta-perp, and off eta-perp where q1 is 1.  Off eta-perp lies half of

@@ -250,19 +250,23 @@ IMPORT_SETS = [
     (("detrep", "detrep_sample.txt", "--action", "check"), {"detrep", "kernels", "poly"}),
 ]
 
-LOADED_MODULES = """\
+# the stdlib modules whose presence the probe reports, in this order
+PROBED = ("typing", "dataclasses", "inspect", "fractions", "random")
+
+LOADED_MODULES = f"""\
 import sys
 from dptheta import cli
 code = cli.main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("dptheta."))
-print(code, "typing" in sys.modules, "fractions" in sys.modules, *loaded)
+print(code, *(m in sys.modules for m in {PROBED!r}), *loaded)
 """
 
 
 @pytest.mark.parametrize("argv,layers", IMPORT_SETS, ids=[a[0] for a, _ in IMPORT_SETS])
 def test_subcommand_loads_only_its_layers(data_dir, argv, layers):
     """Under -S (no site preloads) a command loads its layers and no
-    `typing`; only the polynomial layer loads `fractions`."""
+    `typing`, `dataclasses` or `inspect`; only the polynomial layer loads
+    `fractions`, and only detrep loads `random`."""
     if argv[0] in ("nodal", "spin", "detrep"):
         argv = (argv[0], str(data_dir / argv[1])) + argv[2:]
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -271,11 +275,12 @@ def test_subcommand_loads_only_its_layers(data_dir, argv, layers):
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=pythonpath))
     assert proc.returncode == 0, proc.stderr
-    code, typing, fractions, *loaded = proc.stdout.splitlines()[-1].split()
+    code, *flags = proc.stdout.splitlines()[-1].split()
+    probed, loaded = dict(zip(PROBED, flags)), flags[len(PROBED):]
     assert code == "0"
     assert set(loaded) == {"cli", "text"} | layers
-    assert typing == "False"
-    assert fractions == str("poly" in layers)
+    assert probed == {"typing": "False", "dataclasses": "False", "inspect": "False",
+                      "fractions": str("poly" in layers), "random": str("detrep" in layers)}
 
 
 def test_scheme_choices_match_library():
