@@ -8,8 +8,10 @@ Modules:
     poly      -- exact sparse multivariate polynomials over Q
     detrep    -- symmetric determinantal representations and contact conics
     kernels   -- Bareiss determinants and leading minors, union-find
+    text      -- the line reader and bounded integer literals of the file parsers
     cli       -- command-line front end
 """
 
-__all__ = ["lattice", "nodal", "spin", "theta_f2", "poly", "detrep", "kernels", "cli"]
+__all__ = ["lattice", "nodal", "spin", "theta_f2", "poly", "detrep", "kernels",
+           "text", "cli"]
 __version__ = "0.1.0"

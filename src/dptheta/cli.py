@@ -14,31 +14,36 @@ import argparse
 import sys
 from collections import defaultdict
 
-EXIT_INPUT = 2
-EXIT_DEGENERATE = 3
+EXIT_INPUT = 2  # an input error; an exception's `exit_code` overrides it
 
 
-def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
-    """Print a table of stringable cells as TSV or aligned columns."""
-    cells = [tuple(str(c) for c in row) for row in rows]
+def _emit(report: tuple, fmt: str) -> None:
+    """Print a (header, rows, footer) report as TSV or aligned columns.
+
+    Each footer entry is (tsv key, pretty label, value): TSV prints
+    "key<TAB>value", pretty prints "label: value", or the bare value when
+    the label is None.  Every cell is formatted before the one print.
+    """
+    header, rows, footer = report
+    cells = [tuple(str(c) for c in row) for row in [header, *rows]]
     if fmt == "tsv":
-        print("\t".join(header))
-        for row in cells:
-            print("\t".join(row))
-        return
-    widths = [len(h) for h in header]
-    for row in cells:
-        widths = [max(w, len(c)) for w, c in zip(widths, row)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        lines = ["\t".join(row) for row in cells]
+        lines += [f"{key}\t{value}" for key, _, value in footer]
+    else:
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                 for row in cells]
+        lines += [f"{label}: {value}" if label else str(value)
+                  for _, label, value in footer]
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.  Each handler imports the one layer it drives, so a fresh
-# process loads only the modules of the command it runs.
+# process loads only the modules of the command it runs, and returns its
+# report for `_emit`; it prints nothing and lets errors reach `main`.
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> tuple:
     from . import lattice as lt
 
     lat = lt.make_lattice(args.degree)
@@ -50,12 +55,10 @@ def cmd_lattice(args) -> int:
         header = ("class",)
         rows = [(lt.format_class(d),)
                 for d in lt.enumerate_classes(lat, lt.ClassKind[args.kind.upper()])]
-    _emit(rows, header, args.format)
-    print(f"total\t{len(rows)}" if args.format == "tsv" else f"total: {len(rows)}")
-    return 0
+    return header, rows, [("total", "total", len(rows))]
 
 
-def cmd_nodal(args) -> int:
+def cmd_nodal(args) -> tuple:
     from . import lattice as lt, nodal
 
     with open(args.config) as fh:
@@ -65,29 +68,20 @@ def cmd_nodal(args) -> int:
         header = ("family",) + tuple(str(c) for c in nodal.PROFILE_COLUMNS)
         rows = [(name,) + row for name, row in profile]
         rows.append(("total",) + nodal.profile_column_totals(profile))
-        _emit(rows, header, args.format)
-        return 0
+        return header, rows, []
     scheme = nodal.scheme(cfg, args.scheme)
-    dynkin = nodal.validate_config(cfg)
-    rows = []
-    for rep, m in scheme.points:  # a Picard class or a theta characteristic
-        is_class = isinstance(rep, tuple) and all(isinstance(c, int) for c in rep)
-        rows.append((lt.format_class(rep) if is_class else str(rep), m))
-    _emit(rows, ("representative", "multiplicity"), args.format)
+    # a point is a Picard class (a tuple) or a theta characteristic
+    rows = [(lt.format_class(rep) if isinstance(rep, tuple) else str(rep), m)
+            for rep, m in scheme.points]
     profile = " + ".join(f"{n}x{m}" for m, n in
                          sorted(scheme.multiplicity_profile().items()))
-    if args.format == "tsv":
-        print(f"dynkin\t{dynkin}")
-        print(f"profile\t{profile}")
-        print(f"total\t{scheme.total}")
-    else:
-        print(f"configuration: {dynkin}")
-        print(f"profile: {profile}")
-        print(f"total: {scheme.total}")
-    return 0
+    return ("representative", "multiplicity"), rows, [
+        ("dynkin", "configuration", nodal.validate_config(cfg)),
+        ("profile", "profile", profile),
+        ("total", "total", scheme.total)]
 
 
-def cmd_spin(args) -> int:
+def cmd_spin(args) -> tuple:
     from . import spin
 
     with open(args.graph) as fh:
@@ -98,15 +92,13 @@ def cmd_spin(args) -> int:
         delta = " ".join(f"({graph.edges[i][0]},{graph.edges[i][1]})"
                          for i in support.delta) or "-"
         rows.append((delta, support.count, support.multiplicity))
-    _emit(rows, ("support", "count", "multiplicity"), args.format)
     total = sum(s.count * s.multiplicity for s in supports)
     g = graph.genus
-    line = f"genus {g}, total degree {total} = 2^{2 * g}"
-    print(f"summary\t{line}" if args.format == "tsv" else line)
-    return 0
+    return ("support", "count", "multiplicity"), rows, [
+        ("summary", None, f"genus {g}, total degree {total} = 2^{2 * g}")]
 
 
-def cmd_spin_table(args) -> int:
+def cmd_spin_table(args) -> tuple:
     from . import spin
 
     rows = []
@@ -114,12 +106,10 @@ def cmd_spin_table(args) -> int:
         for row in spin.spin_table_irreducible(args.genus, n):
             rows.append((n, row.resolved, row.count, row.multiplicity,
                          row.odd, row.even))
-    _emit(rows, ("nodes", "resolved", "count", "multiplicity", "odd", "even"),
-          args.format)
-    return 0
+    return ("nodes", "resolved", "count", "multiplicity", "odd", "even"), rows, []
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args) -> tuple:
     from . import theta_f2
 
     if args.task == "aronhold":
@@ -130,30 +120,25 @@ def cmd_theta(args) -> int:
             even = theta_f2.even_theta_of_aronhold(s)
             by_even[even] += 1
             rows.append((" ".join(str(t) for t in s), str(even)))
-        _emit(rows, ("aronhold_set", "even_theta"), args.format)
         sizes = sorted(set(by_even.values()))
         line = (f"{len(sets)} Aronhold sets over {len(by_even)} even classes,"
                 f" {sizes[0]} per class" if len(sizes) == 1
                 else f"{len(sets)} Aronhold sets, uneven fibers {sizes}")
-        print(f"summary\t{line}" if args.format == "tsv" else line)
-        return 0
+        return ("aronhold_set", "even_theta"), rows, [("summary", None, line)]
     if args.task == "conic-pairs":
         intermediate, z, pairs = theta_f2.count_conic_pairs()
-        _emit([("intermediate", intermediate), ("Z", z), ("pairs", pairs)],
-              ("quantity", "value"), args.format)
-        return 0
-    # check before make_space, which builds dim rows of dim-bit ints
-    if args.dim % 2 or not 2 <= args.dim <= theta_f2.MAX_COUNT_DIM:
-        raise ValueError(f"--dim must be even and between 2 and "
-                         f"{theta_f2.MAX_COUNT_DIM}, got {args.dim}")
-    count = theta_f2.count_zeros(theta_f2.make_space(args.dim // 2, args.arf))
-    _emit([("dim", args.dim), ("arf", args.arf), ("zeros", count)],
-          ("quantity", "value"), args.format)
-    return 0
+        rows = [("intermediate", intermediate), ("Z", z), ("pairs", pairs)]
+    else:
+        # check before make_space, which builds dim rows of dim-bit ints
+        if args.dim % 2 or not 2 <= args.dim <= theta_f2.MAX_COUNT_DIM:
+            raise ValueError(f"--dim must be even and between 2 and "
+                             f"{theta_f2.MAX_COUNT_DIM}, got {args.dim}")
+        count = theta_f2.count_zeros(theta_f2.make_space(args.dim // 2, args.arf))
+        rows = [("dim", args.dim), ("arf", args.arf), ("zeros", count)]
+    return ("quantity", "value"), rows, []
 
 
-def _detrep_rows(args) -> list[tuple[str, str]]:
-    """The (quantity, value) rows of one detrep action."""
+def cmd_detrep(args) -> tuple:
     from . import detrep
 
     with open(args.input) as fh:
@@ -165,33 +150,20 @@ def _detrep_rows(args) -> list[tuple[str, str]]:
             raise ValueError(f"quartic action needs keys {sorted(missing)}")
         f, line = detrep.quartic_from_odd_theta(fields["L"], fields["Q"],
                                                 fields["H"])
-        return [("quartic", str(f)), ("bitangent", str(line))]
+        return ("quantity", "value"), [("quartic", f), ("bitangent", line)], [
+            ("status", None, "bitangent verified")]
     data = detrep.data_from_block(fields)
     if args.action == "quintic":
-        return [("quintic", str(detrep.discriminant_quintic(data)))]
-    if args.action == "conic":
-        return [("conic", str(detrep.contact_conic(data)))]
-    f = detrep.discriminant_quintic(data)
-    t = detrep.contact_conic(data)
-    report = detrep.total_tangency_check(f, t, seed=args.seed)
-    return [("quintic", str(f)), ("conic", str(t)),
-            ("verdict", report.verdict.value),
-            ("shear", f"{report.shear[0]} {report.shear[1]}")]
-
-
-def cmd_detrep(args) -> int:
-    from .detrep import DegenerateError
-
-    try:
-        rows = _detrep_rows(args)
-    except DegenerateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    _emit(rows, ("quantity", "value"), args.format)
-    if args.action == "quartic":
-        print("bitangent verified" if args.format == "pretty"
-              else "status\tbitangent verified")
-    return 0
+        rows = [("quintic", detrep.discriminant_quintic(data))]
+    elif args.action == "conic":
+        rows = [("conic", detrep.contact_conic(data))]
+    else:
+        f = detrep.discriminant_quintic(data)
+        t = detrep.contact_conic(data)
+        report = detrep.total_tangency_check(f, t, seed=args.seed)
+        rows = [("quintic", f), ("conic", t), ("verdict", report.verdict.value),
+                ("shear", f"{report.shear[0]} {report.shear[1]}")]
+    return ("quantity", "value"), rows, []
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.format)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return getattr(exc, "exit_code", EXIT_INPUT)
+    return 0
 
 
 def entry() -> None:

@@ -30,6 +30,8 @@ SPACE_VARS = ("u1", "u2", "x0", "x1", "x2")
 class DegenerateError(ValueError):
     """Raised when an input is degenerate (identically zero determinant etc.)."""
 
+    exit_code = 3  # the CLI's exit status; other input errors exit 2
+
 
 class Tangency(Enum):
     TOTALLY_TANGENT = "TotallyTangent"

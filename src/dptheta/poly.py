@@ -336,11 +336,12 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             return MultiPoly.constant(variables, Fraction(parse_int(num), den))
         if tok in variables:
             return MultiPoly.variable(variables, tok)
-        raise ValueError(f"unknown variable {tok!r}")
+        raise ValueError(f"unknown variable {tok!r}" if tok.isidentifier()
+                         else f"unexpected {tok!r}")
 
     result = parse_sum()
     if peek() is not None:
-        raise ValueError(f"trailing tokens at {tokens[idx:]!r}")
+        raise ValueError(f"trailing tokens at {tokens[idx:-1]!r}")
     return result
 
 

@@ -225,6 +225,18 @@ GOLDEN_STDOUT = [
      "0f65d4373f452339055a7521ebb93194ed3a3d19b95f31a8fa6baa65ad390cc3"),
     (("detrep", "quartic_sample.txt", "--action", "quartic", "--format", "tsv"),
      "d1b8d8c64783367099bf9027adb3438945c887dc905aeb13ef902e5af160ffc1"),
+    # the pretty footers: configuration/profile/total, the bare summary line
+    # and "bitangent verified"
+    (("nodal", "node_a1.cfg", "--scheme=eventheta", "--format", "pretty"),
+     "a197eef7b99104678d614f494322c66b266871e09ebcc558b438f118fd3e3562"),
+    (("nodal", "node_a1.cfg", "--scheme=profile", "--format", "pretty"),
+     "e2dfbd5c4c6d10e78f87832e2e9b5816b7edd5a58b722cd4bfd2dae4c7f126d9"),
+    (("spin", "genus3_node.gr", "--format=pretty"),
+     "7b75d5fcea4966f116e8a2fc0768171f7071d536361046bcf08502db8b965b6b"),
+    (("detrep", "detrep_sample.txt", "--action=check", "--format", "pretty"),
+     "3d68d12aaafc90cb5c87f54e95f62113cf67fb113131acb05d4177c3acf281bd"),
+    (("detrep", "quartic_sample.txt", "--action=quartic", "--format", "pretty"),
+     "75041c45545b617562394f385d894a1a3220aaadd7f26418d6806f5783caac01"),
 ]
 
 

@@ -104,5 +104,6 @@ def test_cli_fuzz_exit_codes(command, fmt):
     err = err.getvalue()
     assert code in (0, 2, 3), (argv, body, code, err)
     assert "Traceback" not in err + out.getvalue()
-    if code:
+    if code:  # one line on stderr, and no partial table on stdout
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, body, err)
+        assert out.getvalue() == "", (argv, body, out.getvalue())

@@ -56,6 +56,23 @@ def test_parse_rejects_garbage():
             parse_poly(bad, V)
 
 
+@pytest.mark.parametrize("bad,message", [
+    ("x0^2^2", "trailing tokens at ['^', '2']"),
+    ("x0 x1 )", "trailing tokens at [')']"),
+    ("()", "unexpected ')'"),
+    ("x0 + * x1", "unexpected '*'"),
+    ("^2", "unexpected '^'"),
+    ("x3", "unknown variable 'x3'"),
+    ("x0 +", "unexpected end of expression"),
+])
+def test_parse_error_names_the_token(bad, message):
+    """The message quotes the offending input tokens only: no end-of-input
+    sentinel, and an operator is unexpected, not an unknown variable."""
+    with pytest.raises(ValueError) as exc:
+        parse_poly(bad, V)
+    assert str(exc.value) == message
+
+
 def test_parse_nesting_bounded():
     """Parentheses and unary minus signs each nest one level; past
     MAX_NESTING the parser raises ValueError, not RecursionError."""
