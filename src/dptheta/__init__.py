@@ -7,7 +7,7 @@ Modules:
     theta_f2  -- the F2 algebra of theta characteristics
     poly      -- exact sparse multivariate polynomials over Q
     detrep    -- symmetric determinantal representations and contact conics
-    kernels   -- Bareiss determinants and leading minors, union-find
+    kernels   -- Bareiss determinant and union-find
     text      -- the line reader and bounded integer literals of the file parsers
     cli       -- command-line front end
 """

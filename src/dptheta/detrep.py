@@ -265,7 +265,8 @@ def quartic_from_odd_theta(
     """Quartic with marked bitangent from a 2x2 matrix [[L, Q], [Q, H]].
 
     Returns (F, L) with F = L*H - Q^2; on {L = 0} the quartic restricts to
-    -Q^2, so the line meets it with even multiplicity everywhere.
+    -Q^2, so the line meets it with even multiplicity everywhere.  L must
+    be a line and Q must not vanish on all of it, else L divides F.
     """
     lf = _check_form(lf, 1, "L")
     q = _check_form(q, 2, "Q")
@@ -273,6 +274,14 @@ def quartic_from_odd_theta(
     f = lf * h - q * q
     if f.is_zero():
         raise DegenerateError("quartic is identically zero")
+    if lf.is_zero():
+        raise DegenerateError("bitangent L is identically zero")
+    # three points of the line L = 0: c_k*e_i - c_i*e_k for i != k, and their sum
+    c = [lf.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    k = next(i for i in range(3) if c[i])
+    p, r = [[c[k] * (m == i) - c[i] * (m == k) for m in range(3)] for i in range(3) if i != k]
+    if not any(q.evaluate(dict(zip(PLANE_VARS, v))) for v in (p, r, map(sum, zip(p, r)))):
+        raise DegenerateError("Q vanishes on the line L = 0, so L divides the quartic")
     return f, lf
 
 

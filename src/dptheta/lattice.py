@@ -153,8 +153,8 @@ def enumerate_classes(lat: PicardLattice, kind: ClassKind) -> tuple[DivisorClass
     if disc < 0:
         return ()
     root = math.isqrt(disc)
-    a_lo = math.ceil((-qb - root) / (2 * qa))
-    a_hi = math.floor((-qb + root) / (2 * qa))
+    a_lo = -((qb + root) // (2 * qa))  # ceil((-qb - root) / (2 qa)), in ints
+    a_hi = (root - qb) // (2 * qa)
     out = []
     for a in range(a_lo, a_hi + 1):
         sq = a * a - s

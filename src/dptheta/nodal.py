@@ -1,13 +1,18 @@
 """ADE degenerations of Del Pezzo surfaces and their multiplicity schemes.
 
 A configuration of effective (-2)-classes spans a negative definite root
-sublattice N of the Picard lattice.  Exceptional and blow-down classes that
-become congruent modulo N coalesce; the multiplicity of a point of the
-resulting scheme is the size of its congruence class.  Labelling classes by
-their pair under the Geiser involution (degree 2) or the double-six pairing
-(degree 3), or by their even theta characteristic, and merging the labels
-that one congruence class meets gives the schemes of bitangents, Aronhold
-sets, double sixes and even theta characteristics of the branch curve.
+sublattice N of the Picard lattice.  By Smith's theorem that holds exactly
+when each component of the pairing graph is an ADE diagram: a path (A_n),
+or a tree whose one branch vertex has arms of (1, 1, k) vertices (D_{k+3})
+or of (1, 2, 2), (1, 2, 3), (1, 2, 4) vertices (E6, E7, E8).
+
+Exceptional and blow-down classes that become congruent modulo N coalesce;
+the multiplicity of a point of the resulting scheme is the size of its
+congruence class.  Labelling classes by their pair under the Geiser
+involution (degree 2) or the double-six pairing (degree 3), or by their
+even theta characteristic, and merging the labels that one congruence
+class meets gives the schemes of bitangents, Aronhold sets, double sixes
+and even theta characteristics of the branch curve.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import lattice as lt, theta_f2
-from .kernels import components, leading_minors
+from .kernels import components
 from .lattice import ClassKind, DivisorClass, PicardLattice
 from .text import data_lines, parse_int
 
@@ -63,47 +68,47 @@ def validate_config(cfg: NodalConfig) -> str:
     """Check the root invariants and return the Dynkin type, e.g. "A1+A2".
 
     Requirements: every member is a K-orthogonal (-2)-class, distinct members
-    pair to 0 or 1, and the integral span is negative definite.  The type is
-    read off from the connected components of the pairing graph.
+    pair to 0 or 1, and the integral span is negative definite.  The Gram
+    matrix is A - 2I for the adjacency matrix A of the pairing graph, so by
+    Smith's theorem that holds exactly when each component is a path (A_n)
+    or a tree whose one branch vertex has arms of (1, 1, k) vertices
+    (D_{k+3}) or of (1, 2, 2), (1, 2, 3), (1, 2, 4) vertices (E6, E7, E8).
     """
-    lat = cfg.lattice
-    roots = cfg.roots
+    lat, roots = cfg.lattice, cfg.roots
     if not roots:
         return "trivial"
     n = len(roots)
-    gram = [[0] * n for _ in range(n)]
-    for i, r in enumerate(roots):
-        gram[i][i] = lt.pair(lat, r, r)
-        if gram[i][i] != -2:
+    for r in roots:
+        if lt.pair(lat, r, r) != -2:
             raise ValueError(f"{r} has self-intersection != -2")
         if lt.pair(lat, r, lat.canonical) != 0:
             raise ValueError(f"{r} is not orthogonal to K")
-    for i in range(n):
-        for j in range(i + 1, n):
-            gram[i][j] = gram[j][i] = lt.pair(lat, roots[i], roots[j])
-            if gram[i][j] not in (0, 1):
-                raise ValueError(
-                    f"pairing {gram[i][j]} of {roots[i]} and {roots[j]} not in {{0, 1}}")
-    # negative definite <=> leading principal minors alternate in sign
-    for k, minor in enumerate(leading_minors(gram), 1):
-        if minor * (-1) ** k <= 0:
-            raise ValueError("root span is not negative definite")
-    # connected components of the pairing graph
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if gram[i][j] == 1]
+    pairing = {(i, j): lt.pair(lat, roots[i], roots[j])
+               for i in range(n) for j in range(i + 1, n)}
+    for (i, j), p in pairing.items():
+        if p not in (0, 1):
+            raise ValueError(f"pairing {p} of {roots[i]} and {roots[j]} not in {{0, 1}}")
+    edges = [e for e, p in pairing.items() if p]
+    nbrs = [[j for e in edges if i in e for j in e if j != i] for i in range(n)]
     comps: dict[int, list[int]] = {}
     for i, label in enumerate(components(n, edges)):
         comps.setdefault(label, []).append(i)
-    # each component is an ADE diagram (Smith: 2I - A is positive definite);
-    # the branch vertex has two or three leaf neighbours in D_n, one in E_n
-    deg = [sum(row) + 2 for row in gram]  # the diagonal contributes -2
     names = []
     for verts in comps.values():
-        branch = [i for i in verts if deg[i] == 3]
-        if not branch:
+        branch = [i for i in verts if len(nbrs[i]) > 2]
+        tree = sum(len(nbrs[i]) for i in verts) == 2 * len(verts) - 2
+        arms = ()
+        if tree and len(branch) == 1:  # arm sizes: the paths left without the branch vertex
+            cut = components(n, [e for e in edges if branch[0] not in e])
+            arms = tuple(sorted(cut.count(cut[j]) for j in nbrs[branch[0]]))
+        if tree and not branch:
             family = "A"
+        elif len(arms) == 3 and arms[1] == 1:
+            family = "D"
+        elif arms in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
+            family = "E"
         else:
-            leaves = sum(deg[j] == 1 for j in verts if gram[branch[0]][j] == 1)
-            family = "D" if leaves >= 2 else "E"
+            raise ValueError("root span is not negative definite")
         names.append(f"{family}{len(verts)}")
     return "+".join(sorted(names, key=lambda s: (s[0], int(s[1:]))))
 

@@ -233,7 +233,7 @@ class MultiPoly:
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|\^|\*|\+|-|\(|\))")
 MAX_NESTING = 100  # parentheses and unary minus signs, each one recursion
 MAX_DEGREE = 16  # exponents and the total degree of each product
-MAX_COEFF_BITS = 4096  # exponent times the bit size of the base's coefficients
+MAX_COEFF_BITS = 4096  # coefficient bits of each sum and product; exponent times base bits
 
 
 def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
@@ -243,9 +243,11 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     deeper than MAX_NESTING, an exponent above MAX_DEGREE, a product or
     power of total degree above MAX_DEGREE, or a power whose exponent times
     the bit length of the base's largest numerator or denominator is above
-    MAX_COEFF_BITS raises ValueError before anything is expanded.
+    MAX_COEFF_BITS raises ValueError before anything is expanded; so does a
+    sum or product whose formed coefficients outgrow MAX_COEFF_BITS.
     """
     variables = tuple(variables)
+    atoms = {v: MultiPoly.variable(variables, v) for v in variables}
     tokens = []
     pos = 0
     while pos < len(text):
@@ -276,12 +278,20 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
         node = parse_product() * sign
         while peek() in ("+", "-"):
             op = take()
-            node = node + parse_product() * (1 if op == "+" else -1)
+            term = parse_product() * (1 if op == "+" else -1)
+            node = node + term
+            check_bits(node.terms.get(e, 0) for e in term.terms)  # no other term changed
         return node
 
     def check_degree(degree):
         if degree > MAX_DEGREE:
             raise ValueError(f"degree {degree} exceeds {MAX_DEGREE}")
+
+    def check_bits(coeffs, times=1):
+        for c in coeffs:
+            bits = times * max(c.numerator.bit_length(), c.denominator.bit_length())
+            if bits > MAX_COEFF_BITS:
+                raise ValueError(f"coefficient size {bits} bits exceeds {MAX_COEFF_BITS}")
 
     def parse_product():
         node = parse_power()
@@ -295,6 +305,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             factor = parse_power()
             check_degree(node.total_degree() + factor.total_degree())
             node = node * factor
+            check_bits(node.terms.values())
 
     def parse_power():
         base = parse_atom()
@@ -307,10 +318,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             if exp > MAX_DEGREE:
                 raise ValueError(f"exponent {exp} exceeds {MAX_DEGREE}")
             check_degree(base.total_degree() * exp)
-            bits = exp * max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                              for c in base.terms.values()), default=0)
-            if bits > MAX_COEFF_BITS:
-                raise ValueError(f"coefficient size {bits} bits exceeds {MAX_COEFF_BITS}")
+            check_bits(base.terms.values(), exp)
             return base ** exp
         return base
 
@@ -334,8 +342,8 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             if not den:
                 raise ValueError(f"zero denominator in {tok!r}")
             return MultiPoly.constant(variables, Fraction(parse_int(num), den))
-        if tok in variables:
-            return MultiPoly.variable(variables, tok)
+        if tok in atoms:
+            return atoms[tok]
         raise ValueError(f"unknown variable {tok!r}" if tok.isidentifier()
                          else f"unexpected {tok!r}")
 

@@ -95,7 +95,7 @@ def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
     A subset is even when the boundaries of its edges XOR to 0, that is
     when every vertex meets it an even number of times (loops have
     boundary 0).  One pass reduces each boundary against pivots keyed by
-    their lowest set bit, carrying a one-hot tag of the edges combined;
+    their highest set bit, carrying a one-hot tag of the edges combined;
     a boundary that reduces to 0 leaves its tag as a kernel vector.  The
     kernel vectors form a basis, and their span, built by doubling, has
     exactly 2^{b1} members.
@@ -105,12 +105,12 @@ def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
     for e, edge in enumerate(graph.edges):
         boundary, tag = _boundary(edge), 1 << e
         while boundary:
-            low = boundary & -boundary
-            if low not in pivots:
-                pivots[low] = boundary, tag
+            top = boundary.bit_length()
+            if top not in pivots:
+                pivots[top] = boundary, tag
                 break
-            boundary ^= pivots[low][0]
-            tag ^= pivots[low][1]
+            boundary ^= pivots[top][0]
+            tag ^= pivots[top][1]
         else:
             span += [s ^ tag for s in span]
     assert len(span) == 1 << betti(len(graph.genera), graph.edges)

@@ -159,6 +159,22 @@ def test_detrep_zero_exit3(capsys, data_dir, tmp_path, action):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "zero" in err
 
 
+@pytest.mark.parametrize("block", [
+    "L: x0\nQ: x0*x1\nH: x1^3 + x2^3\n",
+    "L: 0\nQ: x0*x1\nH: x1^3 + x2^3\n",
+    "L: 2*x2\nQ: x0*x2 - 3*x2^2\nH: x0^3 + x1^3\n",
+    "L: x0 + 2*x1 - x2\nQ: (x0 + 2*x1 - x2)*(x1 + 5*x2)\nH: x1^3 + x2^3\n",
+], ids=["x0-divides", "zero-line", "x2-divides", "line-divides"])
+def test_detrep_quartic_not_bitangent_exit3(capsys, tmp_path, block):
+    """A zero L, or a Q that vanishes on all of L = 0 (so L divides the
+    quartic), is no bitangent: exit 3, one error line, nothing on stdout."""
+    path = tmp_path / "quartic.txt"
+    path.write_text(block)
+    code, out, err = run(capsys, "detrep", str(path), "--action", "quartic")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "L" in err
+
+
 def test_detrep_quartic(capsys, data_dir):
     code, out, _ = run(capsys, "detrep", str(data_dir / "quartic_sample.txt"),
                        "--action", "quartic", "--format", "tsv")
@@ -358,8 +374,8 @@ def test_detrep_degree_capped_exit2(capsys, monkeypatch, tmp_path, expr):
 
 @pytest.mark.parametrize("expr", ["((((((((2)^16)^16)^16)^16)^16)^16)^16)^16",
                                   "((((1/3)^16)^16)^16)^16",
-                                  f"{2 ** 256}^16"],
-                         ids=["tower", "fraction-tower", "literal"])
+                                  f"{2 ** 256}^16", "*".join(["9" * 1000] * 5)],
+                         ids=["tower", "fraction-tower", "literal", "product"])
 def test_detrep_coefficient_size_capped_exit2(capsys, monkeypatch, tmp_path, expr):
     power = poly.MultiPoly.__pow__
 
@@ -471,3 +487,25 @@ def test_detrep_check_at_literal_cap(data_dir):
         env=dict(os.environ, PYTHONPATH=pythonpath))
     assert proc.returncode == 0, proc.stderr
     assert "verdict\tTotallyTangent" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("centre", [0, spin.MAX_GRAPH_GENUS - 1], ids=["first", "last"])
+def test_spin_star_answers_fast(tmp_path, centre):
+    """A genus-0 centre with MAX_GRAPH_GENUS - 1 genus-1 leaves (b1 = 0):
+    every edge meets the centre, yet the F2 reduction stays linear, so a
+    fresh `spin` prints its one support well within 10 s."""
+    n = spin.MAX_GRAPH_GENUS
+    leaves = [v for v in range(n) if v != centre]
+    path = tmp_path / "star.gr"
+    path.write_text("".join("v 0\n" if v == centre else "v 1\n" for v in range(n))
+                    + "".join(f"e {centre} {v}\n" for v in leaves))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dptheta.cli", "spin", str(path), "--format", "tsv"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1] == f"-\t{4 ** (n - 1)}\t1"
+    assert len(lines) == 3

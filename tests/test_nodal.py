@@ -4,12 +4,13 @@ import random
 import re
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
 from dptheta import lattice as lt, nodal, theta_f2
 from dptheta.lattice import ClassKind
-from dptheta.kernels import components
+from dptheta.kernels import components, determinant
 
 
 def config(degree, *roots):
@@ -366,7 +367,7 @@ def test_dynkin_names_match_arm_walk_oracle(degree):
     assert ("E7" in names) == (degree == 2)
 
 
-@pytest.mark.parametrize("roots", [
+NON_ADE_DIAGRAMS = [
     # a triangle: an affine A2 cycle
     [(-2, 0, 1, 1, 1, 1, 1, 1), (0, 1, -1, 0, 0, 0, 0, 0),
      (2, -1, 0, -1, -1, -1, -1, -1)],
@@ -374,10 +375,63 @@ def test_dynkin_names_match_arm_walk_oracle(degree):
     [(-2, 0, 1, 1, 1, 1, 1, 1), (0, 1, -1, 0, 0, 0, 0, 0),
      (1, 0, 0, -1, -1, -1, 0, 0), (1, 0, 0, -1, 0, 0, -1, -1),
      (2, -1, -1, 0, -1, -1, -1, -1)],
-], ids=["triangle", "four-arm-star"])
+]
+
+
+@pytest.mark.parametrize("roots", NON_ADE_DIAGRAMS, ids=["triangle", "four-arm-star"])
 def test_non_ade_diagrams_rejected(roots):
     with pytest.raises(ValueError, match="root span is not negative definite"):
         config(2, *roots)
+
+
+def negative_definite_by_sylvester(lat, roots):
+    """Oracle: the leading principal minors of the Gram matrix alternate in
+    sign, the first negative (Sylvester's criterion)."""
+    gram = [[lt.pair(lat, a, b) for b in roots] for a in roots]
+    return all((-1) ** k * determinant([row[:k] for row in gram[:k]]) > 0
+               for k in range(1, len(roots) + 1))
+
+
+def pairwise_root_sets(lat, rng, count):
+    """Random roots, each kept when it pairs to 0 or 1 with those kept, up to
+    one more than the rank of K-perp.  Built without NodalConfig, so sets
+    whose span is not negative definite occur."""
+    all_roots = lt.enumerate_classes(lat, ClassKind.ROOT)
+    for _ in range(count):
+        target, roots = rng.randint(1, lat.rank), []
+        for r in rng.sample(all_roots, len(all_roots)):
+            if all(lt.pair(lat, r, s) in (0, 1) for s in roots):
+                roots.append(r)
+                if len(roots) == target:
+                    break
+        yield roots
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_validate_config_matches_sylvester_oracle(degree):
+    """Accept exactly the negative definite spans, on every E7 / E6
+    simple-root subset, on random pairwise-{0, 1} root sets and on the
+    non-ADE diagrams; each accepted name agrees with the arm walk."""
+    lat = lt.make_lattice(degree)
+    simple = lt.simple_roots(lat)
+    sets = [[r for k, r in enumerate(simple) if mask >> k & 1]
+            for mask in range(1 << len(simple))]
+    sets += pairwise_root_sets(lat, random.Random(40 + degree), 3000)
+    if degree == 2:
+        sets += NON_ADE_DIAGRAMS
+    rejected = 0
+    for roots in sets:
+        cfg = SimpleNamespace(lattice=lat, roots=tuple(sorted(roots)))
+        try:
+            name = nodal.validate_config(cfg)
+        except ValueError as exc:
+            assert str(exc) == "root span is not negative definite"
+            assert not negative_definite_by_sylvester(lat, cfg.roots), roots
+            rejected += 1
+        else:
+            assert negative_definite_by_sylvester(lat, cfg.roots), roots
+            assert name == dynkin_by_arm_walk(cfg)
+    assert rejected > 500
 
 
 def involution_quotient(parts, involution):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dptheta import poly
-from dptheta.kernels import determinant, leading_minors
+from dptheta.kernels import determinant
 from dptheta.poly import (MultiPoly, parse_poly, resultant,
                           squarefree_multiplicities, uni_from_binary_form)
 from dptheta.text import MAX_LITERAL_DIGITS
@@ -141,6 +141,25 @@ def test_parse_coefficient_size_bounded():
                 "(((2)^16)^16)^16", "((((2)^16)^16)^16)^16"):
         with pytest.raises(ValueError, match=f"exceeds {top}"):
             parse_poly(bad, V)
+
+
+BIG = "9" * MAX_LITERAL_DIGITS  # 3322 bits: one literal fits, a product does not
+
+
+@pytest.mark.parametrize("expr", [
+    "*".join([BIG] * 5) + "*x0",
+    f"({BIG})({BIG})x0",
+    f"({BIG}*x0 + x1)*({BIG}*x0 - x1)",
+    " + ".join(f"1/{BIG[:-1]}{d}*x0" for d in "1357"),
+], ids=["literal-product", "implicit-product", "form-product", "sum-of-fractions"])
+def test_parse_sum_and_product_coefficients_bounded(expr):
+    """Every sum and product the parser forms keeps its numerators and
+    denominators within MAX_COEFF_BITS, though each operand is within it."""
+    within = parse_poly(f"{BIG}*x0 + {BIG}*x0 - 1/{BIG}*x1", V)
+    assert within.terms[(1, 0, 0)] == 2 * int(BIG)
+    message = rf"^coefficient size \d+ bits exceeds {poly.MAX_COEFF_BITS}$"
+    with pytest.raises(ValueError, match=message):
+        parse_poly(expr, V)
 
 
 def test_ring_axioms_random():
@@ -296,22 +315,6 @@ def test_determinant_matches_laplace_on_ints():
     assert swapped > 20 and singular > 20
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[0, 0, 1], [0, 2, 3], [4, 5, 6]]) == -8
-
-
-def test_leading_minors_match_laplace():
-    """One swap-free pass gives every leading minor, up to the first zero."""
-    rng = random.Random(13)
-    stopped = 0
-    for n in range(1, 8):
-        for _ in range(60):
-            m = random_int_matrix(rng, n)
-            expected = [laplace_determinant([row[:k] for row in m[:k]], 0, 1)
-                        for k in range(1, n + 1)]
-            if 0 in expected:
-                expected = expected[:expected.index(0) + 1]
-                stopped += len(expected) < n
-            assert list(leading_minors(m)) == expected
-    assert stopped > 20
 
 
 def test_determinant_matches_laplace_on_polynomials():
