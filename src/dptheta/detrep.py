@@ -222,11 +222,11 @@ def _square_root(r: list[int]) -> list[int] | None:
 
 def _is_square_form(res: list[int], degree: int) -> bool:
     """Whether the nonzero binary form sum res[e] x0^e x1^(degree - e) is a
-    constant times a square: x1's multiplicity (the degree deficit) and
-    x0's (the valuation) are even, and so is every other factor's."""
+    constant times a square: x1's multiplicity (the degree deficit) is
+    even, and res is a constant times a square in x0, which makes x0's
+    multiplicity (the valuation) even too."""
     x1_mult = degree - (len(res) - 1)
-    x0_mult = next(e for e, c in enumerate(res) if c)
-    return not x1_mult % 2 and not x0_mult % 2 and _square_root(res[x0_mult:]) is not None
+    return not x1_mult % 2 and _square_root(res) is not None
 
 
 def total_tangency_check(f: MultiPoly, t: MultiPoly, seed: int = 0) -> TangencyReport:

@@ -7,6 +7,7 @@ there is no floating point anywhere in this module.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -108,8 +109,6 @@ class MultiPoly:
         return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.vars, other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -231,7 +230,7 @@ class MultiPoly:
 
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|\^|\*|\+|-|\(|\))")
-MAX_NESTING = 100  # parentheses and unary minus signs, each one recursion
+MAX_NESTING = 100  # parentheses and unary signs, each one recursion
 MAX_DEGREE = 16  # exponents and the total degree of each product
 MAX_COEFF_BITS = 4096  # coefficient bits of each sum and product; exponent times base bits
 
@@ -239,49 +238,37 @@ MAX_COEFF_BITS = 4096  # coefficient bits of each sum and product; exponent time
 def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     """Parse expressions like "3*x0^2*x1 - 1/2*x2^3" over the given variables.
 
-    Supports + - * ^ and parentheses, with rational coefficients.  Nesting
-    deeper than MAX_NESTING, an exponent above MAX_DEGREE, a product or
-    power of total degree above MAX_DEGREE, or a power whose exponent times
-    the bit length of the base's largest numerator or denominator is above
-    MAX_COEFF_BITS raises ValueError before anything is expanded; so does a
-    sum or product whose formed coefficients outgrow MAX_COEFF_BITS.
+    Supports + - * ^, parentheses, rational coefficients and implicit
+    multiplication ("2x0", "x0(x1+1)"); unary signs bind looser than ^, as
+    in Python ("2*-x0^2" is -2*x0^2).  Nesting deeper than MAX_NESTING, an
+    exponent above MAX_DEGREE, a product or power of total degree above
+    MAX_DEGREE, or a power whose exponent times the bit length of the
+    base's largest numerator or denominator is above MAX_COEFF_BITS raises
+    ValueError before anything is expanded; so does a sum or product whose
+    formed coefficients outgrow MAX_COEFF_BITS.
     """
     variables = tuple(variables)
     atoms = {v: MultiPoly.variable(variables, v) for v in variables}
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
+    found = []
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if not m:
             raise ValueError(f"cannot tokenize {text[pos:]!r}")
-        tokens.append(m.group(1))
+        found.append(m.group(1))
         pos = m.end()
-    tokens.append(None)  # sentinel
-    idx = depth = 0
-
-    def peek():
-        return tokens[idx]
-
-    def take():
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
+    tokens = [None] + found[::-1]  # pop() takes the next token; None ends the input
+    depth = 0
 
     def parse_sum():
-        sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
-                sign = -sign
-        node = parse_product() * sign
-        while peek() in ("+", "-"):
-            op = take()
-            term = parse_product() * (1 if op == "+" else -1)
-            node = node + term
-            check_bits(node.terms.get(e, 0) for e in term.terms)  # no other term changed
-        return node
+        terms = dict(parse_product().terms)
+        while tokens[-1] in ("+", "-"):
+            combine = operator.add if tokens.pop() == "+" else operator.sub
+            term = parse_product().terms
+            for e, c in term.items():
+                terms[e] = combine(terms.get(e, 0), c)
+            check_bits(terms[e] for e in term)  # no other coefficient changed
+        return MultiPoly(variables, terms)
 
     def check_degree(degree):
         if degree > MAX_DEGREE:
@@ -293,25 +280,38 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             if bits > MAX_COEFF_BITS:
                 raise ValueError(f"coefficient size {bits} bits exceeds {MAX_COEFF_BITS}")
 
+    def nested(parse):
+        nonlocal depth
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ValueError(f"expression nested deeper than {MAX_NESTING}")
+        node = parse()
+        depth -= 1
+        return node
+
     def parse_product():
-        node = parse_power()
+        node = parse_factor()
         while True:
-            tok = peek()
+            tok = tokens[-1]
             if tok == "*":
-                take()
+                tokens.pop()
             elif tok is None or not (tok[0].isalnum() or tok == "("):
                 return node
-            # "*" or implicit multiplication like "2x0" or "x0(x1+1)"
-            factor = parse_power()
+            factor = parse_factor()  # after "*", or implicit as in "2x0"
             check_degree(node.total_degree() + factor.total_degree())
             node = node * factor
             check_bits(node.terms.values())
 
+    def parse_factor():  # a sign binds looser than "^", as in Python: -x0^2 is -(x0^2)
+        if tokens[-1] not in ("+", "-"):
+            return parse_power()
+        return nested(parse_factor) if tokens.pop() == "+" else -nested(parse_factor)
+
     def parse_power():
         base = parse_atom()
-        if peek() == "^":
-            take()
-            exp = take()
+        if tokens[-1] == "^":
+            tokens.pop()
+            exp = tokens.pop()
             if exp is None or not exp.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
             exp = parse_int(exp)
@@ -323,16 +323,11 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
         return base
 
     def parse_atom():
-        nonlocal depth
-        tok = take()
-        if tok in ("(", "-"):
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ValueError(f"expression nested deeper than {MAX_NESTING}")
-            node = parse_sum() if tok == "(" else -parse_atom()
-            if tok == "(" and take() != ")":
+        tok = tokens.pop()
+        if tok == "(":
+            node = nested(parse_sum)
+            if tokens.pop() != ")":
                 raise ValueError("unbalanced parentheses")
-            depth -= 1
             return node
         if tok is None:
             raise ValueError("unexpected end of expression")
@@ -348,8 +343,8 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
                          else f"unexpected {tok!r}")
 
     result = parse_sum()
-    if peek() is not None:
-        raise ValueError(f"trailing tokens at {tokens[idx:-1]!r}")
+    if tokens[-1] is not None:
+        raise ValueError(f"trailing tokens at {tokens[:0:-1]!r}")
     return result
 
 

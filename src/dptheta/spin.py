@@ -128,9 +128,16 @@ def _indices(mask: int) -> tuple[int, ...]:
 
 
 def is_even_subset(graph: DualGraph, delta) -> bool:
-    """True when the boundaries of the edges in delta XOR to 0."""
-    total = 0
+    """True when the boundaries of the edges in delta XOR to 0.
+
+    delta must list distinct edge indices; a repeated, negative or
+    out-of-range index raises ValueError.
+    """
+    total, seen = 0, set()
     for i in delta:
+        if i in seen or not 0 <= i < len(graph.edges):
+            raise ValueError(f"edge index {i} is repeated or out of range")
+        seen.add(i)
         total ^= _boundary(graph.edges[i])
     return total == 0
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: golden TSV reports and exit codes."""
 
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -509,3 +510,36 @@ def test_spin_star_answers_fast(tmp_path, centre):
     lines = proc.stdout.splitlines()
     assert lines[1] == f"-\t{4 ** (n - 1)}\t1"
     assert len(lines) == 3
+
+
+def signed_monomial_pairs():
+    """m + -m for each of the 969 monomials of degree <= 16, twice over."""
+    monomials = ["*".join(f"{v}^{e}" for v, e in zip(("x0", "x1", "x2"), exp) if e) or "1"
+                 for exp in itertools.product(range(poly.MAX_DEGREE + 1), repeat=3)
+                 if sum(exp) <= poly.MAX_DEGREE]
+    assert len(monomials) == 969
+    return " + ".join(f"{m} + -{m}" for m in monomials * 2) + " + "
+
+
+@pytest.mark.parametrize("prefix,suffix", [
+    ("", " + x0 - x0" * 100_000),
+    (signed_monomial_pairs(), ""),
+], ids=["repeated-terms", "signed-monomials"])
+def test_detrep_long_line_answers_fast(data_dir, tmp_path, prefix, suffix):
+    """An H line of many terms that cancel, around the sample H: each sum
+    is built once and a unary minus binds looser than ^, so a fresh
+    `detrep --action check` still answers TotallyTangent within 10 s."""
+    lines = (data_dir / "detrep_sample.txt").read_text().splitlines()
+    h = next(line for line in lines if line.startswith("H:"))
+    path = tmp_path / "long.txt"
+    path.write_text("\n".join(line for line in lines if line != h)
+                    + f"\nH: {prefix}{h[2:].strip()}{suffix}\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dptheta.cli", "detrep", str(path),
+         "--action", "check", "--format", "tsv"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict\tTotallyTangent" in proc.stdout.splitlines()

@@ -1,6 +1,7 @@
 """Exact sparse polynomial arithmetic, with sympy as the oracle."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,52 @@ def test_parse_error_names_the_token(bad, message):
     with pytest.raises(ValueError) as exc:
         parse_poly(bad, V)
     assert str(exc.value) == message
+
+
+def random_expression(rng, depth):
+    """(text, degree bound) of a random expression that Python also reads,
+    once ^ is ** and a/b is Fraction(a, b): variables, literals, binary
+    + - *, unary signs, and ^ 0..3 on an atom or a parenthesized group."""
+    pick = rng.randrange(7 if depth else 3)
+    if pick == 0:
+        return rng.choice(V), 1
+    if pick == 1:
+        return str(rng.randint(0, 30)), 0
+    if pick == 2:
+        return f"{rng.randint(0, 9)}/{rng.randint(1, 9)}", 0
+    text, degree = random_expression(rng, depth - 1)
+    if pick == 3:
+        return rng.choice("+-") + text, degree
+    if pick == 4:
+        if text not in V and not text.isdigit():
+            text = f"({text})"
+        e = rng.randint(0, 3)
+        return f"{text}^{e}", degree * e
+    other, other_degree = random_expression(rng, depth - 1)
+    space = rng.choice(("", " "))
+    # within a concatenation the grouping may change, so add the bounds
+    return space.join((text, rng.choice("+-*"), other)), degree + other_degree
+
+
+def python_value(text, point):
+    source = re.sub(r"(\d+)/(\d+)", r"Fraction(\1, \2)", text).replace("^", "**")
+    return eval(source, {"Fraction": Fraction}, dict(zip(V, point)))
+
+
+def test_parse_matches_python_grammar():
+    """Unary signs bind looser than ^ wherever they stand, as in Python:
+    every expression evaluates to what Python's eval of it gives."""
+    rng = random.Random(17)
+    generated = []
+    while len(generated) < 3000:
+        text, degree = random_expression(rng, 4)
+        if degree <= poly.MAX_DEGREE:
+            generated.append(text)
+    fixed = ["x0*-x1^2", "x0 - -x1^2", "2*-x0^2", "3--22^0", "-x0^2", "+-+x1^2*x2"]
+    for text in fixed + generated:
+        point = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in V]
+        assert parse_poly(text, V).evaluate(dict(zip(V, point))) \
+            == python_value(text, point), text
 
 
 def test_parse_nesting_bounded():

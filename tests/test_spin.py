@@ -183,6 +183,17 @@ def test_is_even_subset_against_degree_count():
                 assert spin.is_even_subset(g, combo) == degree_even(g, combo)
 
 
+@pytest.mark.parametrize("delta", [(0, 0), (5,), (2,), (-1, -2)],
+                         ids=["repeated", "far-past-end", "just-past-end", "negative"])
+def test_edge_subset_must_list_distinct_edges(delta):
+    """A repeated, negative or out-of-range edge index is refused, not
+    counted twice, read from the end or left to raise IndexError."""
+    g = DualGraph((1, 1), ((0, 1), (0, 1)))
+    for check in (spin.is_even_subset, spin.spin_counts):
+        with pytest.raises(ValueError, match="repeated or out of range"):
+            check(g, delta)
+
+
 def caterpillar(n):
     """n genus-0 spine vertices in a path, each with a genus-1 leaf; the
     two ends carry a second leaf so that every spine vertex is stable."""
