@@ -4,11 +4,11 @@ From a symmetric 3x3 matrix of forms [[L11, L12, Q1], [L12, L22, Q2],
 [Q1, Q2, H]] (linear / quadratic / cubic entries in x0, x1, x2) one obtains:
 a plane quintic as its determinant, a cubic threefold containing the line
 {x0 = x1 = x2 = 0}, and a contact conic L11*L22 - L12^2 totally tangent to
-the quintic.  Total tangency is certified exactly on Python ints: with
-denominators cleared and a seeded shear, the resultant of the two curves is
-one int determinant of Sylvester entries packed by Kronecker substitution,
-and the curves are totally tangent when it is a constant times a square,
-with the square root read from its top half and checked exactly.
+the quintic; a 2x2 matrix [[L, Q], [Q, H]] gives a quartic with bitangent
+L.  One certificate checks both, for any two plane curves: with
+denominators cleared and a seeded shear, their resultant is one int
+determinant of Kronecker-packed Sylvester entries, TotallyTangent when it
+is a constant times a square (`total_tangency_check` says what that proves).
 """
 
 from __future__ import annotations
@@ -230,32 +230,36 @@ def _is_square_form(res: list[int], degree: int) -> bool:
 
 
 def total_tangency_check(f: MultiPoly, t: MultiPoly, seed: int = 0) -> TangencyReport:
-    """Decide whether the conic t is totally tangent to the quintic f.
+    """Decide whether the plane curves f = 0 and t = 0 are totally tangent.
 
-    A seeded shear x0 -> x0 + a*x2, x1 -> x1 + b*x2 puts both curves in
-    general position with respect to x2.  The resultant in x2 is then a
-    binary form of degree 10 in (x0, x1), computed on packed ints from f
-    and t with their denominators cleared: identically zero means a common
-    component; otherwise the curves are totally tangent exactly when it is
-    a constant times a square.
+    The degrees d and e are read off the forms.  A seeded shear x0 -> x0 +
+    a*x2, x1 -> x1 + b*x2 centres the projection at (a, b, 1), off both
+    curves; each root of the resultant in x2 (degree d*e, on packed ints) is
+    a line through the centre, with the summed intersection multiplicities
+    on it.  CommonComponent (a zero resultant) and Not (an odd root) are
+    always right.  TotallyTangent (a constant times a square) assumes no
+    line through the centre holds two intersection points: exact when f or
+    t is a line, since the centre is off it.
     """
-    f = _check_form(f, 5, "quintic")
-    t = _check_form(t, 2, "conic")
+    d, e = f.total_degree(), t.total_degree()
+    f, t = _check_form(f, d, "f"), _check_form(t, e, "t")
     if f.is_zero() or t.is_zero():
         raise DegenerateError("zero polynomial input")
+    if not d * e:
+        raise ValueError("each curve must have positive degree")
     fi, ti = _integral(f), _integral(t)
     rng = random.Random(seed)
-    # the x2^d coefficient of a degree-d form p after the shear is p(a, b, 1)
     for _ in range(100):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-        if all(sum(c * a ** i * b ** j for (i, j, _), c in p.items()) for p in (fi, ti)):
+        fs, ts = _shear(fi, d, a, b), _shear(ti, e, a, b)
+        if fs[0][0] and ts[0][0]:  # the x2^d entry p(a, b, 1): the centre is off p = 0
             break
     else:
         raise DegenerateError("no shear put the curves in general position")
-    res = _packed_resultant(_shear(fi, 5, a, b), _shear(ti, 2, a, b))
+    res = _packed_resultant(*sorted((fs, ts), key=len, reverse=True))
     if not res:
         return TangencyReport(Tangency.COMMON_COMPONENT, (a, b))
-    verdict = Tangency.TOTALLY_TANGENT if _is_square_form(res, 10) else Tangency.NOT_TANGENT
+    verdict = Tangency.TOTALLY_TANGENT if _is_square_form(res, d * e) else Tangency.NOT_TANGENT
     return TangencyReport(verdict, (a, b))
 
 
@@ -264,9 +268,9 @@ def quartic_from_odd_theta(
 ) -> tuple[MultiPoly, MultiPoly]:
     """Quartic with marked bitangent from a 2x2 matrix [[L, Q], [Q, H]].
 
-    Returns (F, L) with F = L*H - Q^2; on {L = 0} the quartic restricts to
-    -Q^2, so the line meets it with even multiplicity everywhere.  L must
-    be a line and Q must not vanish on all of it, else L divides F.
+    Returns (F, L) with F = L*H - Q^2, which is -Q^2 on {L = 0}: so
+    `total_tangency_check`, exact for a line, certifies L as a bitangent
+    unless Q vanishes on all of the line, and then L divides F.
     """
     lf = _check_form(lf, 1, "L")
     q = _check_form(q, 2, "Q")
@@ -276,11 +280,7 @@ def quartic_from_odd_theta(
         raise DegenerateError("quartic is identically zero")
     if lf.is_zero():
         raise DegenerateError("bitangent L is identically zero")
-    # three points of the line L = 0: c_k*e_i - c_i*e_k for i != k, and their sum
-    c = [lf.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    k = next(i for i in range(3) if c[i])
-    p, r = [[c[k] * (m == i) - c[i] * (m == k) for m in range(3)] for i in range(3) if i != k]
-    if not any(q.evaluate(dict(zip(PLANE_VARS, v))) for v in (p, r, map(sum, zip(p, r)))):
+    if total_tangency_check(f, lf).verdict is not Tangency.TOTALLY_TANGENT:
         raise DegenerateError("Q vanishes on the line L = 0, so L divides the quartic")
     return f, lf
 

@@ -333,3 +333,140 @@ def test_packed_check_matches_yun_oracle():
             seen[report.verdict] += 1
         cases += 1
     assert min(seen.values()) >= 15, seen
+
+
+# -- one certificate for any two curves: the paper's quartics, bitangents ----
+
+def family_member(data, a, b, line):
+    """(Q_w, S, G, T) for w = (a, b, line): Q_w = w^T adj(M) w, with
+    S = a*A13 + b*A23 + line*A33, G = a^2 L22 - 2ab L12 + b^2 L11 and
+    T = A33 the contact conic, so that T*Q_w - S^2 = F*G (Jacobi)."""
+    l11, l12, l22, q1, q2, h = data
+    a11, a12, a22 = l22 * h - q2 * q2, q1 * q2 - l12 * h, l11 * h - q1 * q1
+    a13, a23, a33 = l12 * q2 - l22 * q1, l12 * q1 - l11 * q2, l11 * l22 - l12 * l12
+    quartic = (a * a * a11 + 2 * a * b * a12 + b * b * a22
+               + 2 * a * line * a13 + 2 * b * line * a23 + line * line * a33)
+    s = a * a13 + b * a23 + line * a33
+    g = a * a * l22 - 2 * a * b * l12 + b * b * l11
+    return quartic, s, g, a33
+
+
+def test_paper_family_totally_tangent():
+    """Members Q_w of the 4-dimensional family of quartics w^T adj(M) w,
+    half with rational matrices and weights, are TotallyTangent against
+    F = det M; random quartics are Not."""
+    rng = random.Random(31)
+    members = 0
+    while members < 24:
+        make = rational_form if members % 2 else random_form
+        data = SymThetaData(*(make(rng, d) for d in (1, 1, 1, 2, 2, 3)))
+        try:
+            f = discriminant_quintic(data)
+        except DegenerateError:
+            continue
+        den = 4 if members % 2 else 1
+        a, b = (Fraction(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(2))
+        quartic, s, g, t = family_member(data, a, b, make(rng, 1))
+        if quartic.is_zero():
+            continue
+        assert quartic.is_homogeneous(4) and (t * quartic - s * s - f * g).is_zero()
+        report = total_tangency_check(f, quartic, seed=members)
+        assert report.verdict is Tangency.TOTALLY_TANGENT, (data, a, b)
+        assert total_tangency_check(quartic, f, seed=members) == report
+        members += 1
+    for i in range(24):
+        report = total_tangency_check(f, random_form(rng, 4), seed=i)
+        assert report.verdict is Tangency.NOT_TANGENT
+
+
+def test_family_member_at_first_vertex_is_the_quartic_action():
+    """At w = (1, 0, 0), Q_w = A11 = L22*H - Q2^2 is the quartic of
+    [[L22, Q2], [Q2, H]], and L22 is certified as its bitangent."""
+    rng = random.Random(32)
+    checked = 0
+    while checked < 10:
+        data = random_data(rng)
+        quartic = family_member(data, 1, 0, MultiPoly.zero(P))[0]
+        try:
+            f, line = quartic_from_odd_theta(data.l22, data.q2, data.h)
+        except DegenerateError:
+            continue
+        assert quartic == f and line == data.l22
+        report = total_tangency_check(quartic, data.l22, seed=checked)
+        assert report.verdict is Tangency.TOTALLY_TANGENT
+        checked += 1
+
+
+@pytest.mark.parametrize("line,q", [
+    ("x0 + 2*x1 - x2", "(x0 + 2*x1 - x2)*(x1 + 5*x2)"),
+    ("2*x2", "x0*x2 - 3*x2^2"),
+])
+def test_quartic_line_dividing_is_degenerate(line, q):
+    """A CommonComponent report on (F, L) is the existing degenerate case."""
+    with pytest.raises(DegenerateError,
+                       match="^Q vanishes on the line L = 0, so L divides the quartic$"):
+        quartic_from_odd_theta(pp(line), pp(q), pp("x1^3 + x2^3"))
+
+
+def test_bitangent_certified_in_either_order():
+    """For random (L, Q, H), L is TotallyTangent to F = L*H - Q^2, a random
+    line is Not, and each report is the same with the arguments swapped."""
+    rng = random.Random(33)
+    checked = 0
+    while checked < 30:
+        make = rational_form if checked % 2 else random_form
+        try:
+            f, line = quartic_from_odd_theta(make(rng, 1), make(rng, 2), make(rng, 3))
+        except DegenerateError:
+            continue
+        other = random_form(rng, 1)
+        if len(other.terms) < 3:  # a generic line
+            continue
+        for t, want in ((line, Tangency.TOTALLY_TANGENT), (other, Tangency.NOT_TANGENT)):
+            report = total_tangency_check(f, t, seed=checked)
+            assert report.verdict is want, (f, t)
+            assert total_tangency_check(t, f, seed=checked) == report
+        checked += 1
+
+
+def test_degrees_read_off_the_forms():
+    """Any degrees: a conic against a tangent and a secant line, a cubic
+    against a quartic through it; a constant is refused, a zero form is
+    degenerate."""
+    cubic = pp("x0*x1*x2 + x0^3 + x1^3")
+    assert total_tangency_check(pp("x0^2 - x1*x2"), pp("x1")).verdict \
+        is Tangency.TOTALLY_TANGENT  # x1 = 0 is tangent at (0, 0, 1)
+    assert total_tangency_check(pp("x0^2 - x1*x2"), pp("x0")).verdict \
+        is Tangency.NOT_TANGENT
+    assert total_tangency_check(cubic, cubic * pp("x0 + x2")).verdict \
+        is Tangency.COMMON_COMPONENT
+    # x2 = 0 meets it in 2p + q, q = (1, 0, 0) on the x1-root line of every
+    # shear: an odd d*e, where x1's multiplicity decides the verdict
+    tangent_once = pp("(x0 - x1)^2*x1 + x2*(x0^2 + x1^2 + x2^2)")
+    for seed in range(10):
+        assert total_tangency_check(tangent_once, pp("x2"), seed=seed).verdict \
+            is Tangency.NOT_TANGENT
+    with pytest.raises(ValueError, match="positive degree"):
+        total_tangency_check(cubic, pp("3"))
+    with pytest.raises(ValueError, match="homogeneous"):
+        total_tangency_check(cubic, pp("x0 + x1^2"))
+    with pytest.raises(DegenerateError, match="zero"):
+        total_tangency_check(MultiPoly.zero(P), cubic)
+
+
+def test_not_is_right_where_two_points_share_a_line():
+    """f = x2*g and t = x0*(x0 - 2*x2) are not totally tangent: each line of
+    t meets g in 4 simple points, and they pair up through (1, 1, 1).  Not
+    is always right, and the shears of seeds 1-5 find it; seed 0 centres
+    the projection at (1, 1, 1), where the pairs share lines."""
+    g = pp("(x0 - x2)^4 + 3*(x0 - x2)^2*(x1 - x2)^2 + 2*(x1 - x2)^4"
+           " + 5*(x0 - x2)*(x1 - x2)*x2^2 + 7*(x1 - x2)^2*x2^2 - 11*x2^4")
+    f, t = pp("x2") * g, pp("(x0 - x2)^2 - x2^2")
+    x0, x1, x2 = sympy.symbols("x0 x1 x2")
+    for line in (x0, x0 - 2 * x2):  # the restriction to each line has a simple root
+        restricted = sympy.Poly(sympy.sympify(str(g).replace("^", "**")).subs(
+            x0, sympy.solve(line, x0)[0]), x1, x2)
+        assert all(m == 1 for _, m in sympy.factor_list(restricted)[1])
+    assert total_tangency_check(f, t, seed=0).shear == (1, 1)
+    for seed in range(1, 6):
+        assert total_tangency_check(f, t, seed=seed).verdict is Tangency.NOT_TANGENT

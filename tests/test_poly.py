@@ -209,6 +209,34 @@ def test_parse_sum_and_product_coefficients_bounded(expr):
         parse_poly(expr, V)
 
 
+def test_parse_product_meets_wide_factor_once(monkeypatch):
+    """A wide factor times a chain of constants costs its term count once:
+    the term products summed over every multiplication grow by at most
+    969 + 2000 when 2000 factors `*1` follow the 969 monomials of degree
+    <= 16 (the parser used to pay 969 for each `*1`).  A zero factor still
+    makes the product zero, in any position."""
+    top = poly.MAX_DEGREE
+    wide = "(" + " + ".join(f"x0^{i}*x1^{j}*x2^{k}" for i in range(top + 1)
+                            for j in range(top + 1 - i) for k in range(top + 1 - i - j)) + ")"
+    mul = MultiPoly.__mul__
+    work = [0]
+
+    def counting(a, b):
+        if isinstance(b, MultiPoly):
+            work[0] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    alone = parse_poly(wide, V)
+    assert len(alone.terms) == 969
+    base, work[0] = work[0], 0
+    assert parse_poly(wide + "*1" * 2000, V) == alone
+    assert work[0] - base <= 969 + 2000
+    assert parse_poly("2*" + wide + "*0*x0^16", V).is_zero()
+    with pytest.raises(ValueError, match=f"exceeds {top}"):
+        parse_poly("x0*" + wide + "*0", V)  # degrees are checked in source order
+
+
 def test_ring_axioms_random():
     rng = random.Random(1)
     for _ in range(30):
