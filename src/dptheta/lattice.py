@@ -111,16 +111,12 @@ def kind_of(lat: PicardLattice, d: DivisorClass) -> ClassKind | None:
 
 
 def _coeff_solutions(n: int, total: int, sq: int) -> Iterable[tuple[int, ...]]:
-    """All integer n-tuples b with sum(b) = total and sum(b^2) = sq.
+    """All integer n-tuples b (n >= 1) with sum(b) = total and sum(b^2) = sq.
 
     Backtracks coordinate by coordinate; the Cauchy-Schwarz bound
     (remaining sum)^2 <= (remaining coords) * (remaining squares) prunes
     infeasible branches, so the search is finite and fast.
     """
-    if n == 0:
-        if total == 0 and sq == 0:
-            yield ()
-        return
     lim = math.isqrt(sq)
     for b in range(-lim, lim + 1):
         r_total = total - b

@@ -290,28 +290,23 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
         return node
 
     def parse_product():
-        node = parse_factor()
-        degree, later = node.total_degree(), []  # -1 once a factor is zero
+        factors = [parse_factor()]
+        degree = factors[0].total_degree()  # -1 once a factor is zero
         while True:
             tok = tokens[-1]
             if tok == "*":
                 tokens.pop()
             elif tok is None or not (tok[0].isalnum() or tok == "("):
                 break
-            factor = parse_factor()  # after "*", or implicit as in "2x0"
-            factor_degree = factor.total_degree()
+            factors.append(parse_factor())  # after "*", or implicit as in "2x0"
+            factor_degree = factors[-1].total_degree()
             check_degree(degree + factor_degree)
             degree = -1 if degree < 0 or factor_degree < 0 else degree + factor_degree
-            if later or len(node.terms) > 1:  # a wide product waits for the rest
-                later.append(factor)
-            else:
-                node = node * factor
-                check_bits(node.terms.values())
-        if later:  # fewest terms first, so a wide factor is met once
-            node, *later = sorted([node, *later], key=lambda p: len(p.terms))
-            for factor in later:
-                node = node * factor
-                check_bits(node.terms.values())
+        # fewest terms first (a stable sort), so a wide factor is met once
+        node, *rest = sorted(factors, key=lambda p: len(p.terms))
+        for factor in rest:
+            node = node * factor
+            check_bits(node.terms.values())
         return node
 
     def parse_factor():  # a sign binds looser than "^", as in Python: -x0^2 is -(x0^2)

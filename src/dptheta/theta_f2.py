@@ -32,26 +32,25 @@ class EvenSubsetClass:
 
     Bit i-1 stands for element i; a subset containing 8 is stored as its
     complement, so bit 7 is never set and the sum of two classes is the XOR
-    of their masks.  Equality and hashing read the mask.  `elems` is the
-    sorted representative of size <= 4 (a size-4 representative contains
-    1); comparison and sorting use it.  Immutable, and not a tuple, which
-    would pass for a Picard class.
+    of their masks.  The 64 classes are built once, at import, with their
+    sorted representative `elems` of size <= 4 (a size-4 one contains 1),
+    which comparison and sorting use; equal classes are the same object, so
+    equality is identity, and hashing reads the mask.  Immutable, and not a
+    tuple, which would pass for a Picard class.
     """
 
-    __slots__ = ("mask",)
+    __slots__ = ("mask", "elems")
 
     def __new__(cls, elems):
         s = sorted(set(elems))
         if len(s) % 2 != 0 or not all(e in range(1, 9) for e in s):
             raise ValueError(f"not an even subset of 1..8: {s}")
         mask = sum(1 << (e - 1) for e in s)
-        return cls._from_mask(mask ^ 0xFF if mask & 0x80 else mask)
+        return _TABLE[mask ^ 0xFF if mask & 0x80 else mask]
 
-    @classmethod
-    def _from_mask(cls, mask: int) -> "EvenSubsetClass":
-        c = object.__new__(cls)
-        object.__setattr__(c, "mask", mask)
-        return c
+    @staticmethod
+    def _from_mask(mask: int) -> "EvenSubsetClass":
+        return _TABLE[mask]
 
     def __setattr__(self, name, value=None):
         raise AttributeError("EvenSubsetClass is immutable")
@@ -61,24 +60,14 @@ class EvenSubsetClass:
     def __reduce__(self):
         return EvenSubsetClass._from_mask, (self.mask,)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EvenSubsetClass) and self.mask == other.mask
-
     def __hash__(self) -> int:
         return hash(self.mask)
 
     def __add__(self, other: "EvenSubsetClass") -> "EvenSubsetClass":
-        return EvenSubsetClass._from_mask(self.mask ^ other.mask)
+        return _TABLE[self.mask ^ other.mask]
 
     def __lt__(self, other: "EvenSubsetClass") -> bool:
         return self.elems < other.elems
-
-    @property
-    def elems(self) -> tuple[int, ...]:
-        m = self.mask
-        if m.bit_count() > 4 or (m.bit_count() == 4 and not m & 1):
-            m ^= 0xFF
-        return tuple(i + 1 for i in range(8) if (m >> i) & 1)
 
     @property
     def parity(self) -> int:
@@ -89,13 +78,21 @@ class EvenSubsetClass:
         return "{" + ",".join(str(e) for e in self.elems) + "}"
 
 
-IDENTITY = EvenSubsetClass(())
+def _entry(mask: int) -> EvenSubsetClass:
+    c = object.__new__(EvenSubsetClass)
+    rep = min(mask, mask ^ 0xFF, key=lambda m: (m.bit_count(), not m & 1))
+    object.__setattr__(c, "mask", mask)
+    object.__setattr__(c, "elems", tuple(i + 1 for i in range(8) if (rep >> i) & 1))
+    return c
+
+
+_TABLE = {m: _entry(m) for m in range(128) if m.bit_count() % 2 == 0}
+IDENTITY = _TABLE[0]
 
 
 @lru_cache(maxsize=1)
 def all_classes() -> tuple[EvenSubsetClass, ...]:
-    return tuple(sorted(EvenSubsetClass._from_mask(m) for m in range(128)
-                        if m.bit_count() % 2 == 0))
+    return tuple(sorted(_TABLE.values()))
 
 
 def odd_classes() -> tuple[EvenSubsetClass, ...]:
@@ -153,7 +150,7 @@ def even_theta_of_aronhold(aronhold: tuple[EvenSubsetClass, ...]) -> EvenSubsetC
         raise ValueError("expected seven distinct odd classes")
     if any(_odd(a ^ b ^ c) for a, b, c in combinations(masks, 3)):
         raise ValueError("not an Aronhold set")
-    return EvenSubsetClass._from_mask(reduce(xor, masks))
+    return _TABLE[reduce(xor, masks)]
 
 
 def mod2_label(d: DivisorClass) -> EvenSubsetClass:
@@ -162,7 +159,7 @@ def mod2_label(d: DivisorClass) -> EvenSubsetClass:
     L_ij, C_ij to {i, j}), blow-downs to the sum over their seven contracted
     lines.  Geiser partners agree: K = (-3; 1..1) has every b_i odd."""
     m = sum(1 << i for i, b in enumerate(d[1:]) if b & 1)
-    return EvenSubsetClass._from_mask(m ^ 0x7F if m.bit_count() & 1 else m)
+    return _TABLE[m ^ 0x7F if m.bit_count() & 1 else m]
 
 
 def even_theta_of_blowdown(lat: PicardLattice, blowdown: DivisorClass) -> EvenSubsetClass:

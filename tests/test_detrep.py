@@ -454,6 +454,15 @@ def test_degrees_read_off_the_forms():
         total_tangency_check(MultiPoly.zero(P), cubic)
 
 
+def test_no_shear_refused_when_every_centre_lies_on_a_curve():
+    """The lines x0 = a*x2, a in [-5, 5], pass through every centre (a, b, 1)
+    the shear draws, so the check refuses after its hundred draws."""
+    f = pp("*".join(f"(x0 - ({a})*x2)" for a in range(-5, 6)))
+    with pytest.raises(DegenerateError,
+                       match="^no shear put the curves in general position$"):
+        total_tangency_check(f, pp("x0^2 + x1^2 - x2^2"))
+
+
 def test_not_is_right_where_two_points_share_a_line():
     """f = x2*g and t = x0*(x0 - 2*x2) are not totally tangent: each line of
     t meets g in 4 simple points, and they pair up through (1, 1, 1).  Not

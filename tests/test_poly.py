@@ -237,6 +237,18 @@ def test_parse_product_meets_wide_factor_once(monkeypatch):
         parse_poly("x0*" + wide + "*0", V)  # degrees are checked in source order
 
 
+def test_parse_product_reads_every_factor_first():
+    """A product multiplies once all its factors are read, fewest terms
+    first: a zero factor makes it zero before an oversized partial product
+    of the factors ahead of it, and a syntax error in a later factor is the
+    error reported."""
+    assert parse_poly(f"{BIG}*{BIG}*0*x0", V).is_zero()
+    with pytest.raises(ValueError, match="^unexpected '\\)'$"):
+        parse_poly(f"{BIG}*{BIG}*(x0 +)", V)
+    with pytest.raises(ValueError, match="^coefficient size 6644 bits exceeds"):
+        parse_poly(f"{BIG}*{BIG}*x0", V)
+
+
 def test_ring_axioms_random():
     rng = random.Random(1)
     for _ in range(30):

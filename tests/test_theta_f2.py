@@ -1,5 +1,7 @@
 """The F2 algebra of theta characteristics."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import combinations
@@ -469,3 +471,43 @@ def test_aronhold_sets_asyzygetic_under_set_oracle():
             total = ref_add(total, t)
         assert tf.even_theta_of_aronhold(s).elems == total
         assert tf.even_theta_of_aronhold(s[::-1]).elems == total
+
+
+def test_every_source_gives_one_of_64_objects():
+    """The constructor with either complement, _from_mask, +, mod2_label,
+    even_theta_of_aronhold, IDENTITY, all_classes(), pickle at every
+    protocol, copy.copy and copy.deepcopy together hold exactly 64 objects:
+    equality is identity, and each class stores its representative once."""
+    assert "__eq__" not in vars(tf.EvenSubsetClass)
+    classes = tf.all_classes()
+    assert all(c.elems is c.elems for c in classes)
+    lat = lt.make_lattice(2)
+    evens = [c for k in range(0, 9, 2) for c in combinations(range(1, 9), k)]
+    got = [tf.IDENTITY, *classes]
+    got += [tf.EvenSubsetClass(e) for e in evens]
+    got += [tf.EvenSubsetClass(GROUND - set(e)) for e in evens]
+    got += [tf.EvenSubsetClass._from_mask(c.mask) for c in classes]
+    got += [a + b for a in classes for b in classes]
+    got += [tf.mod2_label(d) for kind in (ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN)
+            for d in lt.enumerate_classes(lat, kind)]
+    got += map(tf.even_theta_of_aronhold, tf.enumerate_aronhold())
+    got += [pickle.loads(pickle.dumps(c, protocol))
+            for c in classes for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    got += map(copy.copy, classes)
+    got += map(copy.deepcopy, classes)
+    assert len({id(c) for c in got}) == 64
+    assert {id(c) for c in got} == {id(c) for c in classes}
+
+
+def test_syzygetic_matches_set_oracle():
+    """Of the 3276 triples of odd classes 1260 are syzygetic, each verdict
+    the set model's q_t1(t2 + t3) = 0; the 35 triples of every Aronhold set
+    are asyzygetic."""
+    verdicts = Counter()
+    for a, b, c in combinations(tf.odd_classes(), 3):
+        got = tf.syzygetic(a, b, c)
+        assert got == (ref_q(a.elems, ref_add(b.elems, c.elems)) == 0), (a, b, c)
+        verdicts[got] += 1
+    assert verdicts == {True: 1260, False: 2016}
+    for s in tf.enumerate_aronhold():
+        assert not any(tf.syzygetic(*t) for t in combinations(s, 3)), s
