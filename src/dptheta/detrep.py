@@ -251,11 +251,12 @@ def total_tangency_check(f: MultiPoly, t: MultiPoly, seed: int = 0) -> TangencyR
     rng = random.Random(seed)
     for _ in range(100):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-        fs, ts = _shear(fi, d, a, b), _shear(ti, e, a, b)
-        if fs[0][0] and ts[0][0]:  # the x2^d entry p(a, b, 1): the centre is off p = 0
+        # p(a, b, 1), the sheared x2^d entry, is nonzero: the centre is off p = 0
+        if all(sum(c * a ** i * b ** j for (i, j, _), c in p.items()) for p in (fi, ti)):
             break
     else:
         raise DegenerateError("no shear put the curves in general position")
+    fs, ts = _shear(fi, d, a, b), _shear(ti, e, a, b)
     res = _packed_resultant(*sorted((fs, ts), key=len, reverse=True))
     if not res:
         return TangencyReport(Tangency.COMMON_COMPONENT, (a, b))

@@ -1,8 +1,9 @@
 """Sparse exact-rational multivariate polynomials.
 
 A polynomial carries a fixed tuple of variable names and a dict mapping
-exponent tuples to nonzero Fraction coefficients.  All arithmetic is exact;
-there is no floating point anywhere in this module.
+exponent tuples to nonzero coefficients, each an int when integral and a
+Fraction (denominator > 1) otherwise.  All arithmetic is exact, division
+through Fraction; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -18,22 +19,34 @@ from .text import parse_int
 Exponent = tuple[int, ...]
 
 
+def _canon(c) -> int | Fraction:
+    """c as an int when it is integral, else as a Fraction (denominator > 1)."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class MultiPoly:
-    """Immutable sparse polynomial over the rationals."""
+    """Immutable sparse polynomial over the rationals, coefficients canonical."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Fraction | int]):
         object.__setattr__(self, "vars", tuple(variables))
-        clean = {}
-        nv = len(self.vars)
         for exp, coeff in terms.items():
-            if coeff:
-                exp = tuple(exp)
-                if len(exp) != nv or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent {exp} for variables {self.vars}")
-                clean[exp] = Fraction(coeff)  # exact `//` divides Fractions
-        object.__setattr__(self, "terms", clean)
+            if coeff and (len(exp) != len(self.vars) or any(e < 0 for e in exp)):
+                raise ValueError(f"bad exponent {tuple(exp)} for variables {self.vars}")
+        object.__setattr__(self, "terms", {tuple(e): _canon(c) for e, c in terms.items() if c})
+
+    @classmethod
+    def _new(cls, variables: tuple[str, ...], terms: Mapping[Exponent, Fraction | int]):
+        """The constructor for results, whose exponents are already valid tuples."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", variables)
+        object.__setattr__(p, "terms", {e: _canon(c) for e, c in terms.items() if c})
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -50,14 +63,14 @@ class MultiPoly:
     @classmethod
     def constant(cls, variables: Iterable[str], value) -> "MultiPoly":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        return cls._new(variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, variables: Iterable[str], name: str) -> "MultiPoly":
         variables = tuple(variables)
         exp = [0] * len(variables)
         exp[variables.index(name)] = 1
-        return cls(variables, {tuple(exp): Fraction(1)})
+        return cls._new(variables, {tuple(exp): 1})
 
     # -- queries ------------------------------------------------------------
 
@@ -88,7 +101,7 @@ class MultiPoly:
             if exp[i] == power:
                 reduced = exp[:i] + (0,) + exp[i + 1:]
                 out[reduced] = coeff
-        return MultiPoly(self.vars, out)
+        return MultiPoly._new(self.vars, out)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -103,24 +116,25 @@ class MultiPoly:
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
             out[exp] = out.get(exp, 0) + coeff
-        return MultiPoly(self.vars, out)
+        return MultiPoly._new(self.vars, out)
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._new(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
+            other = _canon(other)
+            return MultiPoly._new(self.vars, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
+                exp = tuple(map(operator.add, ea, eb))
                 out[exp] = out.get(exp, 0) + ca * cb
-        return MultiPoly(self.vars, out)
+        return MultiPoly._new(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -146,16 +160,16 @@ class MultiPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         lead, lead_coeff = max(other.terms.items())
         if not any(lead):  # a constant divisor
-            return self * (1 / lead_coeff)
+            return self * Fraction(1, lead_coeff)  # int / int would be a float
         rest, quotient = self, {}
         while rest:
             top, coeff = max(rest.terms.items())
             shift = tuple(a - b for a, b in zip(top, lead))
             if min(shift) < 0:
                 raise ValueError("polynomial division is not exact")
-            quotient[shift] = coeff / lead_coeff
-            rest = rest - MultiPoly(self.vars, {shift: quotient[shift]}) * other
-        return MultiPoly(self.vars, quotient)
+            quotient[shift] = Fraction(coeff, lead_coeff)
+            rest = rest - MultiPoly._new(self.vars, {shift: quotient[shift]}) * other
+        return MultiPoly._new(self.vars, quotient)
 
     def __bool__(self):
         return bool(self.terms)
@@ -203,7 +217,7 @@ class MultiPoly:
                 if pos is not None:
                     new[pos] = e
             out[tuple(new)] = coeff
-        return MultiPoly(variables, out)
+        return MultiPoly._new(variables, out)
 
     # -- formatting ---------------------------------------------------------
 
@@ -268,7 +282,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             for e, c in term.items():
                 terms[e] = combine(terms.get(e, 0), c)
             check_bits(terms[e] for e in term)  # no other coefficient changed
-        return MultiPoly(variables, terms)
+        return MultiPoly._new(variables, terms)
 
     def check_degree(degree):
         if degree > MAX_DEGREE:
@@ -340,10 +354,11 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             raise ValueError("unexpected end of expression")
         if tok[0].isdigit():
             num, _, den = tok.partition("/")
-            den = parse_int(den or "1")
+            num, den = parse_int(num), parse_int(den or "1")
             if not den:
                 raise ValueError(f"zero denominator in {tok!r}")
-            return MultiPoly.constant(variables, Fraction(parse_int(num), den))
+            value = Fraction(num, den) if num % den else num // den
+            return MultiPoly.constant(variables, value)
         if tok in atoms:
             return atoms[tok]
         raise ValueError(f"unknown variable {tok!r}" if tok.isidentifier()
@@ -416,7 +431,7 @@ def uni_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b) and a:
         k = len(a) - len(b)
-        factor = a[-1] / b[-1]
+        factor = Fraction(a[-1], b[-1])
         q[k] = factor
         for i, c in enumerate(b):
             a[k + i] -= factor * c
@@ -430,7 +445,7 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         a, b = b, uni_divmod(a, b)[1]
     if a:
         lead = a[-1]
-        a = [c / lead for c in a]
+        a = [Fraction(c, lead) for c in a]
     return a
 
 

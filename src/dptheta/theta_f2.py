@@ -45,12 +45,12 @@ class EvenSubsetClass:
         s = sorted(set(elems))
         if len(s) % 2 != 0 or not all(e in range(1, 9) for e in s):
             raise ValueError(f"not an even subset of 1..8: {s}")
-        mask = sum(1 << (e - 1) for e in s)
-        return _TABLE[mask ^ 0xFF if mask & 0x80 else mask]
+        return EvenSubsetClass._from_mask(sum(1 << (e - 1) for e in s))
 
     @staticmethod
     def _from_mask(mask: int) -> "EvenSubsetClass":
-        return _TABLE[mask]
+        """The class of an even 8-bit mask: its complement's entry when it holds 8."""
+        return _TABLE[mask ^ 0xFF if mask & 0x80 else mask]
 
     def __setattr__(self, name, value=None):
         raise AttributeError("EvenSubsetClass is immutable")
@@ -140,7 +140,8 @@ def enumerate_aronhold() -> tuple[tuple[EvenSubsetClass, ...], ...]:
             sets.append([p for x, p in spokes.items() if x not in t]
                         + list(combinations(t, 2)))
     # a pair's sorted tuple is its class's elems, so sorting pairs sorts classes
-    return tuple(tuple(map(EvenSubsetClass, s)) for s in sorted(map(sorted, sets)))
+    odd = lambda pair: EvenSubsetClass._from_mask(1 << pair[0] - 1 | 1 << pair[1] - 1)
+    return tuple(tuple(map(odd, s)) for s in sorted(map(sorted, sets)))
 
 
 def even_theta_of_aronhold(aronhold: tuple[EvenSubsetClass, ...]) -> EvenSubsetClass:

@@ -149,6 +149,15 @@ def test_detrep_check_sample(capsys, data_dir):
     assert "verdict\tTotallyTangent" in out
 
 
+def test_detrep_check_rational(capsys, data_dir):
+    """Every entry has a non-integral coefficient, so the Fraction side of
+    the coefficients runs from the parser to the certificate."""
+    code, out, _ = run(capsys, "detrep", str(data_dir / "detrep_rational.txt"),
+                       "--action", "check", "--format", "tsv")
+    assert code == 0
+    assert "verdict\tTotallyTangent" in out.splitlines()
+
+
 @pytest.mark.parametrize("action", ["quintic", "conic", "check", "quartic"])
 def test_detrep_zero_exit3(capsys, data_dir, tmp_path, action):
     path = data_dir / "detrep_zero.txt"

@@ -248,8 +248,8 @@ def test_packed_resultant_matches_multipoly_resultant():
         if not (f.evaluate(point) and g.evaluate(point)):
             continue
         fi, gi = detrep._integral(f), detrep._integral(g)
-        lf = next(iter(fi.values())) / next(iter(f.terms.values()))
-        lg = next(iter(gi.values())) / next(iter(g.terms.values()))
+        lf = Fraction(next(iter(fi.values())), next(iter(f.terms.values())))
+        lg = Fraction(next(iter(gi.values())), next(iter(g.terms.values())))
         fc, gc = detrep._shear(fi, df, a, b), detrep._shear(gi, dg, a, b)
         got = detrep._packed_resultant(fc, gc)
         fs = f.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dptheta import poly
+from dptheta import detrep, poly
 from dptheta.kernels import determinant
 from dptheta.poly import (MultiPoly, parse_poly, resultant,
                           squarefree_multiplicities, uni_from_binary_form)
@@ -27,6 +27,23 @@ def to_sympy(p: MultiPoly):
             term *= s ** e
         expr += term
     return sympy.expand(expr)
+
+
+def assert_canonical(p: MultiPoly):
+    """Every coefficient is an int, or a Fraction with denominator > 1."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (p, c)
+
+
+def random_form(rng, degree, max_den=1):
+    """A form of the given degree, coefficients over denominators up to max_den."""
+    terms = {}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            if rng.random() < 0.7:
+                terms[(i, j, degree - i - j)] = Fraction(rng.randint(-9, 9),
+                                                         rng.randint(1, max_den))
+    return MultiPoly(V, terms)
 
 
 def random_poly(rng, degree=3, nterms=6):
@@ -297,14 +314,47 @@ def test_substitute_matches_term_by_term_oracle():
     assert seen == {-1, 0, 1}  # the zero polynomial, degree 0 and above
 
 
-def test_int_coefficients_stored_as_fractions():
+def test_coefficients_stored_canonically():
     p = MultiPoly(V, {(1, 0, 0): 3, (0, 1, 0): 0, (0, 0, 1): Fraction(1, 2)})
     assert p.terms == {(1, 0, 0): 3, (0, 0, 1): Fraction(1, 2)}
     for q in (p, p + p * p + 2, p - p * 7, p.substitute("x0", p)):
-        assert all(type(c) is Fraction for c in q.terms.values())
+        assert_canonical(q)
     for bad in ({(1, 0): 1}, {(-1, 0, 0): 1}):
         with pytest.raises(ValueError, match="bad exponent"):
             MultiPoly(V, bad)
+
+
+def test_canonical_coefficients_everywhere():
+    """No result holds a float, or a Fraction that is an integer."""
+    assert MultiPoly(V, {(1, 0, 0): Fraction(6, 3)}).terms == {(1, 0, 0): 2}
+    half = parse_poly("2/4*x0 + 1/2*x0", V)
+    assert half.terms == {(1, 0, 0): 1} and type(half.terms[(1, 0, 0)]) is int
+    rng = random.Random(20)
+    p = parse_poly("3*x0^2 - 1/2*x1*x2 + 2/3*x2^2", V)
+    q = parse_poly("1/2*x1*x2 + 4*x0 - 5", V)
+    results = [p + q, p - q, q - p, p * q, 2 * p, p * Fraction(2, 3), p * Fraction(6),
+               p // 2, p // Fraction(3, 4), (p * q) // q, p ** 3, p.substitute("x1", q),
+               p.rename_vars(("x2", "y", "x1", "x0")), resultant(p, q, "x0")]
+    data = detrep.extract_matrix(detrep.cubic_threefold(detrep.SymThetaData(
+        *(random_form(rng, deg, 6) for deg in (1, 1, 1, 2, 2, 3)))))
+    results += list(data) + [detrep.discriminant_quintic(data)]
+    for r in results:
+        assert_canonical(r)
+    assert (p * q) // q == p and p // Fraction(3, 4) == p * Fraction(4, 3)
+    # the Yun helpers divide through Fraction as well, also on int input
+    found = squarefree_multiplicities([1, 2, 1]) + squarefree_multiplicities([-1, 0, 0, 1])
+    assert found == [([1, 1], 2), ([-1, 0, 0, 1], 1)]
+    assert all(type(c) is Fraction for factor, _ in found for c in factor)
+
+
+def test_str_roundtrip_identical_on_integral_and_rational_forms():
+    rng = random.Random(21)
+    for k in range(40):
+        p = random_form(rng, rng.randint(0, 5), 6 if k % 2 else 1)
+        text = str(p)
+        back = parse_poly(text, V)
+        assert back == p and str(back) == text
+        assert_canonical(back)
 
 
 def test_parse_literal_digits_bounded():
