@@ -129,7 +129,7 @@ def cmd_theta(args) -> tuple:
         intermediate, z, pairs = theta_f2.count_conic_pairs()
         rows = [("intermediate", intermediate), ("Z", z), ("pairs", pairs)]
     else:
-        # check before make_space, which builds dim rows of dim-bit ints
+        # one message for an odd, small or large --dim; make_space refuses only 2g > cap
         if args.dim % 2 or not 2 <= args.dim <= theta_f2.MAX_COUNT_DIM:
             raise ValueError(f"--dim must be even and between 2 and "
                              f"{theta_f2.MAX_COUNT_DIM}, got {args.dim}")

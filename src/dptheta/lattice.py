@@ -138,26 +138,23 @@ def enumerate_classes(lat: PicardLattice, kind: ClassKind) -> tuple[DivisorClass
     A class a*L + sum(b_i E_i) with a*a - sum(b_i^2) = s and degree
     -3a - sum(b_i) = k against K satisfies, by Cauchy-Schwarz applied to
     the b_i, the bound (9-n) a^2 + 6k a + k^2 + n s <= 0 with n = 9 - d.
-    This gives a finite range for a; the b_i are then bounded as well.
+    This gives a finite range for a; the b_i are then bounded as well.  The
+    bound's discriminant is 36 + 4d(n-1), 8dn or 4(d-9)^2 for the three
+    kinds, never negative, and sum(b_i^2) = a^2 - s is never negative
+    either: s < 0 for exceptional classes and roots, and a blow-down's
+    range starts at a = 1.
     """
     s = kind.self_intersection
     k = kind.canonical_degree
     n = lat.npoints
     # (9-n) a^2 + 6k a + (k^2 + n*s) <= 0
     qa, qb, qc = 9 - n, 6 * k, k * k + n * s
-    disc = qb * qb - 4 * qa * qc
-    if disc < 0:
-        return ()
-    root = math.isqrt(disc)
+    root = math.isqrt(qb * qb - 4 * qa * qc)
     a_lo = -((qb + root) // (2 * qa))  # ceil((-qb - root) / (2 qa)), in ints
     a_hi = (root - qb) // (2 * qa)
     out = []
     for a in range(a_lo, a_hi + 1):
-        sq = a * a - s
-        if sq < 0:
-            continue
-        total = -k - 3 * a
-        for b in _coeff_solutions(n, total, sq):
+        for b in _coeff_solutions(n, -k - 3 * a, a * a - s):
             out.append((a,) + b)
     return tuple(sorted(out))
 

@@ -12,6 +12,7 @@ import operator
 import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from numbers import Rational
 
 from .kernels import determinant
 from .text import parse_int
@@ -20,10 +21,16 @@ Exponent = tuple[int, ...]
 
 
 def _canon(c) -> int | Fraction:
-    """c as an int when it is integral, else as a Fraction (denominator > 1)."""
+    """c as an int when it is integral, else as a Fraction (denominator > 1).
+
+    Only exact rationals are coefficients: a float, a string or any other
+    value that is not a numbers.Rational raises TypeError.
+    """
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if not isinstance(c, Rational):
+            raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -35,10 +42,11 @@ class MultiPoly:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Fraction | int]):
         object.__setattr__(self, "vars", tuple(variables))
+        terms = {e: _canon(c) for e, c in terms.items()}  # a zero float is refused too
         for exp, coeff in terms.items():
             if coeff and (len(exp) != len(self.vars) or any(e < 0 for e in exp)):
                 raise ValueError(f"bad exponent {tuple(exp)} for variables {self.vars}")
-        object.__setattr__(self, "terms", {tuple(e): _canon(c) for e, c in terms.items() if c})
+        object.__setattr__(self, "terms", {tuple(e): c for e, c in terms.items() if c})
 
     @classmethod
     def _new(cls, variables: tuple[str, ...], terms: Mapping[Exponent, Fraction | int]):
@@ -63,7 +71,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, variables: Iterable[str], value) -> "MultiPoly":
         variables = tuple(variables)
-        return cls._new(variables, {(0,) * len(variables): value})
+        return cls._new(variables, {(0,) * len(variables): _canon(value)})
 
     @classmethod
     def variable(cls, variables: Iterable[str], name: str) -> "MultiPoly":
@@ -110,7 +118,7 @@ class MultiPoly:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.vars, other)
         self._check(other)
         out = dict(self.terms)
@@ -125,7 +133,7 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             other = _canon(other)
             return MultiPoly._new(self.vars, {e: c * other for e, c in self.terms.items()})
         self._check(other)

@@ -6,9 +6,10 @@ structures correspond to the even subsets of edges; each support carries
 2^{2 sum(g_v) + b1(support)} spin structures, every one counting with
 multiplicity 2^{b1(graph) - b1(support)}.
 
-The F2 linear algebra runs on one format: the boundary of an edge is the
-vertex bitmask (1 << i) ^ (1 << j), 0 for a loop, and an edge subset is
-even exactly when the boundaries of its edges XOR to 0.
+One F2 reduction, `_reduce`, serves evenness, b1 and the even subsets: an
+edge's boundary is the vertex bitmask (1 << i) ^ (1 << j), 0 for a loop, and
+a subset is even when its boundaries XOR to 0.  Union-find
+(`kernels.components`) checks the graph's connectivity only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from collections import Counter, namedtuple
 from .kernels import components
 from .text import data_lines, parse_int
 
-Edge = tuple[int, int]
 MAX_B1 = 16  # even_subsets lists all 2^b1 kernel vectors
 MAX_GENUS = 100  # spin-table: at most 5151 rows, counts below 2^200
 MAX_GRAPH_GENUS = 5000  # spin prints counts up to 2^{2g}: at most 3011 digits
@@ -71,39 +71,22 @@ class DualGraph(namedtuple("DualGraph", "genera edges")):
         return sum(self.genera) + len(self.edges) - len(self.genera) + 1
 
 
-def betti(n_vertices: int, edges) -> int:
-    """First Betti number of the edges on n_vertices vertices.
+def _reduce(edges, delta) -> tuple[int, list[int]]:
+    """(XOR of the boundaries, even-subset basis) of the distinct edges in delta.
 
-    That is edges - vertices + components; a vertex no edge touches adds
-    one to both counts, so only the endpoints of the edges are labelled.
+    A repeated, negative or out-of-range index raises ValueError.  Each
+    boundary is reduced against pivots keyed by their highest set bit,
+    carrying a one-hot tag of the edges combined; each tag whose boundary
+    reduces to 0 is a basis vector, so len(basis) is b1 of those edges.
     """
-    edges = list(edges)
-    index = {v: k for k, v in enumerate({v for edge in edges for v in edge})}
-    labels = components(len(index), [(index[i], index[j]) for i, j in edges])
-    return len(edges) - len(index) + len(set(labels))
-
-
-def _boundary(edge: Edge) -> int:
-    """Vertex bitmask of an edge's endpoints mod 2: 0 for a loop."""
-    i, j = edge
-    return (1 << i) ^ (1 << j)
-
-
-def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
-    """All even subsets of edges, as sorted tuples of edge indices.
-
-    A subset is even when the boundaries of its edges XOR to 0, that is
-    when every vertex meets it an even number of times (loops have
-    boundary 0).  One pass reduces each boundary against pivots keyed by
-    their highest set bit, carrying a one-hot tag of the edges combined;
-    a boundary that reduces to 0 leaves its tag as a kernel vector.  The
-    kernel vectors form a basis, and their span, built by doubling, has
-    exactly 2^{b1} members.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    span = [0]
-    for e, edge in enumerate(graph.edges):
-        boundary, tag = _boundary(edge), 1 << e
+    total, seen, pivots, basis, m = 0, set(), {}, [], len(edges)
+    for e in delta:
+        if e in seen or not 0 <= e < m:
+            raise ValueError(f"edge index {e} is repeated or out of range")
+        seen.add(e)
+        i, j = edges[e]
+        boundary, tag = (1 << i) ^ (1 << j), 1 << e
+        total ^= boundary
         while boundary:
             top = boundary.bit_length()
             if top not in pivots:
@@ -112,8 +95,30 @@ def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
             boundary ^= pivots[top][0]
             tag ^= pivots[top][1]
         else:
-            span += [s ^ tag for s in span]
-    assert len(span) == 1 << betti(len(graph.genera), graph.edges)
+            basis.append(tag)
+    return total, basis
+
+
+def betti(n_vertices: int, edges) -> int:
+    """First Betti number of the edges on n_vertices vertices.
+
+    A vertex no edge touches adds nothing, so only the endpoints of the
+    edges are labelled, 0, 1, ..., before the reduction counts b1.
+    """
+    edges = list(edges)
+    index = {v: k for k, v in enumerate({v for edge in edges for v in edge})}
+    return len(_reduce([(index[i], index[j]) for i, j in edges], range(len(edges)))[1])
+
+
+def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
+    """All even subsets of edges, as sorted tuples of edge indices.
+
+    They are the span of `_reduce`'s basis, built by doubling: 2^{b1} members.
+    """
+    span = [0]
+    for tag in _reduce(graph.edges, range(len(graph.edges)))[1]:
+        span += [s ^ tag for s in span]
+    assert len(span) == 1 << (len(graph.edges) - len(graph.genera) + 1)  # connected
     return tuple(sorted(map(_indices, span)))
 
 
@@ -128,18 +133,9 @@ def _indices(mask: int) -> tuple[int, ...]:
 
 
 def is_even_subset(graph: DualGraph, delta) -> bool:
-    """True when the boundaries of the edges in delta XOR to 0.
-
-    delta must list distinct edge indices; a repeated, negative or
-    out-of-range index raises ValueError.
-    """
-    total, seen = 0, set()
-    for i in delta:
-        if i in seen or not 0 <= i < len(graph.edges):
-            raise ValueError(f"edge index {i} is repeated or out of range")
-        seen.add(i)
-        total ^= _boundary(graph.edges[i])
-    return total == 0
+    """True when the boundaries of the edges in delta XOR to 0; a repeated,
+    negative or out-of-range edge index raises ValueError."""
+    return _reduce(graph.edges, delta)[0] == 0
 
 
 # spin structures supported on a given even edge subset
@@ -153,10 +149,11 @@ def spin_counts(graph: DualGraph, delta) -> SpinSupport:
     normalization times gluings); multiplicity = 2^{b1(graph) - b1(delta)}.
     """
     delta = tuple(sorted(delta))
-    if not is_even_subset(graph, delta):
+    total, basis = _reduce(graph.edges, delta)
+    if total:
         raise ValueError("subset is not even")
     b_full = len(graph.edges) - len(graph.genera) + 1  # the graph is connected
-    b_delta = betti(len(graph.genera), [graph.edges[i] for i in delta])
+    b_delta = len(basis)
     count = 1 << (2 * sum(graph.genera) + b_delta)
     return SpinSupport(delta, count, 1 << (b_full - b_delta))
 

@@ -211,10 +211,19 @@ class QuadraticSpace(namedtuple("QuadraticSpace", "dim rows")):
         return QuadraticSpace(self.dim, tuple(rows))
 
 
+MAX_COUNT_DIM = 1000  # at 1000 the zero count has 301 digits
+
+
 def make_space(g: int, arf_invariant: int = 0) -> QuadraticSpace:
-    """Standard form of dimension 2g: sum(x_2i x_2i+1), plus x_0 + x_1 if odd."""
+    """Standard form of dimension 2g: sum(x_2i x_2i+1), plus x_0 + x_1 if odd.
+
+    The 2g rows hold about g^2 bits, so 2g above MAX_COUNT_DIM raises
+    ValueError before any row is built.
+    """
     if g < 1:
         raise ValueError("g must be >= 1")
+    if 2 * g > MAX_COUNT_DIM:
+        raise ValueError(f"dimension {2 * g} exceeds {MAX_COUNT_DIM}")
     if arf_invariant not in (0, 1):
         raise ValueError("Arf invariant must be 0 or 1")
     dim = 2 * g
@@ -225,9 +234,6 @@ def make_space(g: int, arf_invariant: int = 0) -> QuadraticSpace:
         rows[0] |= 1
         rows[1] |= 1 << 1
     return QuadraticSpace(dim, tuple(rows))
-
-
-MAX_COUNT_DIM = 1000  # at 1000 the zero count has 301 digits
 
 
 def _witt(space: QuadraticSpace) -> tuple[int, int, int, int]:

@@ -324,6 +324,29 @@ def test_coefficients_stored_canonically():
             MultiPoly(V, bad)
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.0, 0.5, "1/2", 1j, None],
+                         ids=["float", "zero-float", "half", "string", "complex", "none"])
+def test_inexact_coefficient_refused(bad):
+    """Only ints and Fractions (numbers.Rational) are coefficients: a float
+    is not stored as its binary expansion, nor a string parsed."""
+    p = parse_poly("x0 + 1", V)
+    calls = [lambda: MultiPoly(V, {(1, 0, 0): bad}), lambda: MultiPoly.constant(V, bad),
+             lambda: p + bad, lambda: p * bad, lambda: bad * p, lambda: p // bad]
+    for call in calls:
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            call()
+    with pytest.raises(TypeError):  # from -bad itself where bad has no negation
+        p - bad
+
+
+def test_rational_coefficients_accepted():
+    p = MultiPoly(V, {(1, 0, 0): True, (0, 1, 0): Fraction(6, 4), (0, 0, 1): 0})
+    assert p.terms == {(1, 0, 0): 1, (0, 1, 0): Fraction(3, 2)}
+    assert type(p.terms[(1, 0, 0)]) is int
+    assert p + Fraction(1, 2) == parse_poly("x0 + 3/2*x1 + 1/2", V)
+    assert p * Fraction(2, 3) == parse_poly("2/3*x0 + x1", V)
+
+
 def test_canonical_coefficients_everywhere():
     """No result holds a float, or a Fraction that is an integer."""
     assert MultiPoly(V, {(1, 0, 0): Fraction(6, 3)}).terms == {(1, 0, 0): 2}

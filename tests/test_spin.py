@@ -292,6 +292,29 @@ def test_betti_against_all_vertex_oracle():
     assert spin.betti(10 ** 6, [(5, 7), (7, 5), (3, 3)]) == 2
 
 
+def test_support_betti_against_union_find():
+    """log2(count) - 2 sum(g_v) is each support's b1, checked by union-find
+    over all vertices, on the 200-graph corpus and one b1 = 16 graph."""
+    rng = random.Random(5)
+    graphs = [random_graph(rng) for _ in range(200)]
+    graphs.append(DualGraph([0, 1, 1], [(0, 1)] * 9 + [(0, 2)] * 9))
+    assert graphs[-1].genus - sum(graphs[-1].genera) == spin.MAX_B1
+    for g in graphs:
+        for s in spin.spin_scheme(g):
+            b_delta = s.count.bit_length() - 1 - 2 * sum(g.genera)
+            assert s.count == 1 << (s.count.bit_length() - 1)
+            assert b_delta == betti_all_vertices(len(g.genera),
+                                                 [g.edges[i] for i in s.delta])
+
+
+def test_odd_subset_refused():
+    g = DualGraph([1, 1], [(0, 1), (0, 1), (0, 0)])  # edge 0 is the loop
+    assert spin.spin_counts(g, (0,)).count == 2 ** 5
+    for delta in [(1,), (0, 1), (0, 2)]:
+        with pytest.raises(ValueError, match="subset is not even"):
+            spin.spin_counts(g, delta)
+
+
 def test_parse_graph():
     g = spin.parse_graph("# comment\nv 2\ne 0 0\n")
     assert g.genera == (2,) and g.edges == ((0, 0),)

@@ -255,6 +255,16 @@ def test_count_beyond_cap_rejected():
             f(space)
 
 
+def test_make_space_beyond_cap_rejected():
+    """make_space refuses 2g > MAX_COUNT_DIM before building its 2g rows,
+    which would hold about g^2 bits (1.25 GB at g = 10^5)."""
+    cap = tf.MAX_COUNT_DIM
+    assert tf.make_space(cap // 2, 1).dim == cap
+    for g in (cap // 2 + 1, 10 ** 5, 10 ** 18):
+        with pytest.raises(ValueError, match=f"exceeds {cap}"):
+            tf.make_space(g)
+
+
 def test_conic_pair_numbers_by_zero_count():
     """496 zero classes on the genus-5 quotient is the zero count of an odd
     genus-5 form, and Z is its double minus the classes of 0 and eta."""
