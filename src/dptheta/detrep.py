@@ -1,14 +1,15 @@
 """Symmetric determinantal construction of plane curves and contact conics.
 
-From a symmetric 3x3 matrix of forms [[L11, L12, Q1], [L12, L22, Q2],
-[Q1, Q2, H]] (linear / quadratic / cubic entries in x0, x1, x2) one obtains:
-a plane quintic as its determinant, a cubic threefold containing the line
-{x0 = x1 = x2 = 0}, and a contact conic L11*L22 - L12^2 totally tangent to
-the quintic; a 2x2 matrix [[L, Q], [Q, H]] gives a quartic with bitangent
-L.  One certificate checks both, for any two plane curves: with
-denominators cleared and a seeded shear, their resultant is one int
-determinant of Kronecker-packed Sylvester entries, TotallyTangent when it
-is a constant times a square (`total_tangency_check` says what that proves).
+Every form is read off one symmetric 3x3 matrix of forms M = [[L11, L12,
+Q1], [L12, L22, Q2], [Q1, Q2, H]] (linear / quadratic / cubic entries in
+x0, x1, x2) and its cofactors: the plane quintic det M, the cubic threefold
+u^T M u containing the line {x0 = x1 = x2 = 0}, and the contact conic
+L11*L22 - L12^2, a cofactor, totally tangent to the quintic.  A 2x2 matrix
+[[L, Q], [Q, H]] gives a quartic with bitangent L.  One certificate checks
+both, for any two plane curves: with denominators cleared and a seeded
+shear, their resultant is one int determinant of Kronecker-packed
+Sylvester entries, TotallyTangent when it is a constant times a square
+(`total_tangency_check` says what that proves).
 """
 
 from __future__ import annotations
@@ -61,36 +62,44 @@ class SymThetaData(namedtuple("SymThetaData", "l11 l12 l22 q1 q2 h")):
             _check_form(q2, 2, "Q2"), _check_form(h, 3, "H"))
 
 
+def _matrix(data) -> tuple[tuple, tuple, tuple]:
+    """M = [[L11, L12, Q1], [L12, L22, Q2], [Q1, Q2, H]] for six entries in
+    SymThetaData's field order; on the field names, each entry's name."""
+    l11, l12, l22, q1, q2, h = data
+    return (l11, l12, q1), (l12, l22, q2), (q1, q2, h)
+
+
+def _cofactor(m, i: int, j: int):
+    """The (i, j) cofactor of a 3x3 matrix: the rows after i and the columns
+    after j, taken cyclically, whose cyclic order supplies the sign."""
+    a, b, c, d = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return m[a][c] * m[b][d] - m[a][d] * m[b][c]
+
+
 def discriminant_quintic(data: SymThetaData) -> MultiPoly:
-    """Determinant of the symmetric matrix; homogeneous quintic."""
-    d = (data.l11 * (data.l22 * data.h - data.q2 * data.q2)
-         - data.l12 * (data.l12 * data.h - data.q1 * data.q2)
-         + data.q1 * (data.l12 * data.q2 - data.l22 * data.q1))
+    """det M, expanded along the first row: a quintic, since SymThetaData
+    checked every degree and so each term has degree 1+1+3 or 1+2+2."""
+    m = _matrix(data)
+    d = sum((m[0][j] * _cofactor(m, 0, j) for j in range(3)), MultiPoly.zero(PLANE_VARS))
     if d.is_zero():
         raise DegenerateError("determinant is identically zero")
-    assert d.is_homogeneous(5)
     return d
 
 
 def cubic_threefold(data: SymThetaData) -> MultiPoly:
-    """The cubic sum(ui uj Lij) + sum(2 ui Qi) + H in u1, u2, x0, x1, x2."""
-    u1 = MultiPoly.variable(SPACE_VARS, "u1")
-    u2 = MultiPoly.variable(SPACE_VARS, "u2")
-    l11 = data.l11.rename_vars(SPACE_VARS)
-    l12 = data.l12.rename_vars(SPACE_VARS)
-    l22 = data.l22.rename_vars(SPACE_VARS)
-    q1 = data.q1.rename_vars(SPACE_VARS)
-    q2 = data.q2.rename_vars(SPACE_VARS)
-    h = data.h.rename_vars(SPACE_VARS)
-    return (u1 * u1 * l11 + 2 * u1 * u2 * l12 + u2 * u2 * l22
-            + 2 * u1 * q1 + 2 * u2 * q2 + h)
+    """The cubic u^T M u with u = (u1, u2, 1), in u1, u2, x0, x1, x2."""
+    u = (MultiPoly.variable(SPACE_VARS, "u1"), MultiPoly.variable(SPACE_VARS, "u2"), 1)
+    m = _matrix(data)
+    return sum((u[i] * u[j] * m[i][j].rename_vars(SPACE_VARS)
+                for i in range(3) for j in range(3)), MultiPoly.zero(SPACE_VARS))
 
 
 def extract_matrix(cubic: MultiPoly) -> SymThetaData:
     """Recover the symmetric matrix from a cubic containing the line.
 
     The cubic must be homogeneous of degree 3 in u1, u2, x0, x1, x2 with no
-    monomials purely in u1, u2 (so it vanishes on {x0 = x1 = x2 = 0}).
+    monomials purely in u1, u2 (so it vanishes on {x0 = x1 = x2 = 0}).  M_ij
+    is the u_i u_j coefficient, u3 = 1, halved off the diagonal.
     """
     if cubic.vars != SPACE_VARS:
         cubic = cubic.rename_vars(SPACE_VARS)
@@ -100,27 +109,17 @@ def extract_matrix(cubic: MultiPoly) -> SymThetaData:
         if exp[0] + exp[1] == 3:
             raise ValueError("cubic does not contain the line x0=x1=x2=0")
 
-    def u_part(du1: int, du2: int) -> MultiPoly:
-        out = {}
-        for exp, coeff in cubic.terms.items():
-            if exp[0] == du1 and exp[1] == du2:
-                out[(0, 0) + exp[2:]] = coeff
-        return MultiPoly(SPACE_VARS, out).rename_vars(PLANE_VARS)
+    def entry(i: int, j: int) -> MultiPoly:
+        c = cubic.coefficient("u1", (i, j).count(0)).coefficient("u2", (i, j).count(1))
+        return c.rename_vars(PLANE_VARS) * (1 if i == j else Fraction(1, 2))
 
-    half = Fraction(1, 2)
-    return SymThetaData(
-        l11=u_part(2, 0),
-        l12=u_part(1, 1) * half,
-        l22=u_part(0, 2),
-        q1=u_part(1, 0) * half,
-        q2=u_part(0, 1) * half,
-        h=u_part(0, 0),
-    )
+    names = _matrix(SymThetaData._fields)
+    return SymThetaData(**{names[i][j]: entry(i, j) for i in range(3) for j in range(i, 3)})
 
 
 def contact_conic(data: SymThetaData) -> MultiPoly:
-    """The conic L11*L22 - L12^2."""
-    t = data.l11 * data.l22 - data.l12 * data.l12
+    """The conic L11*L22 - L12^2, the cofactor A33 of M."""
+    t = _cofactor(_matrix(data), 2, 2)
     if t.is_zero():
         raise DegenerateError("contact conic is identically zero")
     return t

@@ -30,7 +30,7 @@ def _canon(c) -> int | Fraction:
         return c
     if type(c) is not Fraction:
         if not isinstance(c, Rational):
-            raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+            raise TypeError(f"{c!r} is not an int or a Fraction")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -189,15 +189,17 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    def evaluate(self, values: Mapping[str, Fraction | int]) -> Fraction:
-        point = [Fraction(values[v]) for v in self.vars]
-        total = Fraction(0)
+    def evaluate(self, values: Mapping[str, Fraction | int]) -> int | Fraction:
+        """The exact value at a point of ints and Fractions, an int when it is
+        integral; a coordinate that is not an exact rational raises TypeError."""
+        point = [_canon(values[v]) for v in self.vars]
+        total = 0
         for exp, coeff in self.terms.items():
             term = coeff
             for x, e in zip(point, exp):
                 term *= x ** e
             total += term
-        return total
+        return _canon(total)
 
     def substitute(self, name: str, replacement: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial (in the same variables) for one variable."""

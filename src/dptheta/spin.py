@@ -47,9 +47,7 @@ class DualGraph(namedtuple("DualGraph", "genera edges")):
             raise ValueError("graph needs at least one vertex")
         if any(g < 0 for g in genera):
             raise ValueError("vertex genera must be nonnegative")
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range")
+        _check_range(n, edges)
         if len(set(components(n, edges))) != 1:
             raise ValueError("graph is not connected")
         b1 = len(edges) - n + 1  # the graph is connected
@@ -69,6 +67,13 @@ class DualGraph(namedtuple("DualGraph", "genera edges")):
     def genus(self) -> int:
         # sum of vertex genera plus b1; __new__ proved the graph connected
         return sum(self.genera) + len(self.edges) - len(self.genera) + 1
+
+
+def _check_range(n_vertices: int, edges) -> None:
+    """Refuse an edge with an endpoint outside range(n_vertices)."""
+    for i, j in edges:
+        if not (0 <= i < n_vertices and 0 <= j < n_vertices):
+            raise ValueError(f"edge ({i}, {j}) out of range")
 
 
 def _reduce(edges, delta) -> tuple[int, list[int]]:
@@ -100,12 +105,16 @@ def _reduce(edges, delta) -> tuple[int, list[int]]:
 
 
 def betti(n_vertices: int, edges) -> int:
-    """First Betti number of the edges on n_vertices vertices.
+    """First Betti number of the edges on vertices 0, ..., n_vertices - 1.
 
-    A vertex no edge touches adds nothing, so only the endpoints of the
-    edges are labelled, 0, 1, ..., before the reduction counts b1.
+    A negative n_vertices or an endpoint out of range raises ValueError.  A
+    vertex no edge touches adds nothing, so only the endpoints of the edges
+    are labelled, 0, 1, ..., before the reduction counts b1.
     """
+    if n_vertices < 0:
+        raise ValueError("n_vertices must be nonnegative")
     edges = list(edges)
+    _check_range(n_vertices, edges)
     index = {v: k for k, v in enumerate({v for edge in edges for v in edge})}
     return len(_reduce([(index[i], index[j]) for i, j in edges], range(len(edges)))[1])
 

@@ -248,10 +248,11 @@ def _witt(space: QuadraticSpace) -> tuple[int, int, int, int]:
     spans the radical with the others like it; the third entry is 1 when
     q is nonzero there.
     """
-    n = space.dim
+    n, rows = space.dim, space.rows
+    if n < 0 or len(rows) < n:  # rows past dim are ignored
+        raise ValueError(f"dimension {n} needs 0 <= dim <= len(rows) = {len(rows)}")
     if n > MAX_COUNT_DIM:
         raise ValueError(f"count limited to dimension {MAX_COUNT_DIM}")
-    rows = space.rows
     q = [(rows[i] >> i) & 1 for i in range(n)]
     full = (1 << n) - 1
     gram = [rows[i] & full & ~(1 << i) for i in range(n)]

@@ -251,6 +251,14 @@ GOLDEN_STDOUT = [
      "0f65d4373f452339055a7521ebb93194ed3a3d19b95f31a8fa6baa65ad390cc3"),
     (("detrep", "quartic_sample.txt", "--action", "quartic", "--format", "tsv"),
      "d1b8d8c64783367099bf9027adb3438945c887dc905aeb13ef902e5af160ffc1"),
+    (("detrep", "detrep_sample.txt", "--action", "quintic", "--format", "tsv"),
+     "dd0793124fcc53a6f85312993fa53f6b273ec46d1f4e7eff9ff13e27e8a211c6"),
+    (("detrep", "detrep_sample.txt", "--action", "conic", "--format", "tsv"),
+     "6d3059fa8feadd1f8ff839a2de81ab547ec1c7939e5f6c35a5f6fa00b6423fb3"),
+    (("detrep", "detrep_rational.txt", "--action", "quintic", "--format", "tsv"),
+     "992af4a420e378da5d42eab554f293d6097e7a3f19c3ccd1d8c586c8edc4e4c4"),
+    (("detrep", "detrep_rational.txt", "--action", "conic", "--format", "tsv"),
+     "7876069d49a42b3a49ba25368dda26fa3e9523289880d0363387d206afa95c41"),
     # the pretty footers: configuration/profile/total, the bare summary line
     # and "bitangent verified"
     (("nodal", "node_a1.cfg", "--scheme=eventheta", "--format", "pretty"),

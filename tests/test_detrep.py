@@ -397,6 +397,37 @@ def test_family_member_at_first_vertex_is_the_quartic_action():
         checked += 1
 
 
+def test_cofactors_are_the_adjugate():
+    """On 40 data sets, half rational: `_cofactor` on `_matrix` is
+    family_member's hand-written adjugate, M adj(M) = det(M) I, and
+    cubic_threefold is u1^2 L11 + 2 u1 u2 L12 + u2^2 L22 + 2 u1 Q1 + 2 u2 Q2 + H."""
+    rng = random.Random(34)
+    zero = MultiPoly.zero(P)
+    u1, u2 = (MultiPoly.variable(detrep.SPACE_VARS, v) for v in ("u1", "u2"))
+    checked = 0
+    while checked < 40:
+        make = rational_form if checked % 2 else random_form
+        data = SymThetaData(*(make(rng, d) for d in (1, 1, 1, 2, 2, 3)))
+        try:
+            det = discriminant_quintic(data)
+        except DegenerateError:
+            continue
+        a11, a13, _, a33 = family_member(data, 1, 0, zero)
+        a22, a23, _, _ = family_member(data, 0, 1, zero)
+        a12 = (family_member(data, 1, 1, zero)[0] - a11 - a22) * Fraction(1, 2)
+        want = [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
+        m = detrep._matrix(data)
+        assert [[detrep._cofactor(m, i, j) for j in range(3)] for i in range(3)] == want
+        for i in range(3):
+            for j in range(3):
+                row = m[i][0] * want[j][0] + m[i][1] * want[j][1] + m[i][2] * want[j][2]
+                assert row == (det if i == j else zero)
+        l11, l12, l22, q1, q2, h = (f.rename_vars(detrep.SPACE_VARS) for f in data)
+        assert cubic_threefold(data) == (u1 * u1 * l11 + 2 * u1 * u2 * l12 + u2 * u2 * l22
+                                         + 2 * u1 * q1 + 2 * u2 * q2 + h)
+        checked += 1
+
+
 @pytest.mark.parametrize("line,q", [
     ("x0 + 2*x1 - x2", "(x0 + 2*x1 - x2)*(x1 + 5*x2)"),
     ("2*x2", "x0*x2 - 3*x2^2"),

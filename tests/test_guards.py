@@ -59,6 +59,10 @@ GUARDS = [
     ("make-space-genus-0", lambda: theta_f2.make_space(0), ValueError, "g must be >= 1"),
     ("make-space-arf-2", lambda: theta_f2.make_space(1, 2),
      ValueError, "Arf invariant must be 0 or 1"),
+    ("count-zeros-short-rows", lambda: theta_f2.count_zeros(theta_f2.QuadraticSpace(4, (1,))),
+     ValueError, r"^dimension 4 needs 0 <= dim <= len\(rows\) = 1$"),
+    ("arf-negative-dim", lambda: theta_f2.arf(theta_f2.QuadraticSpace(-2, ())),
+     ValueError, r"^dimension -2 needs 0 <= dim <= len\(rows\) = 0$"),
 ]
 
 

@@ -339,6 +339,24 @@ def test_inexact_coefficient_refused(bad):
         p - bad
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.0, "1/2", 1j, None],
+                         ids=["float", "zero-float", "string", "complex", "none"])
+def test_inexact_point_refused(bad):
+    """A point coordinate is an exact rational too: a float is not read as
+    its binary expansion, nor a string parsed."""
+    p = parse_poly("x0 + 1", V)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        p.evaluate({"x0": bad, "x1": 1, "x2": 1})
+
+
+def test_evaluate_is_exact_and_canonical():
+    p = parse_poly("1/2*x0^2 + x1*x2", V)
+    value = p.evaluate({"x0": 2, "x1": Fraction(1, 3), "x2": 3})
+    assert value == 3 and type(value) is int
+    assert p.evaluate({"x0": 1, "x1": True, "x2": Fraction(1, 4)}) == Fraction(3, 4)
+    assert type(MultiPoly.zero(V).evaluate(dict.fromkeys(V, 1))) is int
+
+
 def test_rational_coefficients_accepted():
     p = MultiPoly(V, {(1, 0, 0): True, (0, 1, 0): Fraction(6, 4), (0, 0, 1): 0})
     assert p.terms == {(1, 0, 0): 1, (0, 1, 0): Fraction(3, 2)}

@@ -292,6 +292,18 @@ def test_betti_against_all_vertex_oracle():
     assert spin.betti(10 ** 6, [(5, 7), (7, 5), (3, 3)]) == 2
 
 
+def test_betti_enforces_vertex_count():
+    """betti reads n_vertices: an endpoint outside range(n_vertices) and a
+    negative count are refused, with DualGraph's message for the first."""
+    with pytest.raises(ValueError, match=r"^edge \(5, 7\) out of range$"):
+        spin.betti(2, [(5, 7), (7, 5)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        spin.betti(-3, [(0, 0)])
+    with pytest.raises(ValueError, match=r"^edge \(0, -1\) out of range$"):
+        spin.betti(3, [(0, 1), (0, -1)])
+    assert spin.betti(0, []) == 0 and spin.betti(3, [(2, 2)]) == 1
+
+
 def test_support_betti_against_union_find():
     """log2(count) - 2 sum(g_v) is each support's b1, checked by union-find
     over all vertices, on the 200-graph corpus and one b1 = 16 graph."""
