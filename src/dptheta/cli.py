@@ -207,15 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("theta", help="F2 theta-characteristic computations")
     p.add_argument("task", choices=("aronhold", "conic-pairs", "zeros"))
-    p.add_argument("--dim", type=int, default=6)
-    p.add_argument("--arf", type=int, default=0, choices=(0, 1))
+    p.add_argument("--dim", type=int, default=6, help="even F2 dimension (zeros only)")
+    p.add_argument("--arf", type=int, default=0, choices=(0, 1),
+                   help="Arf invariant of the quadratic form (zeros only)")
     p.set_defaults(func=cmd_theta)
 
     p = add_parser("detrep", help="symmetric determinantal pipeline")
     p.add_argument("input", help="data file of NAME: polynomial lines")
     p.add_argument("--action", required=True,
                    choices=("quintic", "conic", "check", "quartic"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the shear draws (check only)")
     p.set_defaults(func=cmd_detrep)
     return parser
 

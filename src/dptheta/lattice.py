@@ -174,42 +174,30 @@ def simple_roots(lat: PicardLattice) -> tuple[DivisorClass, ...]:
     return tuple(roots)
 
 
-def _orbit(lat: PicardLattice, seed: DivisorClass, roots) -> set[DivisorClass]:
-    """Orbit of seed under the group generated by reflections in roots."""
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for r in roots:
-                y = reflect(lat, r, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
 def weyl_orbit(lat: PicardLattice, seed: DivisorClass) -> tuple[DivisorClass, ...]:
     """Orbit of seed under the reflection group, sorted lexicographically."""
-    return tuple(sorted(_orbit(lat, seed, simple_roots(lat))))
-
-
-@lru_cache(maxsize=None)
-def weyl_order(lat: PicardLattice) -> int:
-    """Order of the reflection group, as a chain of parabolic stabilizers.
-
-    Each seed L, E_n, ..., E_1 pairs non-negatively with the simple roots
-    still left, so by Chevalley's theorem its stabilizer is the subgroup
-    generated by those orthogonal to it; |W| is the product of the orbit
-    sizes along the chain.
-    """
     roots = simple_roots(lat)
-    order = 1
-    for seed in [class_L(lat)] + [class_E(lat, i) for i in range(lat.npoints, 0, -1)]:
-        order *= len(_orbit(lat, seed, roots))
-        roots = tuple(r for r in roots if pair(lat, seed, r) == 0)
-    return order
+    seen, todo = {seed}, [seed]
+    while todo:
+        x = todo.pop()
+        for r in roots:
+            y = reflect(lat, r, x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return tuple(sorted(seen))
+
+
+def weyl_order(lat: PicardLattice) -> int:
+    """Order of the reflection group, read off the blow-down table.
+
+    |W| = |W.L| |Stab(L)|: the blow-down classes are the orbit of L
+    (test_blowdowns_as_weyl_orbit), and by Chevalley's theorem Stab(L) is
+    generated by the simple roots orthogonal to L, the E_i - E_{i+1}: the
+    symmetric group on the 9 - d points.  test_weyl_order_orbit_stabilizer
+    checks the product against a Schreier-Sims order.
+    """
+    return len(enumerate_classes(lat, ClassKind.BLOWDOWN)) * math.factorial(lat.npoints)
 
 
 def geiser(lat: PicardLattice, x: DivisorClass) -> DivisorClass:

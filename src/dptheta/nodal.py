@@ -202,7 +202,9 @@ SCHEMES = {
     "blowdowns": (ClassKind.BLOWDOWN, None, None),
     "doublesix": (ClassKind.BLOWDOWN, 3, _pair(lt.double_six_partner)),
     "aronhold": (ClassKind.BLOWDOWN, 2, _pair(lt.geiser)),
-    "eventheta": (ClassKind.BLOWDOWN, 2, theta_f2.even_theta_of_blowdown),
+    # scheme() has checked the degree and labels the blow-down table itself,
+    # so the per-class checks of even_theta_of_blowdown would prove nothing
+    "eventheta": (ClassKind.BLOWDOWN, 2, lambda lat, c: theta_f2.mod2_label(c)),
 }
 
 

@@ -1,6 +1,6 @@
 """Sparse exact-rational multivariate polynomials.
 
-A polynomial carries a fixed tuple of variable names and a dict mapping
+A polynomial carries a fixed tuple of distinct variable names and a dict mapping
 exponent tuples to nonzero coefficients, each an int when integral and a
 Fraction (denominator > 1) otherwise.  All arithmetic is exact, division
 through Fraction; there is no floating point anywhere in this module.
@@ -35,13 +35,21 @@ def _canon(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+def _names(variables: Iterable[str]) -> tuple[str, ...]:
+    """The variable names as a tuple; a repeated name raises ValueError."""
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"repeated variable name in {variables}")
+    return variables
+
+
 class MultiPoly:
     """Immutable sparse polynomial over the rationals, coefficients canonical."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Fraction | int]):
-        object.__setattr__(self, "vars", tuple(variables))
+        object.__setattr__(self, "vars", _names(variables))
         terms = {e: _canon(c) for e, c in terms.items()}  # a zero float is refused too
         for exp, coeff in terms.items():
             if coeff and (len(exp) != len(self.vars) or any(e < 0 for e in exp)):
@@ -70,12 +78,12 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variables: Iterable[str], value) -> "MultiPoly":
-        variables = tuple(variables)
+        variables = _names(variables)
         return cls._new(variables, {(0,) * len(variables): _canon(value)})
 
     @classmethod
     def variable(cls, variables: Iterable[str], name: str) -> "MultiPoly":
-        variables = tuple(variables)
+        variables = _names(variables)
         exp = [0] * len(variables)
         exp[variables.index(name)] = 1
         return cls._new(variables, {tuple(exp): 1})
@@ -211,7 +219,7 @@ class MultiPoly:
 
     def rename_vars(self, variables: Iterable[str]) -> "MultiPoly":
         """Re-embed into another variable tuple (a superset, any order)."""
-        variables = tuple(variables)
+        variables = _names(variables)
         mapping = []
         for v in self.vars:
             if v not in variables:
@@ -271,7 +279,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     ValueError before anything is expanded; so does a sum or product whose
     formed coefficients outgrow MAX_COEFF_BITS.
     """
-    variables = tuple(variables)
+    variables = _names(variables)
     atoms = {v: MultiPoly.variable(variables, v) for v in variables}
     found = []
     pos, end = 0, len(text.rstrip())

@@ -40,6 +40,16 @@ GUARDS = [
     ("multipoly-immutable", set_attribute, AttributeError, "immutable"),
     ("variable-mismatch", lambda: X + MultiPoly.variable(("x",), "x"),
      ValueError, "variable mismatch"),
+    ("multipoly-repeated-name", lambda: MultiPoly(("x", "x"), {(1, 0): 1, (0, 1): 2}),
+     ValueError, "repeated variable name"),
+    ("constant-repeated-name", lambda: MultiPoly.constant(("x", "x"), 1),
+     ValueError, "repeated variable name"),
+    ("variable-repeated-name", lambda: MultiPoly.variable(("x", "x"), "x"),
+     ValueError, "repeated variable name"),
+    ("rename-repeated-target", lambda: X.rename_vars(("x", "y", "x")),
+     ValueError, "repeated variable name"),
+    ("parse-repeated-name", lambda: parse_poly("x + 2*x", ("x", "x")),
+     ValueError, "repeated variable name"),
     ("negative-power", lambda: X ** -1, ValueError, "negative power"),
     ("rename-drops-used", lambda: X.rename_vars(("y",)),
      ValueError, "x used but absent"),

@@ -101,6 +101,16 @@ def test_weyl_orders():
     assert lt.weyl_order(lt.make_lattice(2)) == 2903040
 
 
+def test_weyl_order_reads_the_blowdown_table(monkeypatch):
+    """|W| = |W.L| * (9 - d)! is a read of the class table: with reflect
+    made to raise, no orbit search can run and the orders still come out."""
+    def refuse(lat, root, x):
+        raise AssertionError("reflect called by weyl_order")
+    monkeypatch.setattr(lt, "reflect", refuse)
+    assert lt.weyl_order(lt.make_lattice(2)) == 2903040
+    assert lt.weyl_order(lt.make_lattice(3)) == 51840
+
+
 def test_weyl_order_orbit_stabilizer():
     """Oracle: sympy's Schreier-Sims order of the permutation group that the
     simple reflections generate on the exceptional classes (a faithful

@@ -86,6 +86,23 @@ def test_schemes_do_not_revalidate(monkeypatch, degree):
     assert results() == expected
 
 
+def test_even_theta_scheme_trusts_the_table(monkeypatch):
+    """The eventheta scheme labels the blow-down table by mod2_label: with
+    the keying cache warm, the labels cleared and kind_of made to raise,
+    each degree-2 config still gets the scheme it got before."""
+    lat = lt.make_lattice(2)
+    simple = lt.simple_roots(lat)
+    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
+            for mask in range(1 << len(simple))] + [config(2, *A1_NODE)]
+    expected = [nodal.scheme(cfg, "eventheta") for cfg in cfgs]
+
+    def refuse(lat, d):
+        raise AssertionError("kind_of called on a table class")
+    nodal._labels.cache_clear()
+    monkeypatch.setattr(lt, "kind_of", refuse)
+    assert [nodal.scheme(cfg, "eventheta") for cfg in cfgs] == expected
+
+
 def test_node_schemes():
     """Degree-2 single node: the paper's multiplicity schemes."""
     cfg = config(2, *A1_NODE)
