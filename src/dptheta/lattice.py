@@ -21,19 +21,11 @@ DivisorClass = tuple[int, ...]
 
 
 class ClassKind(Enum):
-    """A class kind is cut out by its self-intersection and degree against K."""
+    """A class kind is cut out by its value: (self-intersection, degree against K)."""
 
     EXCEPTIONAL = (-1, -1)
     ROOT = (-2, 0)
     BLOWDOWN = (1, -3)
-
-    @property
-    def self_intersection(self) -> int:
-        return self.value[0]
-
-    @property
-    def canonical_degree(self) -> int:
-        return self.value[1]
 
 
 _KIND_OF_KEY = {k.value: k for k in ClassKind}
@@ -144,8 +136,7 @@ def enumerate_classes(lat: PicardLattice, kind: ClassKind) -> tuple[DivisorClass
     either: s < 0 for exceptional classes and roots, and a blow-down's
     range starts at a = 1.
     """
-    s = kind.self_intersection
-    k = kind.canonical_degree
+    s, k = kind.value
     n = lat.npoints
     # (9-n) a^2 + 6k a + (k^2 + n*s) <= 0
     qa, qb, qc = 9 - n, 6 * k, k * k + n * s

@@ -158,11 +158,14 @@ def _coset_key(basis, v: DivisorClass) -> DivisorClass:
     return tuple(v)
 
 
-@lru_cache(maxsize=16)
-def _single_kind(lat: PicardLattice, classes: tuple[DivisorClass, ...]) -> None:
-    """Reject classes of more than one kind, once per class tuple."""
-    if len({lt.kind_of(lat, c) for c in classes}) > 1:
-        raise ValueError("classes of mixed kinds")
+def _parts(cfg: NodalConfig, classes) -> tuple[tuple[DivisorClass, ...], ...]:
+    """Partition classes modulo the root span, trusting them sorted and of one
+    kind, as a class table is: each part fills in order, parts by first member."""
+    basis = _echelon(cfg.roots)
+    parts: dict[DivisorClass, list[DivisorClass]] = {}
+    for c in classes:
+        parts.setdefault(_coset_key(basis, c), []).append(c)
+    return tuple(map(tuple, parts.values()))
 
 
 def congruence_classes(
@@ -170,18 +173,14 @@ def congruence_classes(
 ) -> tuple[tuple[DivisorClass, ...], ...]:
     """Partition classes by congruence modulo the integral span of the roots.
 
-    All inputs must be of a single kind.  Parts are sorted internally and by
-    their lexicographically minimal representative: the classes are keyed
-    in sorted order, so each part fills in order and the parts appear in
-    order of their first member.
+    Takes any iterable of classes and checks, on every call, that they are
+    all of a single kind.  Parts are sorted internally and by their
+    lexicographically minimal representative.
     """
-    classes = tuple(classes)
-    _single_kind(cfg.lattice, classes)
-    basis = _echelon(cfg.roots)
-    parts: dict[DivisorClass, list[DivisorClass]] = {}
-    for c in sorted(classes):
-        parts.setdefault(_coset_key(basis, c), []).append(c)
-    return tuple(map(tuple, parts.values()))
+    classes = sorted(classes)
+    if len({lt.kind_of(cfg.lattice, c) for c in classes}) > 1:
+        raise ValueError("classes of mixed kinds")
+    return _parts(cfg, classes)
 
 
 def _pair(involution):
@@ -223,7 +222,7 @@ def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
     kind, degree, label = SCHEMES[name]
     if degree is not None and cfg.lattice.degree != degree:
         raise ValueError(f"{name} scheme requires degree {degree}")
-    parts = congruence_classes(cfg, lt.enumerate_classes(cfg.lattice, kind))
+    parts = _parts(cfg, lt.enumerate_classes(cfg.lattice, kind))
     if label is None:
         return MultiplicityScheme(tuple((p[0], len(p)) for p in parts))
     distinct, index = _labels(cfg.lattice, name)

@@ -52,7 +52,8 @@ class MultiPoly:
         object.__setattr__(self, "vars", _names(variables))
         terms = {e: _canon(c) for e, c in terms.items()}  # a zero float is refused too
         for exp, coeff in terms.items():
-            if coeff and (len(exp) != len(self.vars) or any(e < 0 for e in exp)):
+            if coeff and (len(exp) != len(self.vars)
+                          or any(not isinstance(e, int) or e < 0 for e in exp)):
                 raise ValueError(f"bad exponent {tuple(exp)} for variables {self.vars}")
         object.__setattr__(self, "terms", {tuple(e): c for e, c in terms.items() if c})
 

@@ -43,7 +43,7 @@ class EvenSubsetClass:
 
     def __new__(cls, elems):
         s = sorted(set(elems))
-        if len(s) % 2 != 0 or not all(e in range(1, 9) for e in s):
+        if len(s) % 2 != 0 or not all(isinstance(e, int) and 0 < e < 9 for e in s):
             raise ValueError(f"not an even subset of 1..8: {s}")
         return EvenSubsetClass._from_mask(sum(1 << (e - 1) for e in s))
 
@@ -160,7 +160,7 @@ def mod2_label(d: DivisorClass) -> EvenSubsetClass:
     L_ij, C_ij to {i, j}), blow-downs to the sum over their seven contracted
     lines.  Geiser partners agree: K = (-3; 1..1) has every b_i odd."""
     m = sum(1 << i for i, b in enumerate(d[1:]) if b & 1)
-    return _TABLE[m ^ 0x7F if m.bit_count() & 1 else m]
+    return EvenSubsetClass._from_mask(m | (m.bit_count() & 1) << 7)
 
 
 def even_theta_of_blowdown(lat: PicardLattice, blowdown: DivisorClass) -> EvenSubsetClass:

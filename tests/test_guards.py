@@ -66,6 +66,10 @@ GUARDS = [
     ("theta-counts-negative", lambda: spin.theta_counts(-1), ValueError, "nonnegative"),
     ("odd-subset-class", lambda: theta_f2.EvenSubsetClass([1]),
      ValueError, "not an even subset"),
+    ("float-subset-class", lambda: theta_f2.EvenSubsetClass([1.0, 2.0]),
+     ValueError, "not an even subset"),
+    ("string-subset-class", lambda: theta_f2.EvenSubsetClass(["1", "2"]),
+     ValueError, "not an even subset"),
     ("make-space-genus-0", lambda: theta_f2.make_space(0), ValueError, "g must be >= 1"),
     ("make-space-arf-2", lambda: theta_f2.make_space(1, 2),
      ValueError, "Arf invariant must be 0 or 1"),

@@ -103,6 +103,33 @@ def test_even_theta_scheme_trusts_the_table(monkeypatch):
     assert [nodal.scheme(cfg, "eventheta") for cfg in cfgs] == expected
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+def test_schemes_partition_the_table_as_built(monkeypatch, degree):
+    """A scheme partitions its class table as enumerate_classes built it,
+    sorted and of one kind, with no kind check in between: with the labels
+    warm, 32 other class lists partitioned since and kind_of made to raise,
+    each scheme on each simple-root subset returns what it returned before."""
+    lat = lt.make_lattice(degree)
+    simple = lt.simple_roots(lat)
+    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
+            for mask in range(1 << len(simple))]
+    names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
+
+    def results():
+        return [nodal.scheme(cfg, name) for cfg in cfgs for name in names]
+
+    expected = results()
+    others = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL) \
+        + lt.enumerate_classes(lat, ClassKind.BLOWDOWN)
+    for c in others[:32]:
+        assert nodal.congruence_classes(cfgs[-1], [c]) == ((c,),)
+
+    def refuse(lat, d):
+        raise AssertionError("kind_of called on a table class")
+    monkeypatch.setattr(lt, "kind_of", refuse)
+    assert results() == expected
+
+
 def test_node_schemes():
     """Degree-2 single node: the paper's multiplicity schemes."""
     cfg = config(2, *A1_NODE)

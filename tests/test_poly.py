@@ -319,7 +319,8 @@ def test_coefficients_stored_canonically():
     assert p.terms == {(1, 0, 0): 3, (0, 0, 1): Fraction(1, 2)}
     for q in (p, p + p * p + 2, p - p * 7, p.substitute("x0", p)):
         assert_canonical(q)
-    for bad in ({(1, 0): 1}, {(-1, 0, 0): 1}):
+    for bad in ({(1, 0): 1}, {(-1, 0, 0): 1}, {(2.0, 0, 0): 3}, {(1.5, 0, 0): 1},
+                {("1", 0, 0): 1}):
         with pytest.raises(ValueError, match="bad exponent"):
             MultiPoly(V, bad)
 
