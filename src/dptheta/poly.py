@@ -35,6 +35,38 @@ def _canon(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+def _clean(terms: Mapping) -> dict:
+    """The nonzero terms, each coefficient canonical."""
+    return {e: _canon(c) for e, c in terms.items() if c}
+
+
+def _degree(terms: Mapping) -> int:
+    """The total degree of a term dict; -1 when it has no terms."""
+    return max(map(sum, terms), default=-1)
+
+
+def _mul_terms(a: Mapping, b: Mapping) -> dict:
+    """The product of two term dicts: MultiPoly's and the parser's."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(map(operator.add, ea, eb))
+            out[exp] = out.get(exp, 0) + ca * cb
+    return _clean(out)
+
+
+def _power(base, n: int, one, mul):
+    """base ** n from one by square and multiply under the product mul."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:  # a square after the top bit would be thrown away
+            base = mul(base, base)
+    return result
+
+
 def _names(variables: Iterable[str]) -> tuple[str, ...]:
     """The variable names as a tuple; a repeated name raises ValueError."""
     variables = tuple(variables)
@@ -62,7 +94,7 @@ class MultiPoly:
         """The constructor for results, whose exponents are already valid tuples."""
         p = object.__new__(cls)
         object.__setattr__(p, "vars", variables)
-        object.__setattr__(p, "terms", {e: _canon(c) for e, c in terms.items() if c})
+        object.__setattr__(p, "terms", _clean(terms))
         return p
 
     def __setattr__(self, name, value):
@@ -96,7 +128,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return _degree(self.terms)
 
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
@@ -143,30 +175,16 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            other = _canon(other)
-            return MultiPoly._new(self.vars, {e: c * other for e, c in self.terms.items()})
+            other = MultiPoly.constant(self.vars, other)
         self._check(other)
-        out: dict[Exponent, int | Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(map(operator.add, ea, eb))
-                out[exp] = out.get(exp, 0) + ca * cb
-        return MultiPoly._new(self.vars, out)
+        return MultiPoly._new(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # a square after the top bit would be thrown away
-                base = base * base
-        return result
+        return _power(self, n, MultiPoly.constant(self.vars, 1), operator.mul)
 
     def __floordiv__(self, other):
         """Exact quotient by long division in lex order; ValueError if inexact."""
@@ -263,9 +281,16 @@ class MultiPoly:
 
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|\^|\*|\+|-|\(|\))")
+_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")  # the longest run of tokens from the start
 MAX_NESTING = 100  # parentheses and unary signs, each one recursion
 MAX_DEGREE = 16  # exponents and the total degree of each product
 MAX_COEFF_BITS = 4096  # coefficient bits of each sum and product; exponent times base bits
+
+
+def _echo(value: str | list[str]) -> str:
+    """repr(value) as an error message quotes it: its first 40 characters, then "..."."""
+    shown = repr(value[:41])
+    return shown if len(shown) <= 40 else shown[:40] + "..."
 
 
 def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
@@ -278,30 +303,26 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     MAX_DEGREE, or a power whose exponent times the bit length of the
     base's largest numerator or denominator is above MAX_COEFF_BITS raises
     ValueError before anything is expanded; so does a sum or product whose
-    formed coefficients outgrow MAX_COEFF_BITS.
+    formed coefficients outgrow MAX_COEFF_BITS.  Intermediates are term dicts.
     """
     variables = _names(variables)
-    atoms = {v: MultiPoly.variable(variables, v) for v in variables}
-    found = []
-    pos, end = 0, len(text.rstrip())
-    while pos < end:
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot tokenize {text[pos:]!r}")
-        found.append(m.group(1))
-        pos = m.end()
-    tokens = [None] + found[::-1]  # pop() takes the next token; None ends the input
+    const = (0,) * len(variables)
+    atoms = {v: {const[:i] + (1,) + const[i + 1:]: 1} for i, v in enumerate(variables)}
+    stop = _TOKENS.match(text).end()
+    if stop < len(text.rstrip()):
+        raise ValueError(f"cannot tokenize {_echo(text[stop:])}")
+    tokens = [None] + _TOKEN.findall(text)[::-1]  # pop() takes the next token; None ends the input
     depth = 0
 
     def parse_sum():
-        terms = dict(parse_product().terms)
+        terms = dict(parse_product())
         while tokens[-1] in ("+", "-"):
             combine = operator.add if tokens.pop() == "+" else operator.sub
-            term = parse_product().terms
+            term = parse_product()
             for e, c in term.items():
                 terms[e] = combine(terms.get(e, 0), c)
             check_bits(terms[e] for e in term)  # no other coefficient changed
-        return MultiPoly._new(variables, terms)
+        return _clean(terms)
 
     def check_degree(degree):
         if degree > MAX_DEGREE:
@@ -323,29 +344,28 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
         return node
 
     def parse_product():
-        factors = [parse_factor()]
-        degree = factors[0].total_degree()  # -1 once a factor is zero
+        factors, degree = [], 0  # degree -1 once a factor is zero
         while True:
+            factors.append(parse_factor())  # the first, after "*", or implicit as in "2x0"
+            factor_degree = _degree(factors[-1])
+            check_degree(degree + factor_degree)
+            degree = -1 if degree < 0 or factor_degree < 0 else degree + factor_degree
             tok = tokens[-1]
             if tok == "*":
                 tokens.pop()
             elif tok is None or not (tok[0].isalnum() or tok == "("):
                 break
-            factors.append(parse_factor())  # after "*", or implicit as in "2x0"
-            factor_degree = factors[-1].total_degree()
-            check_degree(degree + factor_degree)
-            degree = -1 if degree < 0 or factor_degree < 0 else degree + factor_degree
         # fewest terms first (a stable sort), so a wide factor is met once
-        node, *rest = sorted(factors, key=lambda p: len(p.terms))
+        node, *rest = sorted(factors, key=len)
         for factor in rest:
-            node = node * factor
-            check_bits(node.terms.values())
+            node = _mul_terms(node, factor)
+            check_bits(node.values())
         return node
 
     def parse_factor():  # a sign binds looser than "^", as in Python: -x0^2 is -(x0^2)
         if tokens[-1] not in ("+", "-"):
             return parse_power()
-        return nested(parse_factor) if tokens.pop() == "+" else -nested(parse_factor)
+        return _mul_terms({const: -1 if tokens.pop() == "-" else 1}, nested(parse_factor))
 
     def parse_power():
         base = parse_atom()
@@ -357,9 +377,11 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             exp = parse_int(exp)
             if exp > MAX_DEGREE:
                 raise ValueError(f"exponent {exp} exceeds {MAX_DEGREE}")
-            check_degree(base.total_degree() * exp)
-            check_bits(base.terms.values(), exp)
-            return base ** exp
+            check_degree(_degree(base) * exp)
+            check_bits(base.values(), exp)
+            if len(base) != 1:
+                return _power(base, exp, {const: 1}, _mul_terms)
+            return {tuple(x * exp for x in e): c ** exp for e, c in base.items()}  # a monomial
         return base
 
     def parse_atom():
@@ -375,18 +397,18 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             num, _, den = tok.partition("/")
             num, den = parse_int(num), parse_int(den or "1")
             if not den:
-                raise ValueError(f"zero denominator in {tok!r}")
+                raise ValueError(f"zero denominator in {_echo(tok)}")
             value = Fraction(num, den) if num % den else num // den
-            return MultiPoly.constant(variables, value)
+            return {const: value} if value else {}
         if tok in atoms:
             return atoms[tok]
-        raise ValueError(f"unknown variable {tok!r}" if tok.isidentifier()
-                         else f"unexpected {tok!r}")
+        raise ValueError(f"unknown variable {_echo(tok)}" if tok.isidentifier()
+                         else f"unexpected {_echo(tok)}")
 
     result = parse_sum()
     if tokens[-1] is not None:
-        raise ValueError(f"trailing tokens at {tokens[:0:-1]!r}")
-    return result
+        raise ValueError(f"trailing tokens at {_echo(tokens[:0:-1])}")
+    return MultiPoly._new(variables, result)
 
 
 def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:

@@ -42,9 +42,9 @@ class EvenSubsetClass:
     __slots__ = ("mask", "elems")
 
     def __new__(cls, elems):
-        s = sorted(set(elems))
+        s = set(elems)  # checked before any sort, which mixed types would break
         if len(s) % 2 != 0 or not all(isinstance(e, int) and 0 < e < 9 for e in s):
-            raise ValueError(f"not an even subset of 1..8: {s}")
+            raise ValueError(f"not an even subset of 1..8: {sorted(s, key=repr)}")
         return EvenSubsetClass._from_mask(sum(1 << (e - 1) for e in s))
 
     @staticmethod

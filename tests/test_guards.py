@@ -70,6 +70,8 @@ GUARDS = [
      ValueError, "not an even subset"),
     ("string-subset-class", lambda: theta_f2.EvenSubsetClass(["1", "2"]),
      ValueError, "not an even subset"),
+    ("mixed-subset-class", lambda: theta_f2.EvenSubsetClass([1, "2"]),
+     ValueError, "not an even subset"),
     ("make-space-genus-0", lambda: theta_f2.make_space(0), ValueError, "g must be >= 1"),
     ("make-space-arf-2", lambda: theta_f2.make_space(1, 2),
      ValueError, "Arf invariant must be 0 or 1"),

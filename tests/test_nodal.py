@@ -559,7 +559,8 @@ def test_even_theta_scheme_is_the_eventheta_entry():
 
 
 def test_mixed_kinds_rejected():
-    """The check runs once per class tuple; a rejected tuple is never cached."""
+    """Classes of mixed kinds are rejected on every call: the same tuple
+    twice, then a generator over it."""
     cfg = config(2, *A1_NODE)
     lat = cfg.lattice
     mixed = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL)[:3] + (lt.class_L(lat),)

@@ -1,8 +1,10 @@
 """Exact sparse polynomial arithmetic, with sympy as the oracle."""
 
+import operator
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -13,10 +15,11 @@ from dptheta import detrep, poly
 from dptheta.kernels import determinant
 from dptheta.poly import (MultiPoly, parse_poly, resultant,
                           squarefree_multiplicities, uni_from_binary_form)
-from dptheta.text import MAX_LITERAL_DIGITS
+from dptheta.text import MAX_LITERAL_DIGITS, data_lines, parse_int
 
 V = ("x0", "x1", "x2")
 SYMS = sympy.symbols("x0 x1 x2")
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def to_sympy(p: MultiPoly):
@@ -135,6 +138,196 @@ def test_parse_matches_python_grammar():
         point = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in V]
         assert parse_poly(text, V).evaluate(dict(zip(V, point))) \
             == python_value(text, point), text
+
+
+def reference_parse(text, variables):
+    """The parse_poly grammar evaluated on MultiPoly values, one per atom,
+    product and sum, with one `_TOKEN.match` per token: the oracle of the
+    differential tests below.  It quotes input through the same bounded
+    `poly._echo`, so the two parsers raise the same messages."""
+    variables = poly._names(variables)
+    atoms = {v: MultiPoly.variable(variables, v) for v in variables}
+    found = []
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        m = poly._TOKEN.match(text, pos)
+        if not m:
+            raise ValueError(f"cannot tokenize {poly._echo(text[pos:])}")
+        found.append(m.group(1))
+        pos = m.end()
+    tokens = [None] + found[::-1]
+    depth = 0
+
+    def parse_sum():
+        terms = dict(parse_product().terms)
+        while tokens[-1] in ("+", "-"):
+            combine = operator.add if tokens.pop() == "+" else operator.sub
+            term = parse_product().terms
+            for e, c in term.items():
+                terms[e] = combine(terms.get(e, 0), c)
+            check_bits(terms[e] for e in term)
+        return MultiPoly._new(variables, terms)
+
+    def check_degree(degree):
+        if degree > poly.MAX_DEGREE:
+            raise ValueError(f"degree {degree} exceeds {poly.MAX_DEGREE}")
+
+    def check_bits(coeffs, times=1):
+        for c in coeffs:
+            bits = times * max(c.numerator.bit_length(), c.denominator.bit_length())
+            if bits > poly.MAX_COEFF_BITS:
+                raise ValueError(f"coefficient size {bits} bits exceeds {poly.MAX_COEFF_BITS}")
+
+    def nested(parse):
+        nonlocal depth
+        depth += 1
+        if depth > poly.MAX_NESTING:
+            raise ValueError(f"expression nested deeper than {poly.MAX_NESTING}")
+        node = parse()
+        depth -= 1
+        return node
+
+    def parse_product():
+        factors = [parse_factor()]
+        degree = factors[0].total_degree()
+        while True:
+            tok = tokens[-1]
+            if tok == "*":
+                tokens.pop()
+            elif tok is None or not (tok[0].isalnum() or tok == "("):
+                break
+            factors.append(parse_factor())
+            factor_degree = factors[-1].total_degree()
+            check_degree(degree + factor_degree)
+            degree = -1 if degree < 0 or factor_degree < 0 else degree + factor_degree
+        node, *rest = sorted(factors, key=lambda p: len(p.terms))
+        for factor in rest:
+            node = node * factor
+            check_bits(node.terms.values())
+        return node
+
+    def parse_factor():
+        if tokens[-1] not in ("+", "-"):
+            return parse_power()
+        return nested(parse_factor) if tokens.pop() == "+" else -nested(parse_factor)
+
+    def parse_power():
+        base = parse_atom()
+        if tokens[-1] == "^":
+            tokens.pop()
+            exp = tokens.pop()
+            if exp is None or not exp.isdigit():
+                raise ValueError("exponent must be a nonnegative integer")
+            exp = parse_int(exp)
+            if exp > poly.MAX_DEGREE:
+                raise ValueError(f"exponent {exp} exceeds {poly.MAX_DEGREE}")
+            check_degree(base.total_degree() * exp)
+            check_bits(base.terms.values(), exp)
+            return base ** exp
+        return base
+
+    def parse_atom():
+        tok = tokens.pop()
+        if tok == "(":
+            node = nested(parse_sum)
+            if tokens.pop() != ")":
+                raise ValueError("unbalanced parentheses")
+            return node
+        if tok is None:
+            raise ValueError("unexpected end of expression")
+        if tok[0].isdigit():
+            num, _, den = tok.partition("/")
+            num, den = parse_int(num), parse_int(den or "1")
+            if not den:
+                raise ValueError(f"zero denominator in {poly._echo(tok)}")
+            value = Fraction(num, den) if num % den else num // den
+            return MultiPoly.constant(variables, value)
+        if tok in atoms:
+            return atoms[tok]
+        raise ValueError(f"unknown variable {poly._echo(tok)}" if tok.isidentifier()
+                         else f"unexpected {poly._echo(tok)}")
+
+    result = parse_sum()
+    if tokens[-1] is not None:
+        raise ValueError(f"trailing tokens at {poly._echo(tokens[:0:-1])}")
+    return result
+
+
+def parse_outcome(parse, text, variables=V):
+    """The polynomial parse reads off text, or the message of its ValueError."""
+    try:
+        return parse(text, variables)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def grammar_corpus():
+    """The 3000 expressions of test_parse_matches_python_grammar."""
+    rng = random.Random(17)
+    generated = []
+    while len(generated) < 3000:
+        text, degree = random_expression(rng, 4)
+        if degree <= poly.MAX_DEGREE:
+            generated.append(text)
+    return generated
+
+
+def mutate(rng, text):
+    """A malformed variant of an expression: a token dropped or repeated, a
+    stray `)`, `$` or `^` put in, an exponent past MAX_DEGREE, or a literal
+    at or past the digit cap."""
+    tokens = poly._TOKEN.findall(text)
+    i = rng.randrange(len(tokens))
+    pick = rng.randrange(5)
+    if pick == 0:
+        del tokens[i]
+    elif pick == 1:
+        tokens.insert(i, tokens[i])
+    elif pick == 2:
+        tokens.insert(i, rng.choice(")$^"))
+    elif pick == 3:
+        tokens[i:i + 1] = [tokens[i], "^", str(rng.choice((poly.MAX_DEGREE + 1, 10 ** 6)))]
+    else:
+        digits = "9" * (MAX_LITERAL_DIGITS + rng.randint(0, 1))
+        tokens.insert(i, rng.choice((digits, f"1/{digits}", f"{digits}/7")))
+    return rng.choice(("", " ", "  ")).join(tokens)
+
+
+def test_parse_matches_reference_on_the_grammar_corpus():
+    """The term-dict parser and the MultiPoly-per-token reference agree on
+    every expression of the grammar corpus: the same polynomial."""
+    for text in grammar_corpus():
+        assert parse_poly(text, V) == reference_parse(text, V), text
+
+
+def test_parse_matches_reference_on_malformed_input():
+    """On seeded malformed mutations of the corpus, and on edge cases of
+    the tokenizer, both parsers return the same polynomial or raise
+    ValueError with the same message."""
+    rng = random.Random(25)
+    edges = ["", "  ", "x0 \t\n", "x0 $", "$" + " + x0 - x0" * 20, "x0 )" + " x1" * 20,
+             "y" * 100, "1/0", "0^0", "(x0 - x0)^0", "0*x0^16*x1", "٣x0",
+             "x0 + 1", "x0 + 1/", "x0^-1", "x0^ 2", "(((x0)", "x0))", "2x0(x1+1)x2",
+             "(x0 - x0)*x0^16", "x1^9*(x2 - x2)^2*x0^9", "(1/2*x0 - x0/2)^0"]
+    corpus = edges + [mutate(rng, text) for text in grammar_corpus() for _ in range(2)]
+    failures = 0
+    for text in corpus:
+        got = parse_outcome(parse_poly, text)
+        assert got == parse_outcome(reference_parse, text), text
+        failures += isinstance(got, str)
+    assert failures > len(corpus) // 2  # the mutations mostly are malformed
+
+
+def test_parse_matches_reference_on_every_data_line():
+    """Every line of every demos/data/*.txt file, whole and after its
+    `NAME:`, parses to the same polynomial or the same error under both."""
+    lines = [line for path in sorted(DATA.glob("*.txt"))
+             for _, line in data_lines(path.read_text())]
+    assert len(lines) >= 20
+    for line in lines:
+        for text in (line, line.partition(":")[2]):
+            assert parse_outcome(parse_poly, text, detrep.PLANE_VARS) \
+                == parse_outcome(reference_parse, text, detrep.PLANE_VARS), text
 
 
 def test_parse_nesting_bounded():
@@ -264,6 +457,60 @@ def test_parse_product_reads_every_factor_first():
         parse_poly(f"{BIG}*{BIG}*(x0 +)", V)
     with pytest.raises(ValueError, match="^coefficient size 6644 bits exceeds"):
         parse_poly(f"{BIG}*{BIG}*x0", V)
+
+
+def test_parse_term_products_meet_wide_factor_once(monkeypatch):
+    """The parser multiplies through the term-dict kernel `_mul_terms`: the
+    2000 factors `*1` after the 969 monomials of degree <= 16 add at most
+    969 + 2000 term products, and no MultiPoly product runs at all."""
+    top = poly.MAX_DEGREE
+    wide = "(" + " + ".join(f"x0^{i}*x1^{j}*x2^{k}" for i in range(top + 1)
+                            for j in range(top + 1 - i) for k in range(top + 1 - i - j)) + ")"
+    kernel = poly._mul_terms
+    work = [0]
+
+    def counting(a, b):
+        work[0] += len(a) * len(b)
+        return kernel(a, b)
+
+    def refuse(a, b):
+        raise AssertionError("the parser built a MultiPoly product")
+
+    monkeypatch.setattr(poly, "_mul_terms", counting)
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    alone = parse_poly(wide, V)
+    base, work[0] = work[0], 0
+    assert parse_poly(wide + "*1" * 2000, V) == alone
+    assert work[0] - base <= 969 + 2000
+
+
+@pytest.mark.parametrize("expr", ["(x0+x1+x2)^120", "(x0+1)^17", "(x0^9+1)^2",
+                                  f"(x0 + 1/{'9' * 300})^16", f"({BIG} + x0)^2"],
+                         ids=["degree-360", "degree-17", "degree-18", "fraction-bits", "literal-bits"])
+def test_parse_power_guards_run_before_the_power_loop(monkeypatch, expr):
+    """A power past MAX_DEGREE or MAX_COEFF_BITS raises before the shared
+    square-and-multiply loop `_power` is entered."""
+    def refuse(*args):
+        raise AssertionError("power expanded before its guards")
+
+    monkeypatch.setattr(poly, "_power", refuse)
+    with pytest.raises(ValueError, match="exceeds"):
+        parse_poly(expr, V)
+
+
+def test_parse_error_quotes_a_bounded_prefix():
+    """An error quotes at most 40 characters of repr of the input, then
+    "...": a 1 MB line does not come back as a 1 MB message."""
+    tail = " + x0 - x0" * 100000
+    cases = [("$" + tail, "cannot tokenize '$ + x0 - x0 + x0 - x0 + x0 - x0 + x0 - ..."),
+             ("x0 )" + tail, "trailing tokens at [')', '+', 'x0', '-', 'x0', '+', 'x0', '..."),
+             ("y" * 10 ** 6, "unknown variable 'yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy..."),
+             ("1/" + "0" * 999, "zero denominator in '1/0000000000000000000000000000000000000..."),
+             ("x0 $" + " " * 10, "cannot tokenize ' $          '")]
+    for text, message in cases:
+        with pytest.raises(ValueError) as exc:
+            parse_poly(text, V)
+        assert str(exc.value) == message
 
 
 def test_ring_axioms_random():
