@@ -40,11 +40,6 @@ def _clean(terms: Mapping) -> dict:
     return {e: _canon(c) for e, c in terms.items() if c}
 
 
-def _degree(terms: Mapping) -> int:
-    """The total degree of a term dict; -1 when it has no terms."""
-    return max(map(sum, terms), default=-1)
-
-
 def _mul_terms(a: Mapping, b: Mapping) -> dict:
     """The product of two term dicts: MultiPoly's and the parser's."""
     out = {}
@@ -56,15 +51,15 @@ def _mul_terms(a: Mapping, b: Mapping) -> dict:
 
 
 def _power(base, n: int, one, mul):
-    """base ** n from one by square and multiply under the product mul."""
-    result = one
+    """base ** n by square and multiply under the product mul; one when n is 0."""
+    result = None
     while n:
         if n & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         n >>= 1
         if n:  # a square after the top bit would be thrown away
             base = mul(base, base)
-    return result
+    return one if result is None else result
 
 
 def _names(variables: Iterable[str]) -> tuple[str, ...]:
@@ -128,7 +123,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return _degree(self.terms)
+        return max((sum(e) for e in self.terms), default=-1)
 
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
@@ -154,14 +149,16 @@ class MultiPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other: "MultiPoly"):
+    def _coerce(self, other) -> "MultiPoly":
+        """other as a polynomial in self's variables; a scalar is a constant."""
+        if not isinstance(other, MultiPoly):
+            return MultiPoly.constant(self.vars, other)
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+        return other
 
     def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.vars, other)
-        self._check(other)
+        other = self._coerce(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
             out[exp] = out.get(exp, 0) + coeff
@@ -174,9 +171,7 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.vars, other)
-        self._check(other)
+        other = self._coerce(other)
         return MultiPoly._new(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -188,9 +183,7 @@ class MultiPoly:
 
     def __floordiv__(self, other):
         """Exact quotient by long division in lex order; ValueError if inexact."""
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.vars, other)
-        self._check(other)
+        other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         lead, lead_coeff = max(other.terms.items())
@@ -230,7 +223,7 @@ class MultiPoly:
 
     def substitute(self, name: str, replacement: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial (in the same variables) for one variable."""
-        self._check(replacement)
+        replacement = self._coerce(replacement)
         out = MultiPoly.zero(self.vars)
         for k in range(self.degree_in(name), -1, -1):  # Horner in `name`
             out = out * replacement + self.coefficient(name, k)
@@ -347,7 +340,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
         factors, degree = [], 0  # degree -1 once a factor is zero
         while True:
             factors.append(parse_factor())  # the first, after "*", or implicit as in "2x0"
-            factor_degree = _degree(factors[-1])
+            factor_degree = max(map(sum, factors[-1]), default=-1)
             check_degree(degree + factor_degree)
             degree = -1 if degree < 0 or factor_degree < 0 else degree + factor_degree
             tok = tokens[-1]
@@ -377,11 +370,9 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             exp = parse_int(exp)
             if exp > MAX_DEGREE:
                 raise ValueError(f"exponent {exp} exceeds {MAX_DEGREE}")
-            check_degree(_degree(base) * exp)
+            check_degree(max(map(sum, base), default=-1) * exp)
             check_bits(base.values(), exp)
-            if len(base) != 1:
-                return _power(base, exp, {const: 1}, _mul_terms)
-            return {tuple(x * exp for x in e): c ** exp for e, c in base.items()}  # a monomial
+            return _power(base, exp, {const: 1}, _mul_terms)
         return base
 
     def parse_atom():

@@ -42,9 +42,10 @@ class EvenSubsetClass:
     __slots__ = ("mask", "elems")
 
     def __new__(cls, elems):
-        s = set(elems)  # checked before any sort, which mixed types would break
+        s = set(elems)
         if len(s) % 2 != 0 or not all(isinstance(e, int) and 0 < e < 9 for e in s):
-            raise ValueError(f"not an even subset of 1..8: {sorted(s, key=repr)}")
+            shown = sorted(s, key=lambda e: (0, e) if isinstance(e, int) else (1, repr(e)))
+            raise ValueError(f"not an even subset of 1..8: {shown}")  # ints in order, then by repr
         return EvenSubsetClass._from_mask(sum(1 << (e - 1) for e in s))
 
     @staticmethod

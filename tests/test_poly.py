@@ -484,18 +484,33 @@ def test_parse_term_products_meet_wide_factor_once(monkeypatch):
     assert work[0] - base <= 969 + 2000
 
 
-@pytest.mark.parametrize("expr", ["(x0+x1+x2)^120", "(x0+1)^17", "(x0^9+1)^2",
-                                  f"(x0 + 1/{'9' * 300})^16", f"({BIG} + x0)^2"],
-                         ids=["degree-360", "degree-17", "degree-18", "fraction-bits", "literal-bits"])
+@pytest.mark.parametrize("expr", [
+    "(x0+x1+x2)^120", "(x0+1)^17", "(x0^9+1)^2", f"(x0 + 1/{'9' * 300})^16", f"({BIG} + x0)^2",
+    "(x0^9)^2", "2^99999999", "((((((((2)^16)^16)^16)^16)^16)^16)^16)^16",
+    "((((1/3)^16)^16)^16)^16", f"{2 ** 256}^16",
+], ids=["degree-360", "degree-17", "degree-18", "fraction-bits", "literal-bits",
+        "monomial-degree", "constant-exponent", "tower", "fraction-tower", "literal-power"])
 def test_parse_power_guards_run_before_the_power_loop(monkeypatch, expr):
-    """A power past MAX_DEGREE or MAX_COEFF_BITS raises before the shared
-    square-and-multiply loop `_power` is entered."""
-    def refuse(*args):
-        raise AssertionError("power expanded before its guards")
+    """Every power the parser forms, a monomial's too, goes through the
+    shared square-and-multiply loop `_power`, and one past MAX_DEGREE or
+    MAX_COEFF_BITS raises before that loop is entered."""
+    power = poly._power
+    entered = []
 
-    monkeypatch.setattr(poly, "_power", refuse)
+    def guarded(base, n, one, mul):
+        bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for c in base.values()), default=0)
+        degree = max(map(sum, base), default=0)
+        assert n <= poly.MAX_DEGREE and degree * n <= poly.MAX_DEGREE, "degree unchecked"
+        assert bits * n <= poly.MAX_COEFF_BITS, "coefficient size unchecked"
+        entered.append(n)
+        return power(base, n, one, mul)
+
+    monkeypatch.setattr(poly, "_power", guarded)
     with pytest.raises(ValueError, match="exceeds"):
         parse_poly(expr, V)
+    assert parse_poly("(x0^8)^2 + 2^16", V) == parse_poly("x0^16 + 65536", V)
+    assert entered[-4:] == [8, 2, 16, 16]  # the monomial powers of the last two parses
 
 
 def test_parse_error_quotes_a_bounded_prefix():
