@@ -22,7 +22,7 @@ from math import comb, lcm
 
 from .kernels import determinant
 from .poly import MultiPoly, parse_poly
-from .text import data_lines
+from .text import data_lines, echo
 
 PLANE_VARS = ("x0", "x1", "x2")
 SPACE_VARS = ("u1", "u2", "x0", "x1", "x2")
@@ -294,7 +294,7 @@ def parse_data_block(text: str) -> dict[str, MultiPoly]:
             raise ValueError(f"line {lineno}: expected `NAME: polynomial`")
         key = key.strip()
         if key in out:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"line {lineno}: duplicate key {echo(key)}")
         out[key] = parse_poly(expr, PLANE_VARS)
     return out
 
@@ -303,7 +303,7 @@ def check_keys(fields: dict[str, MultiPoly], known: set[str]) -> None:
     """Reject a parsed data block that has keys outside `known`."""
     extra = set(fields) - known
     if extra:
-        raise ValueError(f"unknown keys: {sorted(extra)}")
+        raise ValueError(f"unknown keys: {echo(sorted(extra))}")
 
 
 def data_from_block(fields: dict[str, MultiPoly]) -> SymThetaData:

@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 from operator import mul
 
-from .text import parse_int
+from .text import echo, parse_int
 
 DivisorClass = tuple[int, ...]
 
@@ -37,7 +37,7 @@ class PicardLattice(namedtuple("PicardLattice", "degree")):
 
     def __new__(cls, degree: int):
         if degree not in (2, 3):
-            raise ValueError(f"degree must be 2 or 3, got {degree}")
+            raise ValueError(f"degree must be 2 or 3, got {echo(degree)}")
         return super().__new__(cls, degree)
 
     @property

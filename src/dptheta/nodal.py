@@ -24,7 +24,7 @@ from operator import mul
 from . import lattice as lt, theta_f2
 from .kernels import components
 from .lattice import ClassKind, DivisorClass, PicardLattice
-from .text import data_lines, parse_int
+from .text import data_lines, echo, parse_int
 
 PROFILE_COLUMNS = (2, 1, 0, -1, -2)
 
@@ -41,7 +41,7 @@ class NodalConfig(namedtuple("NodalConfig", "lattice roots")):
         roots = tuple(roots)
         for r in roots:
             if len(r) != lattice.rank:
-                raise ValueError(f"root {r} has wrong length for degree {lattice.degree}")
+                raise ValueError(f"root {echo(r)} has wrong length for degree {lattice.degree}")
         self = super().__new__(cls, lattice, tuple(sorted(set(roots))))
         validate_config(self)
         return self
@@ -80,14 +80,15 @@ def validate_config(cfg: NodalConfig) -> str:
     n = len(roots)
     for r in roots:
         if lt.pair(lat, r, r) != -2:
-            raise ValueError(f"{r} has self-intersection != -2")
+            raise ValueError(f"{echo(r)} has self-intersection != -2")
         if lt.pair(lat, r, lat.canonical) != 0:
-            raise ValueError(f"{r} is not orthogonal to K")
+            raise ValueError(f"{echo(r)} is not orthogonal to K")
     pairing = {(i, j): lt.pair(lat, roots[i], roots[j])
                for i in range(n) for j in range(i + 1, n)}
     for (i, j), p in pairing.items():
         if p not in (0, 1):
-            raise ValueError(f"pairing {p} of {roots[i]} and {roots[j]} not in {{0, 1}}")
+            raise ValueError(f"pairing {p} of {echo(roots[i])} and "
+                             f"{echo(roots[j])} not in {{0, 1}}")
     edges = [e for e, p in pairing.items() if p]
     nbrs = [[j for e in edges if i in e for j in e if j != i] for i in range(n)]
     comps: dict[int, list[int]] = {}
@@ -307,7 +308,7 @@ def parse_config(text: str) -> NodalConfig:
     degree = None
     roots = []
     for lineno, line in data_lines(text):
-        head, _, rest = line.partition(" ")
+        head, _, rest = " ".join(line.split()).partition(" ")
         if head == "degree":
             if degree is not None:
                 raise ValueError(f"line {lineno}: duplicate degree")
@@ -315,7 +316,7 @@ def parse_config(text: str) -> NodalConfig:
         elif head == "root":
             roots.append(lt.parse_class(rest))
         else:
-            raise ValueError(f"line {lineno}: unknown directive {head!r}")
+            raise ValueError(f"line {lineno}: unknown directive {echo(head)}")
     if degree is None:
         raise ValueError("config file missing degree")
     return NodalConfig(lt.make_lattice(degree), roots)

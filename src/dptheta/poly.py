@@ -15,7 +15,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .kernels import determinant
-from .text import parse_int
+from .text import echo, parse_int
 
 Exponent = tuple[int, ...]
 
@@ -30,7 +30,7 @@ def _canon(c) -> int | Fraction:
         return c
     if type(c) is not Fraction:
         if not isinstance(c, Rational):
-            raise TypeError(f"{c!r} is not an int or a Fraction")
+            raise TypeError(f"{echo(c)} is not an int or a Fraction")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -280,12 +280,6 @@ MAX_DEGREE = 16  # exponents and the total degree of each product
 MAX_COEFF_BITS = 4096  # coefficient bits of each sum and product; exponent times base bits
 
 
-def _echo(value: str | list[str]) -> str:
-    """repr(value) as an error message quotes it: its first 40 characters, then "..."."""
-    shown = repr(value[:41])
-    return shown if len(shown) <= 40 else shown[:40] + "..."
-
-
 def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     """Parse expressions like "3*x0^2*x1 - 1/2*x2^3" over the given variables.
 
@@ -303,7 +297,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     atoms = {v: {const[:i] + (1,) + const[i + 1:]: 1} for i, v in enumerate(variables)}
     stop = _TOKENS.match(text).end()
     if stop < len(text.rstrip()):
-        raise ValueError(f"cannot tokenize {_echo(text[stop:])}")
+        raise ValueError(f"cannot tokenize {echo(text[stop:])}")
     tokens = [None] + _TOKEN.findall(text)[::-1]  # pop() takes the next token; None ends the input
     depth = 0
 
@@ -388,17 +382,17 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             num, _, den = tok.partition("/")
             num, den = parse_int(num), parse_int(den or "1")
             if not den:
-                raise ValueError(f"zero denominator in {_echo(tok)}")
+                raise ValueError(f"zero denominator in {echo(tok)}")
             value = Fraction(num, den) if num % den else num // den
             return {const: value} if value else {}
         if tok in atoms:
             return atoms[tok]
-        raise ValueError(f"unknown variable {_echo(tok)}" if tok.isidentifier()
-                         else f"unexpected {_echo(tok)}")
+        raise ValueError(f"unknown variable {echo(tok)}" if tok.isidentifier()
+                         else f"unexpected {echo(tok)}")
 
     result = parse_sum()
     if tokens[-1] is not None:
-        raise ValueError(f"trailing tokens at {_echo(tokens[:0:-1])}")
+        raise ValueError(f"trailing tokens at {echo(tokens[:0:-1])}")
     return MultiPoly._new(variables, result)
 
 

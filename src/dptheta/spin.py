@@ -18,7 +18,7 @@ import math
 from collections import Counter, namedtuple
 
 from .kernels import components
-from .text import data_lines, parse_int
+from .text import data_lines, echo, parse_int
 
 MAX_B1 = 16  # even_subsets lists all 2^b1 kernel vectors
 MAX_GENUS = 100  # spin-table: at most 5151 rows, counts below 2^200
@@ -73,7 +73,7 @@ def _check_range(n_vertices: int, edges) -> None:
     """Refuse an edge with an endpoint outside range(n_vertices)."""
     for i, j in edges:
         if not (0 <= i < n_vertices and 0 <= j < n_vertices):
-            raise ValueError(f"edge ({i}, {j}) out of range")
+            raise ValueError(f"edge {echo((i, j))} out of range")
 
 
 def _reduce(edges, delta) -> tuple[int, list[int]]:
@@ -221,7 +221,7 @@ def parse_graph(text: str) -> DualGraph:
         elif parts[0] == "e" and len(parts) == 3:
             edges.append((parse_int(parts[1]), parse_int(parts[2])))
         else:
-            raise ValueError(f"line {lineno}: cannot parse {line!r}")
+            raise ValueError(f"line {lineno}: cannot parse {echo(line)}")
     if not genera:
         raise ValueError("graph file has no vertices")
     return DualGraph(genera, edges)

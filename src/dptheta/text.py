@@ -1,4 +1,4 @@
-"""Line reading and integer literals shared by the input-file parsers."""
+"""Line reading, integer literals and input quoting shared by the parsers."""
 
 from __future__ import annotations
 
@@ -22,3 +22,10 @@ def parse_int(text: str) -> int:
     if digits > MAX_LITERAL_DIGITS:
         raise ValueError(f"integer literal of {digits} digits exceeds {MAX_LITERAL_DIGITS}")
     return int(text)
+
+
+def echo(value) -> str:
+    """repr(value) as an error message quotes it: its first 40 characters,
+    then "...".  A str, list or tuple is cut to 41 items before the repr."""
+    shown = repr(value[:41] if type(value) in (str, list, tuple) else value)
+    return shown if len(shown) <= 40 else shown[:40] + "..."

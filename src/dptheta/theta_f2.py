@@ -19,6 +19,7 @@ from operator import xor
 
 from . import lattice as lt
 from .lattice import ClassKind, DivisorClass, PicardLattice
+from .text import echo
 
 
 def _odd(mask: int) -> int:
@@ -45,7 +46,7 @@ class EvenSubsetClass:
         s = set(elems)
         if len(s) % 2 != 0 or not all(isinstance(e, int) and 0 < e < 9 for e in s):
             shown = sorted(s, key=lambda e: (0, e) if isinstance(e, int) else (1, repr(e)))
-            raise ValueError(f"not an even subset of 1..8: {shown}")  # ints in order, then by repr
+            raise ValueError(f"not an even subset of 1..8: {echo(shown)}")  # ints, then by repr
         return EvenSubsetClass._from_mask(sum(1 << (e - 1) for e in s))
 
     @staticmethod

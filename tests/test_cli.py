@@ -375,14 +375,7 @@ def test_spin_too_many_loops_exit2(capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("expr", ["(x0+x1+x2)^120", "2^99999999",
                                   "*".join(["x0"] * 17)],
                          ids=["power", "constant-power", "product"])
-def test_detrep_degree_capped_exit2(capsys, monkeypatch, tmp_path, expr):
-    power = poly.MultiPoly.__pow__
-
-    def guarded(self, n):
-        assert n <= 16, f"power {n} expanded before the degree check"
-        return power(self, n)
-
-    monkeypatch.setattr(poly.MultiPoly, "__pow__", guarded)
+def test_detrep_degree_capped_exit2(capsys, expansion_guard, tmp_path, expr):
     bad = tmp_path / "high.txt"
     bad.write_text(f"H: {expr}\n")
     code, out, err = run(capsys, "detrep", str(bad), "--action", "check")
@@ -394,16 +387,7 @@ def test_detrep_degree_capped_exit2(capsys, monkeypatch, tmp_path, expr):
                                   "((((1/3)^16)^16)^16)^16",
                                   f"{2 ** 256}^16", "*".join(["9" * 1000] * 5)],
                          ids=["tower", "fraction-tower", "literal", "product"])
-def test_detrep_coefficient_size_capped_exit2(capsys, monkeypatch, tmp_path, expr):
-    power = poly.MultiPoly.__pow__
-
-    def guarded(self, n):
-        bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-                   for c in self.terms.values())
-        assert bits * n <= poly.MAX_COEFF_BITS, "power expanded before the size check"
-        return power(self, n)
-
-    monkeypatch.setattr(poly.MultiPoly, "__pow__", guarded)
+def test_detrep_coefficient_size_capped_exit2(capsys, expansion_guard, tmp_path, expr):
     bad = tmp_path / "tower.txt"
     bad.write_text(f"H: {expr}*x0^3\n")
     code, out, err = run(capsys, "detrep", str(bad), "--action", "check")
@@ -487,6 +471,34 @@ def test_duplicate_directive_exit2(capsys, tmp_path, name, body, argv, message):
     code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
     assert one_error_line(code, out, err)
     assert err == f"error: {message}\n"
+
+
+LONG = "K" * 10 ** 6
+
+
+@pytest.mark.parametrize("name,body,argv", [
+    ("long_line.gr", "v 1\n" + LONG + "\n", ("spin",)),
+    ("long_directive.cfg", LONG + " 2\n", ("nodal", "--scheme", "lines")),
+    ("long_degree.cfg", "degree " + "9" * 1000 + "\n", ("nodal", "--scheme", "lines")),
+    ("long_edge.gr", "v 2\nv 2\ne 0 " + "9" * 1000 + "\n", ("spin",)),
+    ("repeated_key.txt", f"{LONG}: x0\n{LONG}: x1\n", ("detrep", "--action", "check")),
+    ("long_key.txt", f"{LONG}: x0\nH: x2^3\n", ("detrep", "--action", "check")),
+    ("long_key.txt", f"L: x0\nQ: x1^2\nH: x2^3\n{LONG}: x0\n", ("detrep", "--action", "quartic")),
+    ("many_keys.txt", "".join(f"K{i}: x0\n" for i in range(100000)),
+     ("detrep", "--action", "check")),
+    ("long_root.cfg", "degree 2\nroot " + "0 " * 300000 + "\n", ("nodal", "--scheme", "lines")),
+    ("wide_root.cfg", "degree 2\nroot " + " ".join(["9" * 1000] * 8) + "\n",
+     ("nodal", "--scheme", "lines")),
+], ids=["graph-line", "config-directive", "config-degree", "graph-edge", "repeated-key",
+        "unknown-key", "unknown-key-quartic", "many-unknown-keys", "long-root", "wide-root"])
+def test_hostile_input_quoted_in_one_short_line(capsys, tmp_path, name, body, argv):
+    """An error quotes at most 40 characters of the input it names, then
+    "...": a hostile file gets one `error:` line under 200 bytes."""
+    bad = tmp_path / name
+    bad.write_text(body)
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    assert one_error_line(code, out, err)
+    assert len(err.encode()) < 200 and "..." in err
 
 
 def test_detrep_check_at_literal_cap(data_dir):

@@ -1,11 +1,12 @@
 """Every input guard of the library, reached on public input, plus the
 variable-renaming paths that only permuted variable tuples take."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from dptheta import detrep, kernels, lattice as lt, poly, spin, theta_f2
+from dptheta import detrep, kernels, lattice as lt, nodal, poly, spin, theta_f2
 from dptheta.poly import MultiPoly, parse_poly
 
 LAT2, LAT3 = lt.make_lattice(2), lt.make_lattice(3)
@@ -72,6 +73,10 @@ GUARDS = [
      ValueError, "not an even subset"),
     ("mixed-subset-class", lambda: theta_f2.EvenSubsetClass([1, "2"]),
      ValueError, "not an even subset"),
+    ("config-long-root", lambda: nodal.NodalConfig(LAT2, [(0,) * 300000]), ValueError,
+     "^root " + re.escape("(" + "0, " * 13 + "...") + " has wrong length for degree 2$"),
+    ("coefficient-long-string", lambda: MultiPoly.constant(V, "1" * 10 ** 6), TypeError,
+     "^'" + "1" * 39 + r"\.\.\. is not an int or a Fraction$"),
     ("make-space-genus-0", lambda: theta_f2.make_space(0), ValueError, "g must be >= 1"),
     ("make-space-arf-2", lambda: theta_f2.make_space(1, 2),
      ValueError, "Arf invariant must be 0 or 1"),

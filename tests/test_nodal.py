@@ -278,6 +278,14 @@ def test_parse_config_duplicate_degree():
         nodal.parse_config("degree 2\ndegree 2\nroot [0, 1, -1, 0, 0, 0, 0, 0]\n")
 
 
+def test_parse_config_splits_on_any_whitespace():
+    """A tab or a run of spaces separates a directive from its value, as a
+    graph file's fields are separated."""
+    spaced = nodal.parse_config("degree 2\nroot 0 1 -1 0 0 0 0 0\n")
+    assert nodal.parse_config("degree\t2\nroot\t0\t1 -1  0 0\t0 0 0\n") == spaced
+    assert nodal.parse_config("degree \t 2\nroot\t[0, 1, -1, 0, 0, 0, 0, 0]\n") == spaced
+
+
 def rational_key(lat, roots):
     """Oracle coset key by rational orthogonal projection onto the root span.
 

@@ -15,7 +15,7 @@ from dptheta import detrep, poly
 from dptheta.kernels import determinant
 from dptheta.poly import (MultiPoly, parse_poly, resultant,
                           squarefree_multiplicities, uni_from_binary_form)
-from dptheta.text import MAX_LITERAL_DIGITS, data_lines, parse_int
+from dptheta.text import MAX_LITERAL_DIGITS, data_lines, echo, parse_int
 
 V = ("x0", "x1", "x2")
 SYMS = sympy.symbols("x0 x1 x2")
@@ -144,7 +144,7 @@ def reference_parse(text, variables):
     """The parse_poly grammar evaluated on MultiPoly values, one per atom,
     product and sum, with one `_TOKEN.match` per token: the oracle of the
     differential tests below.  It quotes input through the same bounded
-    `poly._echo`, so the two parsers raise the same messages."""
+    `text.echo`, so the two parsers raise the same messages."""
     variables = poly._names(variables)
     atoms = {v: MultiPoly.variable(variables, v) for v in variables}
     found = []
@@ -152,7 +152,7 @@ def reference_parse(text, variables):
     while pos < end:
         m = poly._TOKEN.match(text, pos)
         if not m:
-            raise ValueError(f"cannot tokenize {poly._echo(text[pos:])}")
+            raise ValueError(f"cannot tokenize {echo(text[pos:])}")
         found.append(m.group(1))
         pos = m.end()
     tokens = [None] + found[::-1]
@@ -239,17 +239,17 @@ def reference_parse(text, variables):
             num, _, den = tok.partition("/")
             num, den = parse_int(num), parse_int(den or "1")
             if not den:
-                raise ValueError(f"zero denominator in {poly._echo(tok)}")
+                raise ValueError(f"zero denominator in {echo(tok)}")
             value = Fraction(num, den) if num % den else num // den
             return MultiPoly.constant(variables, value)
         if tok in atoms:
             return atoms[tok]
-        raise ValueError(f"unknown variable {poly._echo(tok)}" if tok.isidentifier()
-                         else f"unexpected {poly._echo(tok)}")
+        raise ValueError(f"unknown variable {echo(tok)}" if tok.isidentifier()
+                         else f"unexpected {echo(tok)}")
 
     result = parse_sum()
     if tokens[-1] is not None:
-        raise ValueError(f"trailing tokens at {poly._echo(tokens[:0:-1])}")
+        raise ValueError(f"trailing tokens at {echo(tokens[:0:-1])}")
     return result
 
 
@@ -363,20 +363,14 @@ def test_power_squares_only_while_bits_remain(monkeypatch):
     assert max(degrees) == 16
 
 
-def test_parse_degree_bounded(monkeypatch):
+def test_parse_degree_bounded(expansion_guard):
     """Exponents above MAX_DEGREE and products or powers of total degree
-    above it raise ValueError before anything is expanded."""
+    above it raise ValueError before anything is expanded: `expansion_guard`
+    fails any power or product past the bound on entry."""
     top = poly.MAX_DEGREE
     assert parse_poly(f"(x0+x1+x2+1)^{top}", V).total_degree() == top
     assert parse_poly("*".join(["x0"] * top), V) == parse_poly(f"x0^{top}", V)
     assert parse_poly(f"2^{top}*x0^{top}", V).total_degree() == top
-    power = MultiPoly.__pow__
-
-    def guarded(self, n):
-        assert n <= top, f"power {n} expanded before the degree check"
-        return power(self, n)
-
-    monkeypatch.setattr(MultiPoly, "__pow__", guarded)
     for bad in (f"x0^{top + 1}", f"2^{top + 1}", "(x0+x1+x2)^120",
                 "2^99999999", "*".join(["x0"] * (top + 1)),
                 f"x0^{top}*x1", f"x0^{top} x1", f"(x0^9)^2",
@@ -419,34 +413,6 @@ def test_parse_sum_and_product_coefficients_bounded(expr):
         parse_poly(expr, V)
 
 
-def test_parse_product_meets_wide_factor_once(monkeypatch):
-    """A wide factor times a chain of constants costs its term count once:
-    the term products summed over every multiplication grow by at most
-    969 + 2000 when 2000 factors `*1` follow the 969 monomials of degree
-    <= 16 (the parser used to pay 969 for each `*1`).  A zero factor still
-    makes the product zero, in any position."""
-    top = poly.MAX_DEGREE
-    wide = "(" + " + ".join(f"x0^{i}*x1^{j}*x2^{k}" for i in range(top + 1)
-                            for j in range(top + 1 - i) for k in range(top + 1 - i - j)) + ")"
-    mul = MultiPoly.__mul__
-    work = [0]
-
-    def counting(a, b):
-        if isinstance(b, MultiPoly):
-            work[0] += len(a.terms) * len(b.terms)
-        return mul(a, b)
-
-    monkeypatch.setattr(MultiPoly, "__mul__", counting)
-    alone = parse_poly(wide, V)
-    assert len(alone.terms) == 969
-    base, work[0] = work[0], 0
-    assert parse_poly(wide + "*1" * 2000, V) == alone
-    assert work[0] - base <= 969 + 2000
-    assert parse_poly("2*" + wide + "*0*x0^16", V).is_zero()
-    with pytest.raises(ValueError, match=f"exceeds {top}"):
-        parse_poly("x0*" + wide + "*0", V)  # degrees are checked in source order
-
-
 def test_parse_product_reads_every_factor_first():
     """A product multiplies once all its factors are read, fewest terms
     first: a zero factor makes it zero before an oversized partial product
@@ -462,7 +428,9 @@ def test_parse_product_reads_every_factor_first():
 def test_parse_term_products_meet_wide_factor_once(monkeypatch):
     """The parser multiplies through the term-dict kernel `_mul_terms`: the
     2000 factors `*1` after the 969 monomials of degree <= 16 add at most
-    969 + 2000 term products, and no MultiPoly product runs at all."""
+    969 + 2000 term products (the parser used to pay 969 for each `*1`), and
+    no MultiPoly product runs at all.  A zero factor still makes the product
+    zero, in any position."""
     top = poly.MAX_DEGREE
     wide = "(" + " + ".join(f"x0^{i}*x1^{j}*x2^{k}" for i in range(top + 1)
                             for j in range(top + 1 - i) for k in range(top + 1 - i - j)) + ")"
@@ -479,9 +447,13 @@ def test_parse_term_products_meet_wide_factor_once(monkeypatch):
     monkeypatch.setattr(poly, "_mul_terms", counting)
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     alone = parse_poly(wide, V)
+    assert len(alone.terms) == 969
     base, work[0] = work[0], 0
     assert parse_poly(wide + "*1" * 2000, V) == alone
     assert work[0] - base <= 969 + 2000
+    assert parse_poly("2*" + wide + "*0*x0^16", V).is_zero()
+    with pytest.raises(ValueError, match=f"exceeds {top}"):
+        parse_poly("x0*" + wide + "*0", V)  # degrees are checked in source order
 
 
 @pytest.mark.parametrize("expr", [
@@ -490,27 +462,14 @@ def test_parse_term_products_meet_wide_factor_once(monkeypatch):
     "((((1/3)^16)^16)^16)^16", f"{2 ** 256}^16",
 ], ids=["degree-360", "degree-17", "degree-18", "fraction-bits", "literal-bits",
         "monomial-degree", "constant-exponent", "tower", "fraction-tower", "literal-power"])
-def test_parse_power_guards_run_before_the_power_loop(monkeypatch, expr):
+def test_parse_power_guards_run_before_the_power_loop(expansion_guard, expr):
     """Every power the parser forms, a monomial's too, goes through the
     shared square-and-multiply loop `_power`, and one past MAX_DEGREE or
     MAX_COEFF_BITS raises before that loop is entered."""
-    power = poly._power
-    entered = []
-
-    def guarded(base, n, one, mul):
-        bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                    for c in base.values()), default=0)
-        degree = max(map(sum, base), default=0)
-        assert n <= poly.MAX_DEGREE and degree * n <= poly.MAX_DEGREE, "degree unchecked"
-        assert bits * n <= poly.MAX_COEFF_BITS, "coefficient size unchecked"
-        entered.append(n)
-        return power(base, n, one, mul)
-
-    monkeypatch.setattr(poly, "_power", guarded)
     with pytest.raises(ValueError, match="exceeds"):
         parse_poly(expr, V)
     assert parse_poly("(x0^8)^2 + 2^16", V) == parse_poly("x0^16 + 65536", V)
-    assert entered[-4:] == [8, 2, 16, 16]  # the monomial powers of the last two parses
+    assert expansion_guard[-4:] == [8, 2, 16, 16]  # the monomial powers of the last two parses
 
 
 def test_parse_error_quotes_a_bounded_prefix():
