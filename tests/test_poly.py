@@ -413,6 +413,22 @@ def test_parse_sum_and_product_coefficients_bounded(expr):
         parse_poly(expr, V)
 
 
+def test_parse_product_meets_wide_factor_once(expansion_guard):
+    """A wide factor meets the rest of its product once: the 969 monomials
+    of degree <= 16 parse to 969 terms, and a zero factor makes the product
+    zero in any position without a product past MAX_DEGREE ever entering
+    `_mul_terms`.  The work count on the 2000 factors `*1` is
+    `test_parse_term_products_meet_wide_factor_once`'s."""
+    top = poly.MAX_DEGREE
+    wide = "(" + " + ".join(f"x0^{i}*x1^{j}*x2^{k}" for i in range(top + 1)
+                            for j in range(top + 1 - i) for k in range(top + 1 - i - j)) + ")"
+    assert len(parse_poly(wide, V).terms) == 969
+    assert parse_poly("2*" + wide + "*0*x0^16", V).is_zero()
+    assert parse_poly(wide + "*0", V).is_zero()
+    with pytest.raises(ValueError, match=f"exceeds {top}"):
+        parse_poly("x0*" + wide + "*0", V)  # degrees are checked in source order
+
+
 def test_parse_product_reads_every_factor_first():
     """A product multiplies once all its factors are read, fewest terms
     first: a zero factor makes it zero before an oversized partial product
@@ -428,9 +444,7 @@ def test_parse_product_reads_every_factor_first():
 def test_parse_term_products_meet_wide_factor_once(monkeypatch):
     """The parser multiplies through the term-dict kernel `_mul_terms`: the
     2000 factors `*1` after the 969 monomials of degree <= 16 add at most
-    969 + 2000 term products (the parser used to pay 969 for each `*1`), and
-    no MultiPoly product runs at all.  A zero factor still makes the product
-    zero, in any position."""
+    969 + 2000 term products, and no MultiPoly product runs at all."""
     top = poly.MAX_DEGREE
     wide = "(" + " + ".join(f"x0^{i}*x1^{j}*x2^{k}" for i in range(top + 1)
                             for j in range(top + 1 - i) for k in range(top + 1 - i - j)) + ")"
@@ -447,13 +461,9 @@ def test_parse_term_products_meet_wide_factor_once(monkeypatch):
     monkeypatch.setattr(poly, "_mul_terms", counting)
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     alone = parse_poly(wide, V)
-    assert len(alone.terms) == 969
     base, work[0] = work[0], 0
     assert parse_poly(wide + "*1" * 2000, V) == alone
     assert work[0] - base <= 969 + 2000
-    assert parse_poly("2*" + wide + "*0*x0^16", V).is_zero()
-    with pytest.raises(ValueError, match=f"exceeds {top}"):
-        parse_poly("x0*" + wide + "*0", V)  # degrees are checked in source order
 
 
 @pytest.mark.parametrize("expr", [
