@@ -111,6 +111,7 @@ def cmd_spin_table(args) -> tuple:
 
 def cmd_theta(args) -> tuple:
     from . import theta_f2
+    from .text import echo
 
     if args.task == "aronhold":
         sets = theta_f2.enumerate_aronhold()
@@ -132,7 +133,7 @@ def cmd_theta(args) -> tuple:
         # one message for an odd, small or large --dim; make_space refuses only 2g > cap
         if args.dim % 2 or not 2 <= args.dim <= theta_f2.MAX_COUNT_DIM:
             raise ValueError(f"--dim must be even and between 2 and "
-                             f"{theta_f2.MAX_COUNT_DIM}, got {args.dim}")
+                             f"{theta_f2.MAX_COUNT_DIM}, got {echo(args.dim)}")
         count = theta_f2.count_zeros(theta_f2.make_space(args.dim // 2, args.arf))
         rows = [("dim", args.dim), ("arf", args.arf), ("zeros", count)]
     return ("quantity", "value"), rows, []
@@ -144,12 +145,11 @@ def cmd_detrep(args) -> tuple:
     with open(args.input) as fh:
         fields = detrep.parse_data_block(fh.read())
     if args.action == "quartic":
-        detrep.check_keys(fields, {"L", "Q", "H"})
-        missing = {"L", "Q", "H"} - set(fields)
+        detrep.check_keys(fields, detrep.QUARTIC_KEYS)
+        missing = set(detrep.QUARTIC_KEYS) - set(fields)
         if missing:
             raise ValueError(f"quartic action needs keys {sorted(missing)}")
-        f, line = detrep.quartic_from_odd_theta(fields["L"], fields["Q"],
-                                                fields["H"])
+        f, line = detrep.quartic_from_odd_theta(*(fields[k] for k in detrep.QUARTIC_KEYS))
         return ("quantity", "value"), [("quartic", f), ("bitangent", line)], [
             ("status", None, "bitangent verified")]
     data = detrep.data_from_block(fields)

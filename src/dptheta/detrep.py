@@ -56,10 +56,12 @@ class SymThetaData(namedtuple("SymThetaData", "l11 l12 l22 q1 q2 h")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, l11, l12, l22, q1, q2, h):
-        return super().__new__(
-            cls, _check_form(l11, 1, "L11"), _check_form(l12, 1, "L12"),
-            _check_form(l22, 1, "L22"), _check_form(q1, 2, "Q1"),
-            _check_form(q2, 2, "Q2"), _check_form(h, 3, "H"))
+        entries = map(_check_form, (l11, l12, l22, q1, q2, h), (1, 1, 1, 2, 2, 3), MATRIX_KEYS)
+        return super().__new__(cls, *entries)
+
+
+MATRIX_KEYS = tuple(map(str.upper, SymThetaData._fields))  # a data file's names
+QUARTIC_KEYS = ("L", "Q", "H")  # the names of quartic_from_odd_theta's entries
 
 
 def _matrix(data) -> tuple[tuple, tuple, tuple]:
@@ -272,9 +274,7 @@ def quartic_from_odd_theta(
     `total_tangency_check`, exact for a line, certifies L as a bitangent
     unless Q vanishes on all of the line, and then L divides F.
     """
-    lf = _check_form(lf, 1, "L")
-    q = _check_form(q, 2, "Q")
-    h = _check_form(h, 3, "H")
+    lf, q, h = map(_check_form, (lf, q, h), (1, 2, 3), QUARTIC_KEYS)
     f = lf * h - q * q
     if f.is_zero():
         raise DegenerateError("quartic is identically zero")
@@ -286,31 +286,30 @@ def quartic_from_odd_theta(
 
 
 def parse_data_block(text: str) -> dict[str, MultiPoly]:
-    """Parse a keyed text block of `NAME: polynomial` lines (x0, x1, x2)."""
-    out = {}
+    """Parse a keyed text block of `NAME: polynomial` lines (x0, x1, x2);
+    every name is checked, against both schemas, before any value is parsed."""
+    exprs = {}
     for lineno, line in data_lines(text):
         key, sep, expr = line.partition(":")
         if not sep:
             raise ValueError(f"line {lineno}: expected `NAME: polynomial`")
         key = key.strip()
-        if key in out:
+        if key in exprs:
             raise ValueError(f"line {lineno}: duplicate key {echo(key)}")
-        out[key] = parse_poly(expr, PLANE_VARS)
-    return out
+        exprs[key] = expr
+    check_keys(exprs, MATRIX_KEYS + QUARTIC_KEYS)
+    return {key: parse_poly(expr, PLANE_VARS) for key, expr in exprs.items()}
 
 
-def check_keys(fields: dict[str, MultiPoly], known: set[str]) -> None:
-    """Reject a parsed data block that has keys outside `known`."""
-    extra = set(fields) - known
+def check_keys(fields: dict, known: tuple[str, ...]) -> None:
+    """Reject a data block that has keys outside `known`."""
+    extra = set(fields).difference(known)
     if extra:
         raise ValueError(f"unknown keys: {echo(sorted(extra))}")
 
 
 def data_from_block(fields: dict[str, MultiPoly]) -> SymThetaData:
+    """The matrix of a parsed data block; a missing entry is zero."""
+    check_keys(fields, MATRIX_KEYS)
     zero = MultiPoly.zero(PLANE_VARS)
-    check_keys(fields, {"L11", "L12", "L22", "Q1", "Q2", "H"})
-    return SymThetaData(
-        l11=fields.get("L11", zero), l12=fields.get("L12", zero),
-        l22=fields.get("L22", zero), q1=fields.get("Q1", zero),
-        q2=fields.get("Q2", zero), h=fields.get("H", zero),
-    )
+    return SymThetaData(*(fields.get(k, zero) for k in MATRIX_KEYS))

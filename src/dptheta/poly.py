@@ -363,7 +363,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
                 raise ValueError("exponent must be a nonnegative integer")
             exp = parse_int(exp)
             if exp > MAX_DEGREE:
-                raise ValueError(f"exponent {exp} exceeds {MAX_DEGREE}")
+                raise ValueError(f"exponent {echo(exp)} exceeds {MAX_DEGREE}")
             check_degree(max(map(sum, base), default=-1) * exp)
             check_bits(base.values(), exp)
             return _power(base, exp, {const: 1}, _mul_terms)

@@ -60,7 +60,7 @@ class DualGraph(namedtuple("DualGraph", "genera edges")):
         if self.genus < 2:
             raise ValueError("arithmetic genus must be >= 2")
         if self.genus > MAX_GRAPH_GENUS:
-            raise ValueError(f"arithmetic genus {self.genus} exceeds {MAX_GRAPH_GENUS}")
+            raise ValueError(f"arithmetic genus {echo(self.genus)} exceeds {MAX_GRAPH_GENUS}")
         return self
 
     @property
@@ -196,7 +196,7 @@ def spin_table_irreducible(g: int, n: int) -> tuple[SpinTableRow, ...]:
     if g < 2:
         raise ValueError("arithmetic genus must be >= 2")
     if g > MAX_GENUS:
-        raise ValueError(f"arithmetic genus {g} exceeds {MAX_GENUS}")
+        raise ValueError(f"arithmetic genus {echo(g)} exceeds {MAX_GENUS}")
     if not 0 <= n <= g:
         raise ValueError("node count must be between 0 and g")
     rows = []

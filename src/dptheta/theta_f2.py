@@ -13,9 +13,8 @@ invariant, zero counts, the genus-6 conic-pair count).
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, reduce, total_ordering
+from functools import lru_cache, total_ordering
 from itertools import combinations
-from operator import xor
 
 from . import lattice as lt
 from .lattice import ClassKind, DivisorClass, PicardLattice
@@ -146,14 +145,24 @@ def enumerate_aronhold() -> tuple[tuple[EvenSubsetClass, ...], ...]:
     return tuple(tuple(map(odd, s)) for s in sorted(map(sorted, sets)))
 
 
+@lru_cache(maxsize=1)
+def _aronhold_index() -> dict[int, EvenSubsetClass]:
+    """The even class of each set of enumerate_aronhold, keyed by the OR of
+    1 << mask over its members (their sum, as they are distinct)."""
+    return {sum(1 << t.mask for t in s): sum(s, IDENTITY) for s in enumerate_aronhold()}
+
+
 def even_theta_of_aronhold(aronhold: tuple[EvenSubsetClass, ...]) -> EvenSubsetClass:
-    """Even class attached to an Aronhold set: the sum of its seven members."""
-    masks = [t.mask for t in aronhold]
-    if len(masks) != 7 or not all(_odd(m) for m in masks):
+    """Even class attached to an Aronhold set, in any order: the sum of its
+    seven members, looked up among the sets of enumerate_aronhold."""
+    if len(aronhold) != 7:  # eight members repeating one of a set have its key
         raise ValueError("expected seven distinct odd classes")
-    if any(_odd(a ^ b ^ c) for a, b, c in combinations(masks, 3)):
+    key = 0
+    for t in aronhold:
+        key |= 1 << t.mask
+    if (even := _aronhold_index().get(key)) is None:
         raise ValueError("not an Aronhold set")
-    return _TABLE[reduce(xor, masks)]
+    return even
 
 
 def mod2_label(d: DivisorClass) -> EvenSubsetClass:

@@ -501,6 +501,43 @@ def test_hostile_input_quoted_in_one_short_line(capsys, tmp_path, name, body, ar
     assert len(err.encode()) < 200 and "..." in err
 
 
+BIG = "9" * 4000
+
+
+@pytest.mark.parametrize("name,body,argv,message", [
+    (None, None, ("theta", "zeros", "--dim", BIG),
+     "--dim must be even and between 2 and 1000, got 9999999999999999999999999999999999999999..."),
+    (None, None, ("spin-table", "--genus", BIG, "--nodes", "0"),
+     "arithmetic genus 9999999999999999999999999999999999999999... exceeds 100"),
+    ("big.gr", "v " + BIG[:1000] + "\n", ("spin",),
+     "arithmetic genus 9999999999999999999999999999999999999999... exceeds 5000"),
+    ("big.txt", "H: x0^" + BIG[:1000] + "\n", ("detrep", "--action", "check"),
+     "exponent 9999999999999999999999999999999999999999... exceeds 16"),
+], ids=["theta-dim", "spin-table-genus", "graph-genus", "exponent"])
+def test_outside_number_quoted_in_one_short_line(capsys, tmp_path, name, body, argv, message):
+    """A number from the command line or a file is quoted like any other
+    input: at most 40 characters, then "..."."""
+    if name:
+        (tmp_path / name).write_text(body)
+        argv = (argv[0], str(tmp_path / name), *argv[1:])
+    code, out, err = run(capsys, *argv)
+    assert one_error_line(code, out, err)
+    assert err == f"error: {message}\n" and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("body,message", [
+    ("L: x0\nQ: x1^2\nH: x2^3\nL11: x0\n", "unknown keys: ['L11']"),
+    ("L: x0\nH: x2^3\n", "quartic action needs keys ['Q']"),
+    ("H: x2^3\n", "quartic action needs keys ['L', 'Q']"),
+], ids=["matrix-name", "missing-one", "missing-two"])
+def test_detrep_quartic_key_messages(capsys, tmp_path, body, message):
+    bad = tmp_path / "quartic.txt"
+    bad.write_text(body)
+    code, out, err = run(capsys, "detrep", str(bad), "--action", "quartic")
+    assert one_error_line(code, out, err)
+    assert err == f"error: {message}\n"
+
+
 def test_detrep_check_at_literal_cap(data_dir):
     """Each matrix entry carries a literal at the digit cap and one
     coefficient is rational: a fresh `detrep --action check` still answers

@@ -183,6 +183,35 @@ def test_parse_data_block_duplicate_key():
         detrep.parse_data_block("L11: x0\nH: x2^3\n  L11 : x1\n")
 
 
+def test_names_checked_before_values(monkeypatch, data_dir):
+    """A block with an unknown name is refused before any polynomial is
+    parsed; a known block parses each of its values once."""
+    parse_calls, parse = [], detrep.parse_poly
+    monkeypatch.setattr(detrep, "parse_poly",
+                        lambda expr, variables: parse_calls.append(expr) or parse(expr, variables))
+    many = "".join(f"K{i}: x0\n" for i in range(100000))
+    with pytest.raises(ValueError, match=r"^unknown keys: \['K0', 'K1', 'K10', "):
+        detrep.parse_data_block(many)
+    with pytest.raises(ValueError, match=r"^unknown keys: \['BOGUS'\]$"):
+        detrep.parse_data_block("L11: x0\nBOGUS: (\nH: x2^3\n")
+    assert parse_calls == []
+    for name, count in [("detrep_sample.txt", 6), ("quartic_sample.txt", 3)]:
+        detrep.parse_data_block((data_dir / name).read_text())
+        assert len(parse_calls) == count, name
+        parse_calls.clear()
+
+
+def test_stray_names_reported_before_other_schema():
+    """A block mixing both schemas with a stray name names only the stray
+    one; without it, the matrix refuses the quartic's names."""
+    with pytest.raises(ValueError, match=r"^unknown keys: \['BOGUS'\]$"):
+        detrep.parse_data_block("L11: x0\nL: x1\nBOGUS: x2\n")
+    fields = detrep.parse_data_block("L11: x0\nL: x1\nQ: x2^2\n")
+    with pytest.raises(ValueError, match=r"^unknown keys: \['L', 'Q'\]$"):
+        detrep.data_from_block(fields)
+    assert detrep.MATRIX_KEYS == ("L11", "L12", "L22", "Q1", "Q2", "H")
+
+
 def test_degree_validation():
     with pytest.raises(ValueError):
         SymThetaData(pp("x0^2"), pp("x1"), pp("x2"), pp("x0^2"),

@@ -220,7 +220,7 @@ def reference_parse(text, variables):
                 raise ValueError("exponent must be a nonnegative integer")
             exp = parse_int(exp)
             if exp > poly.MAX_DEGREE:
-                raise ValueError(f"exponent {exp} exceeds {poly.MAX_DEGREE}")
+                raise ValueError(f"exponent {echo(exp)} exceeds {poly.MAX_DEGREE}")
             check_degree(base.total_degree() * exp)
             check_bits(base.terms.values(), exp)
             return base ** exp

@@ -4,7 +4,9 @@ import copy
 import pickle
 import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import pytest
 
@@ -90,6 +92,46 @@ def test_aronhold_validation():
             with pytest.raises(ValueError):
                 tf.even_theta_of_aronhold(trial)
             break
+
+
+def _aronhold_by_triples(members):
+    """The former check, as the oracle: the sum of seven distinct odd
+    classes none of whose 35 triples is syzygetic, else None."""
+    if len(members) != 7 or len(set(members)) != 7 or any(t.parity != 1 for t in members):
+        return None
+    if any(tf.syzygetic(*t) for t in combinations(members, 3)):
+        return None
+    return tf._TABLE[reduce(xor, (t.mask for t in members))]
+
+
+def test_aronhold_lookup_matches_triple_rule():
+    """even_theta_of_aronhold, a lookup among the 288 constructed sets,
+    gives the triple rule's verdict on 20,000 seeded 7-sets of odd classes,
+    on the 288 sets shuffled, on every one-member swap of them (none is an
+    Aronhold set: six members fix the seventh) and on tuples of the wrong
+    size or parity, and returns the class of the members' XOR itself."""
+    odds = tf.odd_classes()
+    sets = tf.enumerate_aronhold()
+    rng = random.Random(20_000)
+    trials = [tuple(rng.sample(odds, 7)) for _ in range(20_000)]
+    swaps = [s[:i] + (c,) + s[i + 1:] for s in sets for i in range(7)
+             for c in odds if c not in s]
+    assert len(swaps) == 42_336
+    good = sets[0]
+    trials += [tuple(rng.sample(s, 7)) for s in sets] + swaps + [(), good[:6], good + (odds[0],), good + good[:1],
+                       good[:6] + (tf.IDENTITY,), good[1:] + (tf.even_classes()[1],)]
+    tf._aronhold_index.cache_clear()
+    tf.enumerate_aronhold.cache_clear()
+    verdicts = Counter()
+    for trial in trials:
+        expected = _aronhold_by_triples(trial)
+        try:
+            got = tf.even_theta_of_aronhold(trial)
+        except ValueError:
+            got = None
+        assert got is expected, trial
+        verdicts[got is not None] += 1
+    assert verdicts[True] >= 288 and verdicts[False] >= 42_336
 
 
 def test_blowdown_labels():
