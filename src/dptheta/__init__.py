@@ -8,7 +8,7 @@ Modules:
     poly      -- exact sparse multivariate polynomials over Q
     detrep    -- symmetric determinantal representations and contact conics
     kernels   -- Bareiss determinant and union-find
-    text      -- the line reader and bounded integer literals of the file parsers
+    text      -- line reader, bounded integer literals, echo (quotes input)
     cli       -- command-line front end
 """
 

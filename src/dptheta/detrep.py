@@ -20,8 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
 
-from .kernels import determinant
-from .poly import MultiPoly, parse_poly
+from .poly import MultiPoly, parse_poly, sylvester
 from .text import data_lines, echo
 
 PLANE_VARS = ("x0", "x1", "x2")
@@ -183,16 +182,11 @@ def _packed_resultant(fc: list[list[int]], gc: list[list[int]]) -> list[int]:
     polynomial in x0, is packed into one int by evaluating it at x0 = 2^k
     (Kronecker substitution); the int determinant is the resultant at 2^k,
     and the bound behind k makes its balanced digits the coefficients.
-    The g rows come first, so pass the lower-degree form as g: the early
-    Bareiss pivots are then its small leading coefficient.
     """
     k = _pack_bits(fc, gc)
-    m, n = len(fc) - 1, len(gc) - 1
     fp = [sum(c << (k * e) for e, c in enumerate(coeffs)) for coeffs in fc]
     gp = [sum(c << (k * e) for e, c in enumerate(coeffs)) for coeffs in gc]
-    rows = ([[0] * s + gp + [0] * (m - 1 - s) for s in range(m)]
-            + [[0] * s + fp + [0] * (n - 1 - s) for s in range(n)])
-    return _unpack(determinant(rows) * (-1) ** (m * n), k)
+    return _unpack(sylvester(fp, gp, 0), k)
 
 
 def _square_root(r: list[int]) -> list[int] | None:
@@ -258,7 +252,7 @@ def total_tangency_check(f: MultiPoly, t: MultiPoly, seed: int = 0) -> TangencyR
     else:
         raise DegenerateError("no shear put the curves in general position")
     fs, ts = _shear(fi, d, a, b), _shear(ti, e, a, b)
-    res = _packed_resultant(*sorted((fs, ts), key=len, reverse=True))
+    res = _packed_resultant(fs, ts)
     if not res:
         return TangencyReport(Tangency.COMMON_COMPONENT, (a, b))
     verdict = Tangency.TOTALLY_TANGENT if _is_square_form(res, d * e) else Tangency.NOT_TANGENT

@@ -1,8 +1,8 @@
 """Exact kernels shared by several layers, with no imports of their own.
 
-The fraction-free (Bareiss) determinant serves the polynomial determinants
-of `poly` and `detrep`; union-find serves the connectivity checks of `spin`
-and `nodal`.
+The fraction-free (Bareiss) determinant serves `poly` only, through
+`poly.sylvester`, the one Sylvester resultant; union-find serves the
+connectivity checks of `spin` and `nodal`.
 """
 
 from __future__ import annotations

@@ -221,14 +221,6 @@ class MultiPoly:
             total += term
         return _canon(total)
 
-    def substitute(self, name: str, replacement: "MultiPoly") -> "MultiPoly":
-        """Substitute a polynomial (in the same variables) for one variable."""
-        replacement = self._coerce(replacement)
-        out = MultiPoly.zero(self.vars)
-        for k in range(self.degree_in(name), -1, -1):  # Horner in `name`
-            out = out * replacement + self.coefficient(name, k)
-        return out
-
     def rename_vars(self, variables: Iterable[str]) -> "MultiPoly":
         """Re-embed into another variable tuple (a superset, any order)."""
         variables = _names(variables)
@@ -396,26 +388,29 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     return MultiPoly._new(variables, result)
 
 
+def sylvester(fc: list, gc: list, zero):
+    """Res(f, g) from coefficient lists, highest degree first, of ints,
+    MultiPolys or any entries `determinant` takes; deg f + deg g >= 1.  The
+    rows of the lower-degree form (g at equal degrees) come first, so the early
+    Bareiss pivots are its leading coefficient; g's rows first cost (-1)^(mn)."""
+    m, n, sign = len(fc) - 1, len(gc) - 1, 1
+    if n <= m:
+        fc, gc, m, n, sign = gc, fc, n, m, (-1) ** (m * n)
+    rows = [[zero] * s + fc + [zero] * (n - 1 - s) for s in range(n)]
+    rows += [[zero] * s + gc + [zero] * (m - 1 - s) for s in range(m)]
+    return determinant(rows) * sign
+
+
 def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     """Sylvester resultant of f and g with respect to one variable."""
-    m = f.degree_in(name)
-    n = g.degree_in(name)
+    m, n = f.degree_in(name), g.degree_in(name)
     if m < 1 and n < 1:
         raise ValueError(f"variable {name} absent from both polynomials")
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    # lower-degree rows first: the early pivots are its leading coefficient
-    if n < m:
-        return resultant(g, f, name) * (-1) ** (m * n)
     fc = [f.coefficient(name, m - i) for i in range(m + 1)]
     gc = [g.coefficient(name, n - i) for i in range(n + 1)]
-    zero = MultiPoly.zero(f.vars)
-    rows = []
-    for shift in range(n):
-        rows.append([zero] * shift + fc + [zero] * (n - 1 - shift))
-    for shift in range(m):
-        rows.append([zero] * shift + gc + [zero] * (m - 1 - shift))
-    return determinant(rows)
+    return sylvester(fc, gc, MultiPoly.zero(f.vars))
 
 
 # -- univariate helpers: Yun's square-free decomposition ---------------------

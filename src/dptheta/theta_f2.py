@@ -188,14 +188,22 @@ def even_theta_of_blowdown(lat: PicardLattice, blowdown: DivisorClass) -> EvenSu
 # Generic quadratic forms on F2 symplectic spaces.
 
 class QuadraticSpace(namedtuple("QuadraticSpace", "dim rows")):
-    """Quadratic form on F2^dim refining the standard symplectic pairing.
+    """Quadratic form q(v) = sum over i, j < dim of B[i][j] v_i v_j on F2^dim.
 
-    Vectors are int bitmasks.  The form is stored as an upper-triangular bit
-    matrix, rows[i] with bits only at positions >= i: q(v) = sum over i <= j
-    of B[i][j] v_i v_j.  Basis vectors come in pairs (e_0, e_1), (e_2, e_3), ...
+    Vectors are int bitmasks, row i of any bit matrix B is rows[i], and the
+    constructor (also under _make and _replace) checks 0 <= dim <= len(rows);
+    rows and bits past dim are ignored.  `make_space` builds upper-triangular
+    B refining `bilinear`, the standard pairing of (e_0, e_1), (e_2, e_3), ...
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+
+    def __new__(cls, dim, rows):
+        rows = tuple(rows)
+        if dim < 0 or len(rows) < dim:
+            raise ValueError(f"dimension {dim} needs 0 <= dim <= len(rows) = {len(rows)}")
+        return super().__new__(cls, dim, rows)
 
     def evaluate(self, v: int) -> int:
         r = 0
@@ -219,7 +227,7 @@ class QuadraticSpace(namedtuple("QuadraticSpace", "dim rows")):
         rows = list(self.rows)
         for j in range(self.dim):
             rows[j] ^= ((eta >> (j ^ 1)) & 1) << j
-        return QuadraticSpace(self.dim, tuple(rows))
+        return QuadraticSpace(self.dim, rows)
 
 
 MAX_COUNT_DIM = 1000  # at 1000 the zero count has 301 digits
@@ -244,7 +252,7 @@ def make_space(g: int, arf_invariant: int = 0) -> QuadraticSpace:
     if arf_invariant:
         rows[0] |= 1
         rows[1] |= 1 << 1
-    return QuadraticSpace(dim, tuple(rows))
+    return QuadraticSpace(dim, rows)
 
 
 def _witt(space: QuadraticSpace) -> tuple[int, int, int, int]:
@@ -260,8 +268,6 @@ def _witt(space: QuadraticSpace) -> tuple[int, int, int, int]:
     q is nonzero there.
     """
     n, rows = space.dim, space.rows
-    if n < 0 or len(rows) < n:  # rows past dim are ignored
-        raise ValueError(f"dimension {n} needs 0 <= dim <= len(rows) = {len(rows)}")
     if n > MAX_COUNT_DIM:
         raise ValueError(f"count limited to dimension {MAX_COUNT_DIM}")
     q = [(rows[i] >> i) & 1 for i in range(n)]

@@ -14,6 +14,7 @@ from dptheta.detrep import (DegenerateError, SymThetaData, Tangency,
                             quartic_from_odd_theta, total_tangency_check)
 from dptheta.poly import (MultiPoly, parse_poly, resultant,
                           squarefree_multiplicities, uni_from_binary_form)
+from test_poly import substitute_term_by_term
 
 P = detrep.PLANE_VARS
 
@@ -220,11 +221,17 @@ def test_degree_validation():
 
 # -- the packed resultant and the square-root certificate ---------------------
 
+def sheared(p, a, b):
+    """p(x0 + a*x2, x1 + b*x2, x2) as a MultiPoly, by the term-by-term oracle."""
+    x0, x1, x2 = (MultiPoly.variable(P, v) for v in P)
+    return substitute_term_by_term(substitute_term_by_term(p, "x0", x0 + a * x2),
+                                   "x1", x1 + b * x2)
+
+
 def yun_tangency(f, t, seed=0):
     """The former check: a MultiPoly shear, the MultiPoly resultant and Yun's
     square-free decomposition of the dehomogenized form."""
     rng = random.Random(seed)
-    x0, x1, x2 = (MultiPoly.variable(P, v) for v in P)
     for _ in range(100):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
         point = {"x0": a, "x1": b, "x2": 1}
@@ -232,9 +239,7 @@ def yun_tangency(f, t, seed=0):
             break
     else:
         raise DegenerateError("no shear put the curves in general position")
-    fs = f.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
-    ts = t.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
-    res = resultant(fs, ts, "x2")
+    res = resultant(sheared(f, a, b), sheared(t, a, b), "x2")
     if res.is_zero():
         return Tangency.COMMON_COMPONENT, (a, b)
     p, degree = uni_from_binary_form(res, "x0", "x1")
@@ -261,7 +266,6 @@ def test_packed_resultant_matches_multipoly_resultant():
     each coefficient sits below 2^(k-1), on integral and rational forms of
     several degrees with either form first."""
     rng = random.Random(12)
-    x0, x1, x2 = (MultiPoly.variable(P, v) for v in P)
     cases = 0
     while cases < 120:
         df, dg = rng.choice([(5, 2), (2, 5), (3, 2), (2, 2), (4, 1), (3, 3)])
@@ -281,9 +285,8 @@ def test_packed_resultant_matches_multipoly_resultant():
         lg = Fraction(next(iter(gi.values())), next(iter(g.terms.values())))
         fc, gc = detrep._shear(fi, df, a, b), detrep._shear(gi, dg, a, b)
         got = detrep._packed_resultant(fc, gc)
-        fs = f.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
-        gs = g.substitute("x0", x0 + a * x2).substitute("x1", x1 + b * x2)
-        want, _ = uni_from_binary_form(resultant(fs, gs, "x2"), "x0", "x1")
+        want, _ = uni_from_binary_form(resultant(sheared(f, a, b), sheared(g, a, b), "x2"),
+                                       "x0", "x1")
         want = [c * lf ** dg * lg ** df for c in want]
         assert got == want, (f, g, a, b)
         k = detrep._pack_bits(fc, gc)

@@ -64,6 +64,8 @@ GUARDS = [
      ValueError, "zero polynomial"),
     ("negative-vertex-genus", lambda: spin.DualGraph([2, -1], [(0, 1)]),
      ValueError, "nonnegative"),
+    ("graph-no-vertex", lambda: spin.DualGraph((), ()),
+     ValueError, "^graph needs at least one vertex$"),
     ("theta-counts-negative", lambda: spin.theta_counts(-1), ValueError, "nonnegative"),
     ("odd-subset-class", lambda: theta_f2.EvenSubsetClass([1]),
      ValueError, "not an even subset"),

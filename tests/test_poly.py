@@ -509,7 +509,7 @@ def test_ring_axioms_random():
 
 def test_substitute_and_evaluate():
     p = parse_poly("x0^2 + x1*x2", V)
-    q = p.substitute("x0", parse_poly("x1 - x2", V))
+    q = substitute_term_by_term(p, "x0", parse_poly("x1 - x2", V))
     assert q == parse_poly("x1^2 - 2*x1*x2 + x2^2 + x1*x2", V)
     val = p.evaluate({"x0": Fraction(2), "x1": Fraction(1, 2),
                       "x2": Fraction(4)})
@@ -530,25 +530,10 @@ def substitute_term_by_term(p, name, replacement):
     return out
 
 
-def test_substitute_matches_term_by_term_oracle():
-    rng = random.Random(7)
-    zero, seen = MultiPoly.zero(V), set()
-    pairs = [(zero, random_poly(rng)), (random_poly(rng), zero),
-             (MultiPoly.constant(V, 5), random_poly(rng))]
-    for _ in range(200):
-        pairs.append((random_poly(rng, rng.randint(0, 4), rng.randint(0, 6)),
-                      random_poly(rng, rng.randint(0, 2), rng.randint(0, 4))))
-    for p, r in pairs:
-        name = rng.choice(V)
-        seen.add(min(p.degree_in(name), 1))
-        assert p.substitute(name, r) == substitute_term_by_term(p, name, r)
-    assert seen == {-1, 0, 1}  # the zero polynomial, degree 0 and above
-
-
 def test_coefficients_stored_canonically():
     p = MultiPoly(V, {(1, 0, 0): 3, (0, 1, 0): 0, (0, 0, 1): Fraction(1, 2)})
     assert p.terms == {(1, 0, 0): 3, (0, 0, 1): Fraction(1, 2)}
-    for q in (p, p + p * p + 2, p - p * 7, p.substitute("x0", p)):
+    for q in (p, p + p * p + 2, p - p * 7, substitute_term_by_term(p, "x0", p)):
         assert_canonical(q)
     for bad in ({(1, 0): 1}, {(-1, 0, 0): 1}, {(2.0, 0, 0): 3}, {(1.5, 0, 0): 1},
                 {("1", 0, 0): 1}):
@@ -606,7 +591,8 @@ def test_canonical_coefficients_everywhere():
     p = parse_poly("3*x0^2 - 1/2*x1*x2 + 2/3*x2^2", V)
     q = parse_poly("1/2*x1*x2 + 4*x0 - 5", V)
     results = [p + q, p - q, q - p, p * q, 2 * p, p * Fraction(2, 3), p * Fraction(6),
-               p // 2, p // Fraction(3, 4), (p * q) // q, p ** 3, p.substitute("x1", q),
+               p // 2, p // Fraction(3, 4), (p * q) // q, p ** 3,
+               substitute_term_by_term(p, "x1", q),
                p.rename_vars(("x2", "y", "x1", "x0")), resultant(p, q, "x0")]
     data = detrep.extract_matrix(detrep.cubic_threefold(detrep.SymThetaData(
         *(random_form(rng, deg, 6) for deg in (1, 1, 1, 2, 2, 3)))))
@@ -771,17 +757,55 @@ def test_resultant_matches_laplace_oracle(name):
     """Both row orders, the (-1)^(mn) sign and the zero resultant of a
     common factor all agree with the textbook Sylvester determinant."""
     rng = random.Random(f"resultant {name}")
-    seen = {"m<n": 0, "m>n": 0, "odd swap": 0, "zero": 0}
+    seen = {"m<n": 0, "m==n": 0, "m>n": 0, "odd swap": 0, "zero": 0}
     for _ in range(200):
         f, g = resultant_pair(rng, name)
         m, n = f.degree_in(name), g.degree_in(name)
         res = resultant(f, g, name)
         assert res == laplace_resultant(f, g, name)
         seen["m<n"] += m < n
+        seen["m==n"] += m == n
         seen["m>n"] += m > n
         seen["odd swap"] += m > n and m * n % 2 == 1
         seen["zero"] += res.is_zero()
     assert min(seen.values()) >= 10, seen
+
+
+def test_sylvester_matches_laplace_on_ints():
+    """`poly.sylvester` on int coefficient lists is the determinant of the
+    textbook Sylvester matrix whichever form has the lower degree; a
+    constant operand gives its power, and a shared root gives 0."""
+    def textbook(fc, gc):
+        m, n = len(fc) - 1, len(gc) - 1
+        rows = [[0] * s + fc + [0] * (n - 1 - s) for s in range(n)]
+        rows += [[0] * s + gc + [0] * (m - 1 - s) for s in range(m)]
+        return laplace_determinant(rows, 0, 1)
+
+    rng = random.Random(31)
+    seen = {"m<n": 0, "m==n": 0, "m>n": 0, "constant": 0, "zero": 0}
+    while min(seen.values()) < 10:
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        if m + n == 0:
+            continue
+        fc = [rng.choice((0, 1, -2, 3))] + [rng.randint(-4, 4) for _ in range(m)]
+        gc = [rng.choice((0, -1, 2, 5))] + [rng.randint(-4, 4) for _ in range(n)]
+        if rng.random() < 0.2 and m and n:  # a shared root at x = 1
+            fc[-1] -= sum(fc)
+            gc[-1] -= sum(gc)
+        res = poly.sylvester(fc, gc, 0)
+        assert res == textbook(fc, gc), (fc, gc)
+        seen["m<n"] += m < n
+        seen["m==n"] += m == n
+        seen["m>n"] += m > n
+        seen["constant"] += not m * n
+        seen["zero"] += res == 0
+    assert poly.sylvester([3], [1, 2, -1, 5], 0) == 3 ** 3
+    assert poly.sylvester([2, 0, 1], [-5], 0) == (-5) ** 2
+    # Res(x - 3, g) = g(3), and Res(g, x - 3) = (-1)^deg(g) g(3)
+    assert poly.sylvester([1, -3], [1, 0, 2], 0) == 11
+    assert poly.sylvester([1, 0, 0, 2], [1, -3], 0) == -29
+    # (x - 2)(x + 1) and (x - 2)(x^2 + 1) share the root 2
+    assert poly.sylvester([1, -1, -2], [1, -2, 1, -2], 0) == 0
 
 
 def test_exact_division():

@@ -32,7 +32,7 @@ def instances():
         (graph, {"edges": ()}),  # two vertices and no edge: not connected
         (spin.spin_counts(graph, ()), None),
         (spin.spin_table_irreducible(3, 1)[0], None),
-        (theta_f2.make_space(2, 1), None),
+        (theta_f2.make_space(2, 1), {"rows": (1,)}),  # dim 4 needs four rows
         (theta_f2.EvenSubsetClass((1, 2)), None),
         (data, {"h": data.l11}),  # H must be a cubic
         (detrep.TangencyReport(detrep.Tangency.TOTALLY_TANGENT, (0, 1)), None),
