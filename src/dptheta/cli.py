@@ -169,8 +169,16 @@ def cmd_detrep(args) -> tuple:
 # ---------------------------------------------------------------------------
 # Parser wiring.
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, subcommands' too, whose usage errors raise into `main`:
+    they leave through its one `error:` line instead of usage and exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dptheta",
         description="Exact combinatorial invariants of Del Pezzo surfaces, "
                     "spin curves and theta characteristics.")
@@ -221,12 +229,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cut_words(message: str, argv: list[str]) -> str:
+    """message with each command-line word that `text.echo` cuts replaced by
+    echo's cut, in each form the message may hold it.
+
+    argparse and the OS quote a value as its repr, or bare (unrecognized
+    arguments), or as the repr of the int that `type=int` made of it; an
+    option's value may be the part of the word after `=` or after `-h`.
+    Longer forms are cut first, so that no shorter one splits them.
+    """
+    from .text import echo
+
+    cuts = {}
+    for word in argv:
+        for value in {word, word.partition("=")[2], word[2:]}:
+            if echo(value) != repr(value):
+                cuts[repr(value)] = cuts[value] = echo(value)
+            try:
+                number = int(value)
+            except ValueError:  # not an int literal, or too long for one
+                continue
+            if echo(number) != repr(number):
+                cuts[repr(number)] = echo(number)
+    for form in sorted(cuts, key=len, reverse=True):
+        message = message.replace(form, cuts[form])
+    return message
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(argv)
         _emit(args.func(args), args.format)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_cut_words(str(exc), argv)}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)
     return 0
 

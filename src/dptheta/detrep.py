@@ -140,6 +140,8 @@ def _shear(form: dict, degree: int, a: int, b: int) -> list[list[int]]:
 
     Each is a list of x0-coefficients, low degree first.  The term
     c*x0^i*x1^j*x2^k gives c*C(i, p)*a^p*C(j, q)*b^q at x2^(p+q+k)*x0^(i-p).
+    The first list is [form(a, b, 1), 0, ..., 0]: x2^degree needs
+    p + q + k = degree, so p = i and q = j.
     """
     out = [[0] * (degree + 1) for _ in range(degree + 1)]
     for (i, j, k), c in form.items():
@@ -246,12 +248,11 @@ def total_tangency_check(f: MultiPoly, t: MultiPoly, seed: int = 0) -> TangencyR
     rng = random.Random(seed)
     for _ in range(100):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-        # p(a, b, 1), the sheared x2^d entry, is nonzero: the centre is off p = 0
-        if all(sum(c * a ** i * b ** j for (i, j, _), c in p.items()) for p in (fi, ti)):
+        fs, ts = _shear(fi, d, a, b), _shear(ti, e, a, b)
+        if fs[0][0] and ts[0][0]:  # the centre is off both curves
             break
     else:
         raise DegenerateError("no shear put the curves in general position")
-    fs, ts = _shear(fi, d, a, b), _shear(ti, e, a, b)
     res = _packed_resultant(fs, ts)
     if not res:
         return TangencyReport(Tangency.COMMON_COMPONENT, (a, b))

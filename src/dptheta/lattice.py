@@ -65,10 +65,6 @@ def divisor(lat: PicardLattice, a: int, *b: int) -> DivisorClass:
     return (a,) + tuple(b) + (0,) * (lat.npoints - len(b))
 
 
-def class_L(lat: PicardLattice) -> DivisorClass:
-    return divisor(lat, 1)
-
-
 def class_E(lat: PicardLattice, i: int) -> DivisorClass:
     """E_i with 1-based index i."""
     if not 1 <= i <= lat.npoints:

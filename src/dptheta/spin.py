@@ -50,9 +50,8 @@ class DualGraph(namedtuple("DualGraph", "genera edges")):
         _check_range(n, edges)
         if len(set(components(n, edges))) != 1:
             raise ValueError("graph is not connected")
-        b1 = len(edges) - n + 1  # the graph is connected
-        if b1 > MAX_B1:
-            raise ValueError(f"first Betti number {b1} exceeds {MAX_B1}")
+        if self.b1 > MAX_B1:
+            raise ValueError(f"first Betti number {self.b1} exceeds {MAX_B1}")
         degree = Counter(v for e in edges for v in e)  # a loop counts twice
         for v in range(n):
             if genera[v] == 0 and degree[v] < 3:
@@ -64,9 +63,14 @@ class DualGraph(namedtuple("DualGraph", "genera edges")):
         return self
 
     @property
+    def b1(self) -> int:
+        """First Betti number: edges - vertices + 1, as __new__ proved the
+        graph connected."""
+        return len(self.edges) - len(self.genera) + 1
+
+    @property
     def genus(self) -> int:
-        # sum of vertex genera plus b1; __new__ proved the graph connected
-        return sum(self.genera) + len(self.edges) - len(self.genera) + 1
+        return sum(self.genera) + self.b1
 
 
 def _check_range(n_vertices: int, edges) -> None:
@@ -127,7 +131,7 @@ def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
     span = [0]
     for tag in _reduce(graph.edges, range(len(graph.edges)))[1]:
         span += [s ^ tag for s in span]
-    assert len(span) == 1 << (len(graph.edges) - len(graph.genera) + 1)  # connected
+    assert len(span) == 1 << graph.b1
     return tuple(sorted(map(_indices, span)))
 
 
@@ -161,10 +165,9 @@ def spin_counts(graph: DualGraph, delta) -> SpinSupport:
     total, basis = _reduce(graph.edges, delta)
     if total:
         raise ValueError("subset is not even")
-    b_full = len(graph.edges) - len(graph.genera) + 1  # the graph is connected
     b_delta = len(basis)
     count = 1 << (2 * sum(graph.genera) + b_delta)
-    return SpinSupport(delta, count, 1 << (b_full - b_delta))
+    return SpinSupport(delta, count, 1 << (graph.b1 - b_delta))
 
 
 def spin_scheme(graph: DualGraph) -> tuple[SpinSupport, ...]:

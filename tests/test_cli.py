@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import DATA
 
 from dptheta import nodal, poly, spin, text, theta_f2
 from dptheta.cli import build_parser, main
@@ -523,6 +524,51 @@ def test_outside_number_quoted_in_one_short_line(capsys, tmp_path, name, body, a
     code, out, err = run(capsys, *argv)
     assert one_error_line(code, out, err)
     assert err == f"error: {message}\n" and len(err.encode()) < 200
+
+
+DIGITS = "9" * 5000
+SPACED = "a " * 40000
+
+
+@pytest.mark.parametrize("argv,shown", [
+    (("theta", "zeros", "--dim", DIGITS), DIGITS),
+    (("detrep", str(DATA / "detrep_sample.txt"), "--action", "check", "--seed", DIGITS),
+     DIGITS),
+    (("theta", "K" * 100000), "K" * 100000),
+    (("nodal", str(DATA / "e7.cfg"), "--scheme", "S" * 100000), "S" * 100000),
+    (("theta", SPACED), SPACED),
+    (("theta", "zeros", "--arf", "+" + DIGITS[:4000]), int(DIGITS[:4000])),
+    (("spin", "f" * 100000), "f" * 100000),
+    (("theta", "K" * 100 + "\\"), "K" * 100 + "\\"),
+    (("Z" * 100000,), "Z" * 100000),
+    (("theta", "aronhold", "--bogus", SPACED), SPACED),
+    (("spin-table", "--genus", "3"), None),
+    (("nodal", str(DATA / "e7.cfg"), "--scheme=" + "S" * 100000), "S" * 100000),
+    (("theta", "zeros", "--arf=" + DIGITS[:4000]), int(DIGITS[:4000])),
+    (("theta", "aronhold", "-h" + "x" * 100000), "x" * 100000),
+], ids=["dim-digits", "seed-digits", "long-task", "long-scheme", "spaced-task",
+        "arf-digits", "long-file-name", "backslash", "unknown-subcommand",
+        "unknown-option", "missing-nodes", "scheme-after-equals", "arf-after-equals",
+        "after-short-option"])
+def test_usage_error_in_one_short_line(capsys, argv, shown):
+    """A usage error leaves through main's one `error:` line, and quotes a
+    command-line word as any input is quoted, by `text.echo`: whether
+    argparse shows the value as a repr, bare, or as the int it converted,
+    and whether it stands alone or after `=` or `-h`."""
+    code, out, err = run(capsys, *argv)
+    assert one_error_line(code, out, err) and len(err.encode()) < 200, err
+    for word in argv:
+        windows = {word[i:i + 41] for i in range(len(word) - 40)}
+        assert not any(w in err for w in windows), err
+    if shown is not None:
+        assert f" {text.echo(shown)}" in err, err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("theta", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0 and "usage: dptheta" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("body,message", [

@@ -97,10 +97,7 @@ def test_cli_fuzz_exit_codes(command, fmt):
             path.write_text(body)
         argv = [a.format(file=path) for a in argv] + ["--format", fmt]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the arguments
-                code = exc.code
+            code = main(argv)
     err = err.getvalue()
     assert code in (0, 2, 3), (argv, body, code, err)
     assert "Traceback" not in err + out.getvalue()

@@ -294,6 +294,22 @@ def test_packed_resultant_matches_multipoly_resultant():
         cases += 1
 
 
+def test_shear_leads_with_the_value_at_the_centre():
+    """_shear's x2^d entry is [p(a, b, 1), 0, ..., 0]: the draw loop tests it
+    for the centre being off the curve, on integral and rational forms."""
+    rng = random.Random(31)
+    zeros = 0
+    for case in range(200):
+        d = rng.randint(1, 5)
+        p = rational_form(rng, d) if case % 2 else random_form(rng, d, dense=False)
+        a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+        pi = detrep._integral(p)
+        value = MultiPoly(P, pi).evaluate({"x0": a, "x1": b, "x2": 1})
+        zeros += value == 0
+        assert detrep._shear(pi, d, a, b)[0] == [value] + [0] * d, (p, a, b)
+    assert zeros > 0  # centres on the curve come up too
+
+
 def test_unpack_balanced_negative_digits():
     k = 5
     for digits in ([-16, 15, 0, -1], [3, -16, -16], [0, 0, -7], [15], [-1, 0, 0, 1],

@@ -12,7 +12,7 @@ from dptheta.poly import MultiPoly, parse_poly
 LAT2, LAT3 = lt.make_lattice(2), lt.make_lattice(3)
 V = ("x", "y")
 X = MultiPoly.variable(V, "x")
-L3, E1 = lt.class_L(LAT3), lt.class_E(LAT3, 1)
+L3, E1 = lt.divisor(LAT3, 1), lt.class_E(LAT3, 1)
 
 
 def set_attribute():
@@ -31,7 +31,7 @@ GUARDS = [
     ("reflect-non-root", lambda: lt.reflect(LAT3, L3, L3),
      ValueError, "self-intersection -2"),
     ("geiser-degree-3", lambda: lt.geiser(LAT3, L3), ValueError, "requires degree 2"),
-    ("double-six-degree-2", lambda: lt.double_six_partner(LAT2, lt.class_L(LAT2)),
+    ("double-six-degree-2", lambda: lt.double_six_partner(LAT2, lt.divisor(LAT2, 1)),
      ValueError, "requires degree 3"),
     ("double-six-not-blowdown", lambda: lt.double_six_partner(LAT3, E1),
      ValueError, "not a blow-down"),

@@ -85,7 +85,7 @@ def test_blowdowns_as_weyl_orbit():
     orbit BFS versus direct Diophantine enumeration)."""
     for degree in (3, 2):
         lat = lt.make_lattice(degree)
-        orbit = set(lt.weyl_orbit(lat, lt.class_L(lat)))
+        orbit = set(lt.weyl_orbit(lat, lt.divisor(lat, 1)))
         assert orbit == set(lt.enumerate_classes(lat, ClassKind.BLOWDOWN))
 
 
@@ -219,14 +219,14 @@ def test_pair_matches_zip_oracle(degree):
 def test_kind_of():
     lat = lt.make_lattice(3)
     assert lt.kind_of(lat, lt.class_E(lat, 1)) is ClassKind.EXCEPTIONAL
-    assert lt.kind_of(lat, lt.class_L(lat)) is ClassKind.BLOWDOWN
+    assert lt.kind_of(lat, lt.divisor(lat, 1)) is ClassKind.BLOWDOWN
     assert lt.kind_of(lat, lt.sub(lt.class_E(lat, 1), lt.class_E(lat, 2))) \
         is ClassKind.ROOT
     assert lt.kind_of(lat, lat.canonical) is None
     # the dict lookup agrees with a scan of ClassKind on every enumerated class
     for lat in (lt.make_lattice(2), lat):
         pool = [c for kind in ClassKind for c in lt.enumerate_classes(lat, kind)]
-        for c in pool + [lat.canonical, (0,) * lat.rank, lt.scale(2, lt.class_L(lat))]:
+        for c in pool + [lat.canonical, (0,) * lat.rank, lt.scale(2, lt.divisor(lat, 1))]:
             key = (lt.pair(lat, c, c), lt.pair(lat, c, lat.canonical))
             assert lt.kind_of(lat, c) is next((k for k in ClassKind if k.value == key), None)
 

@@ -571,7 +571,7 @@ def test_mixed_kinds_rejected():
     twice, then a generator over it."""
     cfg = config(2, *A1_NODE)
     lat = cfg.lattice
-    mixed = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL)[:3] + (lt.class_L(lat),)
+    mixed = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL)[:3] + (lt.divisor(lat, 1),)
     for _ in range(2):
         with pytest.raises(ValueError, match="^classes of mixed kinds$"):
             nodal.congruence_classes(cfg, mixed)

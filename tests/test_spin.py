@@ -319,6 +319,20 @@ def test_support_betti_against_union_find():
                                                  [g.edges[i] for i in s.delta])
 
 
+def test_b1_is_the_graph_betti_number():
+    """DualGraph.b1 is spin.betti of its edges, and genus is sum(g_v) + b1,
+    on the 200-graph corpus, 120 larger graphs and one b1 = MAX_B1 graph."""
+    rng = random.Random(5)
+    graphs = [random_graph(rng) for _ in range(200)]
+    rng = random.Random(17)
+    graphs += [random_large_graph(rng) for _ in range(120)]
+    graphs.append(DualGraph([0, 1, 1], [(0, 1)] * 9 + [(0, 2)] * 9))
+    assert graphs[-1].b1 == spin.MAX_B1
+    for g in graphs:
+        assert g.b1 == spin.betti(len(g.genera), g.edges)
+        assert g.genus == sum(g.genera) + g.b1
+
+
 def test_odd_subset_refused():
     g = DualGraph([1, 1], [(0, 1), (0, 1), (0, 0)])  # edge 0 is the loop
     assert spin.spin_counts(g, (0,)).count == 2 ** 5
