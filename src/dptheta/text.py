@@ -21,7 +21,10 @@ def parse_int(text: str) -> int:
     digits = len(text.strip().lstrip("+-"))
     if digits > MAX_LITERAL_DIGITS:
         raise ValueError(f"integer literal of {digits} digits exceeds {MAX_LITERAL_DIGITS}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {echo(text)}") from None
 
 
 def echo(value) -> str:

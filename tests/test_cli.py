@@ -21,6 +21,19 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def fresh_env():
+    """os.environ with src first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def fresh(*argv):
+    """`python -m dptheta.cli *argv` as a fresh process, within 10 s."""
+    return subprocess.run([sys.executable, "-m", "dptheta.cli", *argv],
+                          capture_output=True, text=True, timeout=10, env=fresh_env())
+
+
 def test_lattice_exceptional_27(capsys):
     code, out, _ = run(capsys, "lattice", "--degree", "3",
                        "--kind", "exceptional", "--format", "tsv")
@@ -316,11 +329,8 @@ def test_subcommand_loads_only_its_layers(data_dir, argv, layers):
     `fractions`, and only detrep loads `random`."""
     if argv[0] in ("nodal", "spin", "detrep"):
         argv = (argv[0], str(data_dir / argv[1])) + argv[2:]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-S", "-c", LOADED_MODULES, *argv],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=pythonpath))
+                          capture_output=True, text=True, timeout=60, env=fresh_env())
     assert proc.returncode == 0, proc.stderr
     code, *flags = proc.stdout.splitlines()[-1].split()
     probed, loaded = dict(zip(PROBED, flags)), flags[len(PROBED):]
@@ -490,8 +500,13 @@ LONG = "K" * 10 ** 6
     ("long_root.cfg", "degree 2\nroot " + "0 " * 300000 + "\n", ("nodal", "--scheme", "lines")),
     ("wide_root.cfg", "degree 2\nroot " + " ".join(["9" * 1000] * 8) + "\n",
      ("nodal", "--scheme", "lines")),
+    ("signs.cfg", "degree " + "+" * 1000 + "2\n", ("nodal", "--scheme", "lines")),
+    ("signs.gr", "v " + "-" * 1000 + "1\n", ("spin",)),
+    ("signs_root.cfg", "degree 2\nroot " + "+" * 900 + "1 0 0 0 0 0 0 0\n",
+     ("nodal", "--scheme", "lines")),
 ], ids=["graph-line", "config-directive", "config-degree", "graph-edge", "repeated-key",
-        "unknown-key", "unknown-key-quartic", "many-unknown-keys", "long-root", "wide-root"])
+        "unknown-key", "unknown-key-quartic", "many-unknown-keys", "long-root", "wide-root",
+        "signs-degree", "signs-genus", "signs-root"])
 def test_hostile_input_quoted_in_one_short_line(capsys, tmp_path, name, body, argv):
     """An error quotes at most 40 characters of the input it names, then
     "...": a hostile file gets one `error:` line under 200 bytes."""
@@ -584,24 +599,6 @@ def test_detrep_quartic_key_messages(capsys, tmp_path, body, message):
     assert err == f"error: {message}\n"
 
 
-def test_detrep_check_at_literal_cap(data_dir):
-    """Each matrix entry carries a literal at the digit cap and one
-    coefficient is rational: a fresh `detrep --action check` still answers
-    TotallyTangent well within 10 s."""
-    path = data_dir / "detrep_cap.txt"
-    digits = max(map(len, re.findall(r"\d+", path.read_text())))
-    assert digits == text.MAX_LITERAL_DIGITS
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dptheta.cli", "detrep", str(path),
-         "--action", "check", "--format", "tsv"],
-        capture_output=True, text=True, timeout=10,
-        env=dict(os.environ, PYTHONPATH=pythonpath))
-    assert proc.returncode == 0, proc.stderr
-    assert "verdict\tTotallyTangent" in proc.stdout.splitlines()
-
-
 @pytest.mark.parametrize("centre", [0, spin.MAX_GRAPH_GENUS - 1], ids=["first", "last"])
 def test_spin_star_answers_fast(tmp_path, centre):
     """A genus-0 centre with MAX_GRAPH_GENUS - 1 genus-1 leaves (b1 = 0):
@@ -612,46 +609,125 @@ def test_spin_star_answers_fast(tmp_path, centre):
     path = tmp_path / "star.gr"
     path.write_text("".join("v 0\n" if v == centre else "v 1\n" for v in range(n))
                     + "".join(f"e {centre} {v}\n" for v in leaves))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dptheta.cli", "spin", str(path), "--format", "tsv"],
-        capture_output=True, text=True, timeout=10,
-        env=dict(os.environ, PYTHONPATH=pythonpath))
+    proc = fresh("spin", str(path), "--format", "tsv")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1] == f"-\t{4 ** (n - 1)}\t1"
     assert len(lines) == 3
 
 
-def signed_monomial_pairs():
-    """m + -m for each of the 969 monomials of degree <= 16, twice over."""
-    monomials = ["*".join(f"{v}^{e}" for v, e in zip(("x0", "x1", "x2"), exp) if e) or "1"
-                 for exp in itertools.product(range(poly.MAX_DEGREE + 1), repeat=3)
-                 if sum(exp) <= poly.MAX_DEGREE]
-    assert len(monomials) == 969
-    return " + ".join(f"{m} + -{m}" for m in monomials * 2) + " + "
+def loops(n):
+    """One genus-1 vertex with n loops: b1 = n."""
+    return "v 1\n" + "e 0 0\n" * n
 
 
-@pytest.mark.parametrize("prefix,suffix", [
-    ("", " + x0 - x0" * 100_000),
-    (signed_monomial_pairs(), ""),
-], ids=["repeated-terms", "signed-monomials"])
-def test_detrep_long_line_answers_fast(data_dir, tmp_path, prefix, suffix):
-    """An H line of many terms that cancel, around the sample H: each sum
-    is built once and a unary minus binds looser than ^, so a fresh
-    `detrep --action check` still answers TotallyTangent within 10 s."""
-    lines = (data_dir / "detrep_sample.txt").read_text().splitlines()
+def monomials():
+    """The 969 monomials of degree <= MAX_DEGREE in x0, x1, x2."""
+    found = ["*".join(f"{v}^{e}" for v, e in zip(("x0", "x1", "x2"), exp) if e) or "1"
+             for exp in itertools.product(range(poly.MAX_DEGREE + 1), repeat=3)
+             if sum(exp) <= poly.MAX_DEGREE]
+    assert len(found) == 969
+    return found
+
+
+def around_sample_h(prefix, suffix):
+    """detrep_sample.txt with its H line wrapped in prefix and suffix."""
+    lines = (DATA / "detrep_sample.txt").read_text().splitlines()
     h = next(line for line in lines if line.startswith("H:"))
-    path = tmp_path / "long.txt"
-    path.write_text("\n".join(line for line in lines if line != h)
-                    + f"\nH: {prefix}{h[2:].strip()}{suffix}\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dptheta.cli", "detrep", str(path),
-         "--action", "check", "--format", "tsv"],
-        capture_output=True, text=True, timeout=10,
-        env=dict(os.environ, PYTHONPATH=pythonpath))
-    assert proc.returncode == 0, proc.stderr
-    assert "verdict\tTotallyTangent" in proc.stdout.splitlines()
+    return ("\n".join(line for line in lines if line != h)
+            + f"\nH: {prefix}{h[2:].strip()}{suffix}\n")
+
+
+def answers(check):
+    """Exit 0 with stdout lines that pass check."""
+    def expect(proc):
+        assert proc.returncode == 0, proc.stderr[:200]
+        assert check(proc.stdout.splitlines()), proc.stdout[:200]
+    return expect
+
+
+def one_error(proc):
+    """Exit 2, nothing on stdout and one `error:` line under 200 bytes."""
+    assert one_error_line(proc.returncode, proc.stdout, proc.stderr), proc.stderr[:200]
+    assert len(proc.stderr.encode()) < 200, proc.stderr[:300]
+
+
+TANGENT = answers(lambda lines: "verdict\tTotallyTangent" in lines)
+
+
+def tangent_at_literal_cap(proc):
+    """TotallyTangent, on a matrix whose longest literal is at the digit cap."""
+    TANGENT(proc)
+    digits = max(map(len, re.findall(r"\d+", (DATA / "detrep_cap.txt").read_text())))
+    assert digits == text.MAX_LITERAL_DIGITS
+
+
+FILE = object()  # the place in an argv of the row's data file
+CHECK, LINES, TSV = ("--action", "check"), ("--scheme", "lines"), ("--format", "tsv")
+DIM_CAP, GENUS_CAP, B1_CAP = theta_f2.MAX_COUNT_DIM, spin.MAX_GENUS, spin.MAX_B1
+MEGA = "K" * 10 ** 6
+CANCELLING = " + x0 - x0" * 100_000  # a 1 MB tail of terms that cancel
+SIGNED = " + ".join(f"{m} + -{m}" for m in monomials() * 2) + " + "  # m + -m, twice over
+
+# each row: (the body of the data file FILE or None, the argv, what the process must show)
+BOUNDS = {
+    # accepted at the cap
+    "dim-cap": (None, ("theta", "zeros", "--dim", str(DIM_CAP), "--arf", "1", *TSV), answers(
+        lambda lines: f"zeros\t{2 ** (DIM_CAP - 1) - 2 ** (DIM_CAP // 2 - 1)}" in lines)),
+    "genus-cap": (None, ("spin-table", "--genus", str(GENUS_CAP), "--nodes", str(GENUS_CAP), *TSV),
+                  answers(lambda lines: len(lines) == 1 + (GENUS_CAP + 1) * (GENUS_CAP + 2) // 2)),
+    "b1-cap": (loops(B1_CAP), ("spin", FILE, *TSV), answers(
+        lambda lines: len(lines) == 2 ** B1_CAP + 2
+        and lines[-1].endswith(f"= 2^{2 * (B1_CAP + 1)}"))),
+    "detrep-literal-cap": (None, ("detrep", str(DATA / "detrep_cap.txt"), *CHECK, *TSV),
+                           tangent_at_literal_cap),
+    "detrep-rational": (None, ("detrep", str(DATA / "detrep_rational.txt"), *CHECK, *TSV), TANGENT),
+    # a 1 MB H line of terms that cancel, and one of 969 signed monomial pairs around the
+    # sample H: each sum is built once, and a unary minus binds looser than ^
+    "detrep-repeated-terms": (around_sample_h("", CANCELLING), ("detrep", FILE, *CHECK, *TSV),
+                              TANGENT),
+    "detrep-signed-monomials": (around_sample_h(SIGNED, ""), ("detrep", FILE, *CHECK, *TSV),
+                                TANGENT),
+    # refused past the cap
+    "dim-over": (None, ("theta", "zeros", "--dim", str(DIM_CAP + 2)), one_error),
+    "negative-nodes": (None, ("spin-table", "--genus", str(GENUS_CAP), "--nodes", "-1"), one_error),
+    "genus-over": (None, ("spin-table", "--genus", str(GENUS_CAP + 1), "--nodes", "0"), one_error),
+    "b1-over": (loops(B1_CAP + 1), ("spin", FILE), one_error),
+    # not a cubic: the parser meets the wide factor once, not once per `*1`
+    "wide-product": ("H: (" + " + ".join(monomials()) + ")" + "*1" * 2000 + "\n",
+                     ("detrep", FILE, *CHECK), one_error),
+    # hostile files, each quoted in at most 40 characters
+    "dollar-h-line": (around_sample_h("$", CANCELLING), ("detrep", FILE, *CHECK), one_error),
+    "graph-line": (f"v 1\n{MEGA}\n", ("spin", FILE), one_error),
+    "config-directive": (f"{MEGA} 2\n", ("nodal", FILE, *LINES), one_error),
+    "repeated-key": (f"{MEGA}: x0\n{MEGA}: x1\n", ("detrep", FILE, *CHECK), one_error),
+    "many-unknown-keys": ("".join(f"K{i}: x0\n" for i in range(100000)), ("detrep", FILE, *CHECK),
+                          one_error),
+    "signs-degree": ("degree " + "+" * 1000 + "2\n", ("nodal", FILE, *LINES), one_error),
+    "signs-genus": ("v " + "-" * 1000 + "1\n", ("spin", FILE), one_error),
+    "signs-root": ("degree 2\nroot " + "+" * 900 + "1 0 0 0 0 0 0 0\n", ("nodal", FILE, *LINES),
+                   one_error),
+    # numbers from outside, quoted the same way
+    "dim-4000-digits": (None, ("theta", "zeros", "--dim", "9" * 4000), one_error),
+    "genus-4000-digits": (None, ("spin-table", "--genus", "9" * 4000, "--nodes", "0"), one_error),
+    "graph-genus-1000-digits": ("v " + "9" * 1000 + "\n", ("spin", FILE), one_error),
+    "exponent-1000-digits": ("H: x0^" + "9" * 1000 + "\n", ("detrep", FILE, *CHECK), one_error),
+    # usage errors; each word stays under Linux's 128 KiB MAX_ARG_STRLEN, or exec fails first
+    "dim-5000-digits": (None, ("theta", "zeros", "--dim", "9" * 5000), one_error),
+    "seed-5000-digits": (None, ("detrep", str(DATA / "detrep_sample.txt"), *CHECK,
+                                "--seed", "9" * 5000), one_error),
+    "spaced-scheme": (None, ("nodal", str(DATA / "e7.cfg"), "--scheme", "a " * 50000), one_error),
+    "long-file-name": (None, ("spin", "f" * 100000), one_error),
+    "help": (None, ("--help",), answers(lambda lines: lines[0].startswith("usage: dptheta"))),
+}
+
+
+@pytest.mark.parametrize("body,argv,expect", BOUNDS.values(), ids=BOUNDS)
+def test_cli_bound_fresh(tmp_path, body, argv, expect):
+    """Each CLI bound as a fresh process within 10 s: the largest input
+    under a cap still answers, and past a cap, or on hostile input, the
+    command exits 2 with one short `error:` line."""
+    path = tmp_path / "data"
+    if body is not None:
+        path.write_text(body)
+    expect(fresh(*(str(path) if word is FILE else word for word in argv)))
