@@ -265,7 +265,7 @@ class MultiPoly:
     __repr__ = __str__
 
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_]\w*|\^|\*|\+|-|\(|\))")
+_TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+|[A-Za-z_]\w*|\^|\*|\+|-|\(|\))")
 _TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")  # the longest run of tokens from the start
 MAX_NESTING = 100  # parentheses and unary signs, each one recursion
 MAX_DEGREE = 16  # exponents and the total degree of each product

@@ -17,14 +17,17 @@ def data_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def parse_int(text: str) -> int:
-    """int(text), refusing literals of more than MAX_LITERAL_DIGITS digits."""
-    digits = len(text.strip().lstrip("+-"))
+    """int(text) of ASCII digits after at most one sign, at most MAX_LITERAL_DIGITS."""
+    body = text.strip()
+    digits = len(body.lstrip("+-"))
     if digits > MAX_LITERAL_DIGITS:
         raise ValueError(f"integer literal of {digits} digits exceeds {MAX_LITERAL_DIGITS}")
     try:
-        return int(text)
+        if body.isascii() and "_" not in body:  # int() also reads 1_0 and other scripts' digits
+            return int(body)
     except ValueError:
-        raise ValueError(f"not an integer: {echo(text)}") from None
+        pass
+    raise ValueError(f"not an integer: {echo(text)}")
 
 
 def echo(value) -> str:

@@ -542,7 +542,7 @@ def test_outside_number_quoted_in_one_short_line(capsys, tmp_path, name, body, a
 
 
 DIGITS = "9" * 5000
-SPACED = "a " * 40000
+SPACED = "a " * 50000
 
 
 @pytest.mark.parametrize("argv,shown", [
@@ -561,10 +561,17 @@ SPACED = "a " * 40000
     (("nodal", str(DATA / "e7.cfg"), "--scheme=" + "S" * 100000), "S" * 100000),
     (("theta", "zeros", "--arf=" + DIGITS[:4000]), int(DIGITS[:4000])),
     (("theta", "aronhold", "-h" + "x" * 100000), "x" * 100000),
+    ((SPACED,), SPACED),
+    (("theta", "aronhold", "--format", SPACED), SPACED),
+    (("lattice", "--degree", "3", "--kind", SPACED), SPACED),
+    (("nodal", str(DATA / "e7.cfg"), "--scheme", SPACED), SPACED),
+    (("detrep", str(DATA / "detrep_sample.txt"), "--action", SPACED), SPACED),
+    (("theta", "zeros", "--arf", SPACED), SPACED),
 ], ids=["dim-digits", "seed-digits", "long-task", "long-scheme", "spaced-task",
         "arf-digits", "long-file-name", "backslash", "unknown-subcommand",
         "unknown-option", "missing-nodes", "scheme-after-equals", "arf-after-equals",
-        "after-short-option"])
+        "after-short-option", "spaced-subcommand", "spaced-format", "spaced-kind",
+        "spaced-scheme", "spaced-action", "spaced-arf"])
 def test_usage_error_in_one_short_line(capsys, argv, shown):
     """A usage error leaves through main's one `error:` line, and quotes a
     command-line word as any input is quoted, by `text.echo`: whether
@@ -716,7 +723,7 @@ BOUNDS = {
     "dim-5000-digits": (None, ("theta", "zeros", "--dim", "9" * 5000), one_error),
     "seed-5000-digits": (None, ("detrep", str(DATA / "detrep_sample.txt"), *CHECK,
                                 "--seed", "9" * 5000), one_error),
-    "spaced-scheme": (None, ("nodal", str(DATA / "e7.cfg"), "--scheme", "a " * 50000), one_error),
+    "spaced-scheme": (None, ("nodal", str(DATA / "e7.cfg"), "--scheme", SPACED), one_error),
     "long-file-name": (None, ("spin", "f" * 100000), one_error),
     "help": (None, ("--help",), answers(lambda lines: lines[0].startswith("usage: dptheta"))),
 }

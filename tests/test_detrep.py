@@ -47,13 +47,6 @@ SAMPLE = SymThetaData(
     h=pp("x0^3 + x1^3 + x2^3 - x0*x1*x2"))
 
 
-def test_roundtrip_100_random():
-    rng = random.Random(0)
-    for _ in range(100):
-        data = random_data(rng)
-        assert extract_matrix(cubic_threefold(data)) == data
-
-
 def test_extract_rejects_bad_cubics():
     u1 = MultiPoly.variable(detrep.SPACE_VARS, "u1")
     with pytest.raises(ValueError):
@@ -85,13 +78,6 @@ def test_degenerate_determinant():
         discriminant_quintic(data)
     with pytest.raises(DegenerateError):
         contact_conic(data)
-
-
-def test_sample_totally_tangent():
-    f = discriminant_quintic(SAMPLE)
-    t = contact_conic(SAMPLE)
-    report = total_tangency_check(f, t, seed=0)
-    assert report.verdict is Tangency.TOTALLY_TANGENT
 
 
 def test_random_data_totally_tangent():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dptheta import detrep, kernels, lattice as lt, nodal, poly, spin, theta_f2
+from dptheta import detrep, kernels, lattice as lt, nodal, poly, spin, text, theta_f2
 from dptheta.poly import MultiPoly, parse_poly
 
 LAT2, LAT3 = lt.make_lattice(2), lt.make_lattice(3)
@@ -38,6 +38,13 @@ GUARDS = [
     ("contracted-not-blowdown", lambda: lt.contracted_lines(LAT3, E1),
      ValueError, "not a blow-down"),
     ("parse-class-empty", lambda: lt.parse_class("[ ]"), ValueError, "empty divisor"),
+    # an integer literal is ASCII digits after at most one sign, as in a file
+    ("int-underscore", lambda: text.parse_int("1_0"), ValueError, "^not an integer: '1_0'$"),
+    ("int-arabic-indic", lambda: text.parse_int("١١"), ValueError, "^not an integer: '١١'$"),
+    ("graph-genus-underscore", lambda: spin.parse_graph("v 1_0\n"),
+     ValueError, "^not an integer: '1_0'$"),
+    ("poly-arabic-indic", lambda: parse_poly("١*x0^٣", ("x0",)),
+     ValueError, "^cannot tokenize '١\\*x0\\^٣'$"),
     ("multipoly-immutable", set_attribute, AttributeError, "immutable"),
     ("variable-mismatch", lambda: X + MultiPoly.variable(("x",), "x"),
      ValueError, "variable mismatch"),

@@ -61,120 +61,12 @@ def test_invalid_roots_rejected():
             nodal.parse_config(text)
 
 
-@pytest.mark.parametrize("degree", [2, 3])
-def test_schemes_do_not_revalidate(monkeypatch, degree):
-    """Schemes and the profile trust a built config: with validate_config
-    made to raise, each still returns what it returned before."""
-    lat = lt.make_lattice(degree)
-    simple = lt.simple_roots(lat)
-    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
-            for mask in range(1 << len(simple))]
-    if degree == 2:
-        cfgs.append(config(2, *A1_NODE))
-    names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
-
-    def results():
-        out = [nodal.scheme(cfg, name) for cfg in cfgs for name in names]
-        return out + [nodal.intersection_profile(cfg) for cfg in cfgs
-                      if degree == 2 and len(cfg.roots) == 1]
-
-    expected = results()
-
-    def refuse(cfg):
-        raise AssertionError("validate_config called on a built config")
-    monkeypatch.setattr(nodal, "validate_config", refuse)
-    assert results() == expected
-
-
-def test_even_theta_scheme_trusts_the_table(monkeypatch):
-    """The eventheta scheme labels the blow-down table by mod2_label: with
-    the keying cache warm, the labels cleared and kind_of made to raise,
-    each degree-2 config still gets the scheme it got before."""
-    lat = lt.make_lattice(2)
-    simple = lt.simple_roots(lat)
-    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
-            for mask in range(1 << len(simple))] + [config(2, *A1_NODE)]
-    expected = [nodal.scheme(cfg, "eventheta") for cfg in cfgs]
-
-    def refuse(lat, d):
-        raise AssertionError("kind_of called on a table class")
-    nodal._labels.cache_clear()
-    monkeypatch.setattr(lt, "kind_of", refuse)
-    assert [nodal.scheme(cfg, "eventheta") for cfg in cfgs] == expected
-
-
-@pytest.mark.parametrize("degree", [2, 3])
-def test_schemes_partition_the_table_as_built(monkeypatch, degree):
-    """A scheme partitions its class table as enumerate_classes built it,
-    sorted and of one kind, with no kind check in between: with the labels
-    warm, 32 other class lists partitioned since and kind_of made to raise,
-    each scheme on each simple-root subset returns what it returned before."""
-    lat = lt.make_lattice(degree)
-    simple = lt.simple_roots(lat)
-    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
-            for mask in range(1 << len(simple))]
-    names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
-
-    def results():
-        return [nodal.scheme(cfg, name) for cfg in cfgs for name in names]
-
-    expected = results()
-    others = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL) \
-        + lt.enumerate_classes(lat, ClassKind.BLOWDOWN)
-    for c in others[:32]:
-        assert nodal.congruence_classes(cfgs[-1], [c]) == ((c,),)
-
-    def refuse(lat, d):
-        raise AssertionError("kind_of called on a table class")
-    monkeypatch.setattr(lt, "kind_of", refuse)
-    assert results() == expected
-
-
-def test_node_schemes():
-    """Degree-2 single node: the paper's multiplicity schemes."""
-    cfg = config(2, *A1_NODE)
-    assert nodal.line_scheme(cfg).multiplicity_profile() == {1: 32, 2: 12}
-    assert nodal.bitangent_scheme(cfg).multiplicity_profile() == {1: 16, 2: 6}
-    assert nodal.even_theta_scheme(cfg).multiplicity_profile() == {1: 16, 2: 10}
-    assert nodal.even_theta_scheme(cfg).total == 36
-
-
-def test_cusp_schemes_degree3():
-    cfg = config(3, *A2_CUSP_3)
-    assert nodal.line_scheme(cfg).multiplicity_profile() == {1: 9, 3: 6}
-    assert nodal.double_six_scheme(cfg).multiplicity_profile() == {1: 6, 3: 10}
-    assert nodal.double_six_scheme(cfg).total == 36
-
-
-def test_cusp_cross_check_degree2():
-    """Degree-2 A2 mirrors the cubic cusp through the even theta scheme."""
-    cfg = config(2, *A2_CUSP_2)
-    assert nodal.bitangent_scheme(cfg).multiplicity_profile() == {1: 10, 3: 6}
-    assert nodal.even_theta_scheme(cfg).multiplicity_profile() == {1: 6, 3: 10}
-
-
-def test_e7_schemes():
-    cfg = config(2, *E7_ROOTS)
-    assert nodal.bitangent_scheme(cfg).multiplicity_profile() == {28: 1}
-    assert nodal.aronhold_scheme(cfg).multiplicity_profile() == {288: 1}
-    assert nodal.even_theta_scheme(cfg).multiplicity_profile() == {36: 1}
-
-
 def test_empty_config_all_multiplicity_one():
     cfg = config(3)
     assert nodal.line_scheme(cfg).multiplicity_profile() == {1: 27}
     assert nodal.blowdown_scheme(cfg).multiplicity_profile() == {1: 72}
     cfg2 = config(2)
     assert nodal.bitangent_scheme(cfg2).multiplicity_profile() == {1: 28}
-
-
-def test_scheme_totals_preserved():
-    """Multiplicities always account for every class in the clean count."""
-    for roots in ((), A1_NODE, A2_CUSP_2, E7_ROOTS):
-        cfg = config(2, *roots)
-        assert nodal.line_scheme(cfg).total == 56
-        assert nodal.blowdown_scheme(cfg).total == 576
-        assert nodal.bitangent_scheme(cfg).total == 28
 
 
 EXPECTED_PROFILE = {
@@ -195,14 +87,6 @@ def test_intersection_profile_rows():
     cfg = config(2, *A1_NODE)
     profile = nodal.intersection_profile(cfg)
     assert dict(profile) == EXPECTED_PROFILE
-
-
-def test_intersection_profile_totals():
-    cfg = config(2, *A1_NODE)
-    profile = nodal.intersection_profile(cfg)
-    assert nodal.profile_column_totals(profile) == (32, 160, 192, 160, 32)
-    # row sums partition the 576 blow-down classes
-    assert sum(sum(row) for _, row in profile) == 576
 
 
 def test_profile_family_sizes():
@@ -342,6 +226,9 @@ def random_configs(lat, rng, count):
 @pytest.mark.parametrize("degree", [2, 3])
 @pytest.mark.parametrize("kind", [ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN])
 def test_congruence_classes_match_rational_oracle(degree, kind):
+    """The table as built, a shuffled list, a generator, a list with
+    duplicated classes and that list reversed give sorted parts that agree
+    with the rational oracle."""
     lat = lt.make_lattice(degree)
     rng = random.Random(degree)
     classes = lt.enumerate_classes(lat, kind)
@@ -349,12 +236,19 @@ def test_congruence_classes_match_rational_oracle(degree, kind):
     cfgs += conjugated_configs(lat, rng, 5)
     cfgs += random_configs(lat, rng, 5)
     for cfg in cfgs:
-        key = rational_key(lat, cfg.roots)
-        parts = {}
-        for c in classes:
-            parts.setdefault(key(c), []).append(c)
-        expected = tuple(sorted(tuple(sorted(p)) for p in parts.values()))
-        assert nodal.congruence_classes(cfg, classes) == expected
+        key = dict(zip(classes, map(rational_key(lat, cfg.roots), classes))).get
+
+        def oracle(members):
+            parts = {}
+            for c in members:
+                parts.setdefault(key(c), []).append(c)
+            return tuple(sorted(tuple(sorted(p)) for p in parts.values()))
+        shuffled = rng.sample(classes, len(classes))
+        doubled = shuffled + rng.sample(classes, len(classes) // 3)
+        once, twice = oracle(classes), oracle(doubled)
+        for given, expected in ((classes, once), (shuffled, once), (iter(shuffled), once),
+                                (doubled, twice), (doubled[::-1], twice)):
+            assert nodal.congruence_classes(cfg, given) == expected
 
 
 def component_type_by_arms(size, degrees, arms):
@@ -402,23 +296,6 @@ def dynkin_by_arm_walk(cfg):
     return "+".join(sorted(names, key=lambda s: (s[0], int(s[1:]))))
 
 
-@pytest.mark.parametrize("degree", [2, 3])
-def test_dynkin_names_match_arm_walk_oracle(degree):
-    """Every subset of the E7 / E6 simple roots and random valid subsets."""
-    lat = lt.make_lattice(degree)
-    simple = lt.simple_roots(lat)
-    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
-            for mask in range(1 << len(simple))]
-    cfgs += random_configs(lat, random.Random(10 + degree), 40)
-    names = set()
-    for cfg in cfgs:
-        name = nodal.validate_config(cfg)
-        assert name == dynkin_by_arm_walk(cfg)
-        names.add(name)
-    assert {"E6", "D5", "A5", "A1+A2"} <= names
-    assert ("E7" in names) == (degree == 2)
-
-
 NON_ADE_DIAGRAMS = [
     # a triangle: an affine A2 cycle
     [(-2, 0, 1, 1, 1, 1, 1, 1), (0, 1, -1, 0, 0, 0, 0, 0),
@@ -462,16 +339,18 @@ def pairwise_root_sets(lat, rng, count):
 @pytest.mark.parametrize("degree", [2, 3])
 def test_validate_config_matches_sylvester_oracle(degree):
     """Accept exactly the negative definite spans, on every E7 / E6
-    simple-root subset, on random pairwise-{0, 1} root sets and on the
-    non-ADE diagrams; each accepted name agrees with the arm walk."""
+    simple-root subset, on greedy random valid sets, on random pairwise-{0, 1}
+    root sets and on the non-ADE diagrams; each accepted name agrees with the
+    arm walk, and E6, D5, A5, A1+A2 and, in degree 2 only, E7 are met."""
     lat = lt.make_lattice(degree)
     simple = lt.simple_roots(lat)
     sets = [[r for k, r in enumerate(simple) if mask >> k & 1]
             for mask in range(1 << len(simple))]
+    sets += (cfg.roots for cfg in random_configs(lat, random.Random(10 + degree), 40))
     sets += pairwise_root_sets(lat, random.Random(40 + degree), 3000)
     if degree == 2:
         sets += NON_ADE_DIAGRAMS
-    rejected = 0
+    rejected, names = 0, set()
     for roots in sets:
         cfg = SimpleNamespace(lattice=lat, roots=tuple(sorted(roots)))
         try:
@@ -483,7 +362,10 @@ def test_validate_config_matches_sylvester_oracle(degree):
         else:
             assert negative_definite_by_sylvester(lat, cfg.roots), roots
             assert name == dynkin_by_arm_walk(cfg)
+            names.add(name)
     assert rejected > 500
+    assert {"E6", "D5", "A5", "A1+A2"} <= names
+    assert ("E7" in names) == (degree == 2)
 
 
 def involution_quotient(parts, involution):
@@ -529,23 +411,59 @@ def scheme_oracle(cfg, name, parts):
     return tuple((p[0], len(p)) for p in parts)
 
 
+# Each scheme's total: every class of its kind, or every label, is counted.
+TOTALS = {2: {"lines": 56, "blowdowns": 576, "bitangents": 28, "aronhold": 288,
+              "eventheta": 36},
+          3: {"lines": 27, "blowdowns": 72, "doublesix": 36}}
+
+
 @pytest.mark.parametrize("degree", [2, 3])
-def test_schemes_match_quotient_oracles(degree):
-    """Every scheme on every E7 / E6 simple-root subset and on greedy random
-    root sets, against the part-pair quotient and the even-theta grouping."""
+def test_schemes_match_quotient_oracles(monkeypatch, degree):
+    """Every scheme on every E7 / E6 simple-root subset (the A1 node, the A2
+    cusp and E7 among them) and on greedy random root sets, run once each,
+    against the part-pair quotient and the even-theta grouping, with its
+    total; then each single-root profile against the pair oracle.
+
+    The pass trusts what a config and a class table were built to be:
+    validate_config and kind_of raise, the pair labels are warm and the
+    even-theta labels cold, and other class lists were partitioned since
+    the tables were built."""
     lat = lt.make_lattice(degree)
     simple = lt.simple_roots(lat)
     cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
             for mask in range(1 << len(simple))]
+    named = (A1_NODE, A2_CUSP_2, E7_ROOTS) if degree == 2 else (A2_CUSP_3,)
+    assert all(config(degree, *roots) in cfgs for roots in named)
+    full = cfgs[-1]
     cfgs += random_configs(lat, random.Random(20 + degree), 40)
-    names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
-    assert len(names) == (5 if degree == 2 else 3)
+    names = TOTALS[degree]
+    assert {n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)} == set(names)
+    expected = []
     for cfg in cfgs:
         parts = {kind: nodal.congruence_classes(cfg, lt.enumerate_classes(lat, kind))
                  for kind in (ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN)}
-        for name in names:
-            expected = scheme_oracle(cfg, name, parts[nodal.SCHEMES[name][0]])
-            assert nodal.scheme(cfg, name).points == expected, (name, cfg.roots)
+        expected.append({name: scheme_oracle(cfg, name, parts[nodal.SCHEMES[name][0]])
+                         for name in names})
+    profiles = [(cfg, profile_by_pair(cfg)) for cfg in cfgs
+                if degree == 2 and len(cfg.roots) == 1]
+    others = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL) \
+        + lt.enumerate_classes(lat, ClassKind.BLOWDOWN)
+    for c in others[:32]:
+        assert nodal.congruence_classes(full, [c]) == ((c,),)
+    nodal._labels.cache_clear()
+    for name in INVOLUTIONS.keys() & names:  # double_six_partner checks the kind
+        nodal._labels(lat, name)
+
+    def refuse(*args):
+        raise AssertionError("a built config or a table class checked again")
+    monkeypatch.setattr(nodal, "validate_config", refuse)
+    monkeypatch.setattr(lt, "kind_of", refuse)
+    for cfg, points in zip(cfgs, expected):
+        for name, total in names.items():
+            got = nodal.scheme(cfg, name)
+            assert got.points == points[name] and got.total == total, (name, cfg.roots)
+    for cfg, profile in profiles:
+        assert nodal.intersection_profile(cfg) == profile
 
 
 @pytest.mark.parametrize("name", sorted(INVOLUTIONS))
@@ -577,27 +495,3 @@ def test_mixed_kinds_rejected():
             nodal.congruence_classes(cfg, mixed)
     with pytest.raises(ValueError, match="^classes of mixed kinds$"):
         nodal.congruence_classes(cfg, iter(mixed))
-
-
-@pytest.mark.parametrize("degree", [2, 3])
-def test_congruence_classes_any_iterable(degree):
-    """Shuffled lists, generators and duplicated classes give sorted parts
-    that agree with the rational oracle."""
-    lat = lt.make_lattice(degree)
-    rng = random.Random(30 + degree)
-    cfgs = [config(degree, *lt.simple_roots(lat))]
-    cfgs += conjugated_configs(lat, rng, 2)
-    cfgs += random_configs(lat, rng, 2)
-    for kind in (ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN):
-        classes = lt.enumerate_classes(lat, kind)
-        for cfg in cfgs:
-            key = dict(zip(classes, map(rational_key(lat, cfg.roots), classes))).get
-            shuffled = rng.sample(classes, len(classes))
-            doubled = shuffled + rng.sample(classes, len(classes) // 3)
-            for given, members in ((shuffled, classes), ((c for c in shuffled), classes),
-                                   (doubled, doubled), (doubled[::-1], doubled)):
-                parts = {}
-                for c in members:
-                    parts.setdefault(key(c), []).append(c)
-                got = nodal.congruence_classes(cfg, given)
-                assert got == tuple(sorted(tuple(sorted(p)) for p in parts.values()))

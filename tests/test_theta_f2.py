@@ -14,12 +14,6 @@ from dptheta import lattice as lt, theta_f2 as tf
 from dptheta.lattice import ClassKind
 
 
-def test_class_counts():
-    assert len(tf.all_classes()) == 64
-    assert len(tf.odd_classes()) == 28
-    assert len(tf.even_classes()) == 36
-
-
 def test_group_structure():
     classes = tf.all_classes()
     ident = tf.IDENTITY
@@ -43,32 +37,12 @@ def test_weil_pairing_bilinear():
             == (tf.weil_pair(a, c) + tf.weil_pair(b, c)) % 2
 
 
-def test_riemann_mumford_exhaustive():
-    """q_theta(a + b) + q_theta(a) + q_theta(b) = <a, b> for 10 base thetas
-    and all 64 x 64 pairs."""
-    classes = tf.all_classes()
-    for theta in classes[:10]:
-        for a in classes:
-            qa = tf.q_theta(theta, a)
-            for b in classes:
-                assert (tf.q_theta(theta, a + b) + qa
-                        + tf.q_theta(theta, b)) % 2 == tf.weil_pair(a, b)
-
-
 def test_q_theta_zero_counts():
     """An even theta gives 36 zeros, an odd one 28 (genus-3 Arf counts)."""
     classes = tf.all_classes()
     for theta in classes:
         zeros = sum(1 for a in classes if tf.q_theta(theta, a) == 0)
         assert zeros == (36 if theta.parity == 0 else 28)
-
-
-def test_aronhold_count_and_fibers():
-    sets = tf.enumerate_aronhold()
-    assert len(sets) == 288
-    fibers = Counter(tf.even_theta_of_aronhold(s) for s in sets)
-    assert len(fibers) == 36
-    assert set(fibers.values()) == {8}
 
 
 def test_syzygetic_validation():
@@ -167,15 +141,6 @@ def test_shift_by_zero_preserves_arf():
     for _ in range(10):
         shifted = q.shift(rng.choice(zeros))
         assert tf.arf(shifted) == 1
-
-
-def test_conic_pairs_deterministic():
-    assert tf.count_conic_pairs() == (496, 990, 495)
-
-
-def test_conic_pairs_randomized_invariant():
-    for seed in range(20):
-        assert tf.count_conic_pairs(random.Random(seed)) == (496, 990, 495)
 
 
 def _conic_pairs_oracle(rng=None):
