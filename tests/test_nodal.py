@@ -3,7 +3,7 @@
 import random
 import re
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 
 import pytest
@@ -223,32 +223,51 @@ def random_configs(lat, rng, count):
         yield nodal.NodalConfig(lat, roots)
 
 
-@pytest.mark.parametrize("degree", [2, 3])
-@pytest.mark.parametrize("kind", [ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN])
-def test_congruence_classes_match_rational_oracle(degree, kind):
-    """The table as built, a shuffled list, a generator, a list with
-    duplicated classes and that list reversed give sorted parts that agree
-    with the rational oracle."""
+def oracle_parts(key, members):
+    """Sorted parts of `members` grouped by their rational_key."""
+    parts = {}
+    for c in members:
+        parts.setdefault(key[c], []).append(c)
+    return tuple(sorted(tuple(sorted(p)) for p in parts.values()))
+
+
+@cache
+def congruence_cases(degree, kind):
+    """The empty, full, conjugated and greedy random configs of one degree,
+    each with the class table of one kind keyed once by rational_key, a
+    shuffled copy of the table and that copy with a third duplicated."""
     lat = lt.make_lattice(degree)
     rng = random.Random(degree)
     classes = lt.enumerate_classes(lat, kind)
     cfgs = [config(degree), config(degree, *lt.simple_roots(lat))]
     cfgs += conjugated_configs(lat, rng, 5)
     cfgs += random_configs(lat, rng, 5)
+    cases = []
     for cfg in cfgs:
-        key = dict(zip(classes, map(rational_key(lat, cfg.roots), classes))).get
-
-        def oracle(members):
-            parts = {}
-            for c in members:
-                parts.setdefault(key(c), []).append(c)
-            return tuple(sorted(tuple(sorted(p)) for p in parts.values()))
+        key = dict(zip(classes, map(rational_key(lat, cfg.roots), classes)))
         shuffled = rng.sample(classes, len(classes))
         doubled = shuffled + rng.sample(classes, len(classes) // 3)
-        once, twice = oracle(classes), oracle(doubled)
-        for given, expected in ((classes, once), (shuffled, once), (iter(shuffled), once),
-                                (doubled, twice), (doubled[::-1], twice)):
-            assert nodal.congruence_classes(cfg, given) == expected
+        cases.append((cfg, classes, shuffled, doubled, partial(oracle_parts, key)))
+    return cases
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("kind", [ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN])
+def test_congruence_classes_match_rational_oracle(degree, kind):
+    for cfg, classes, _, _, oracle in congruence_cases(degree, kind):
+        assert nodal.congruence_classes(cfg, classes) == oracle(classes)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_congruence_classes_any_iterable(degree):
+    """A shuffled list, a generator, a list with duplicated classes and that
+    list reversed give the sorted oracle parts, on the same configs."""
+    for kind in (ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN):
+        for cfg, classes, shuffled, doubled, oracle in congruence_cases(degree, kind):
+            once, twice = oracle(classes), oracle(doubled)
+            for given, expected in ((shuffled, once), (iter(shuffled), once),
+                                    (doubled, twice), (doubled[::-1], twice)):
+                assert nodal.congruence_classes(cfg, given) == expected
 
 
 def component_type_by_arms(size, degrees, arms):
@@ -336,12 +355,11 @@ def pairwise_root_sets(lat, rng, count):
         yield roots
 
 
-@pytest.mark.parametrize("degree", [2, 3])
-def test_validate_config_matches_sylvester_oracle(degree):
-    """Accept exactly the negative definite spans, on every E7 / E6
-    simple-root subset, on greedy random valid sets, on random pairwise-{0, 1}
-    root sets and on the non-ADE diagrams; each accepted name agrees with the
-    arm walk, and E6, D5, A5, A1+A2 and, in degree 2 only, E7 are met."""
+@cache
+def validated(degree):
+    """validate_config, called once on every E7 / E6 simple-root subset, on
+    greedy random valid sets, on random pairwise-{0, 1} root sets and on the
+    non-ADE diagrams: (config, name or None, error message or None)."""
     lat = lt.make_lattice(degree)
     simple = lt.simple_roots(lat)
     sets = [[r for k, r in enumerate(simple) if mask >> k & 1]
@@ -350,20 +368,38 @@ def test_validate_config_matches_sylvester_oracle(degree):
     sets += pairwise_root_sets(lat, random.Random(40 + degree), 3000)
     if degree == 2:
         sets += NON_ADE_DIAGRAMS
-    rejected, names = 0, set()
+    out = []
     for roots in sets:
         cfg = SimpleNamespace(lattice=lat, roots=tuple(sorted(roots)))
         try:
-            name = nodal.validate_config(cfg)
+            out.append((cfg, nodal.validate_config(cfg), None))
         except ValueError as exc:
-            assert str(exc) == "root span is not negative definite"
-            assert not negative_definite_by_sylvester(lat, cfg.roots), roots
+            out.append((cfg, None, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_validate_config_matches_sylvester_oracle(degree):
+    """Accept exactly the negative definite spans."""
+    rejected = 0
+    for cfg, name, error in validated(degree):
+        positive = negative_definite_by_sylvester(cfg.lattice, cfg.roots)
+        assert positive == (error is None), cfg.roots
+        if error is not None:
+            assert error == "root span is not negative definite"
             rejected += 1
-        else:
-            assert negative_definite_by_sylvester(lat, cfg.roots), roots
-            assert name == dynkin_by_arm_walk(cfg)
-            names.add(name)
     assert rejected > 500
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_dynkin_names_match_arm_walk_oracle(degree):
+    """Each accepted name agrees with the arm walk, and E6, D5, A5, A1+A2
+    and, in degree 2 only, E7 are met."""
+    names = set()
+    for cfg, name, error in validated(degree):
+        if error is None:
+            assert name == dynkin_by_arm_walk(cfg), cfg.roots
+            names.add(name)
     assert {"E6", "D5", "A5", "A1+A2"} <= names
     assert ("E7" in names) == (degree == 2)
 
@@ -411,6 +447,62 @@ def scheme_oracle(cfg, name, parts):
     return tuple((p[0], len(p)) for p in parts)
 
 
+@cache
+def scheme_pass(degree):
+    """Every scheme of one degree, run once on every E7 / E6 simple-root
+    subset and on greedy random root sets, then each single-root profile,
+    with the oracle answer of each computed beforehand.
+
+    The pass is made as a built config and a class table are trusted: the
+    pair labels warm and the even-theta labels cold, 32 other class lists
+    partitioned since the tables were built, and every call to
+    validate_config and kind_of logged with the scheme that made it."""
+    lat = lt.make_lattice(degree)
+    simple = lt.simple_roots(lat)
+    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
+            for mask in range(1 << len(simple))]
+    full = cfgs[-1]
+    cfgs += random_configs(lat, random.Random(20 + degree), 40)
+    names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
+    expected = []
+    for cfg in cfgs:
+        parts = {kind: nodal.congruence_classes(cfg, lt.enumerate_classes(lat, kind))
+                 for kind in (ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN)}
+        expected.append({name: scheme_oracle(cfg, name, parts[nodal.SCHEMES[name][0]])
+                         for name in names})
+    singles = [cfg for cfg in cfgs if degree == 2 and len(cfg.roots) == 1]
+    profiles = [profile_by_pair(cfg) for cfg in singles]
+    others = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL) \
+        + lt.enumerate_classes(lat, ClassKind.BLOWDOWN)
+    one_class = [(c, nodal.congruence_classes(full, [c])) for c in others[:32]]
+    nodal._labels.cache_clear()
+    for name in INVOLUTIONS.keys() & set(names):  # double_six_partner checks the kind
+        nodal._labels(lat, name)
+    warm = nodal._labels.cache_info().currsize
+
+    step, calls = [None], []
+
+    def logged(attr, original):
+        def call(*args):
+            calls.append((attr, step[0]))
+            return original(*args)
+        return call
+    with pytest.MonkeyPatch.context() as mp:
+        for module, attr in ((nodal, "validate_config"), (lt, "kind_of")):
+            mp.setattr(module, attr, logged(attr, getattr(module, attr)))
+        got = []
+        for cfg in cfgs:
+            got.append({})
+            for name in names:
+                step[0] = name
+                got[-1][name] = nodal.scheme(cfg, name)
+        step[0] = "profile"
+        got_profiles = [nodal.intersection_profile(cfg) for cfg in singles]
+    return SimpleNamespace(cfgs=cfgs, names=names, expected=expected, got=got,
+                           profiles=profiles, got_profiles=got_profiles,
+                           one_class=one_class, warm=warm, calls=calls)
+
+
 # Each scheme's total: every class of its kind, or every label, is counted.
 TOTALS = {2: {"lines": 56, "blowdowns": 576, "bitangents": 28, "aronhold": 288,
               "eventheta": 36},
@@ -418,52 +510,50 @@ TOTALS = {2: {"lines": 56, "blowdowns": 576, "bitangents": 28, "aronhold": 288,
 
 
 @pytest.mark.parametrize("degree", [2, 3])
-def test_schemes_match_quotient_oracles(monkeypatch, degree):
-    """Every scheme on every E7 / E6 simple-root subset (the A1 node, the A2
-    cusp and E7 among them) and on greedy random root sets, run once each,
-    against the part-pair quotient and the even-theta grouping, with its
-    total; then each single-root profile against the pair oracle.
+def test_schemes_match_quotient_oracles(degree):
+    """Against the part-pair quotient and the even-theta grouping; each
+    single-root profile against the pair oracle."""
+    run = scheme_pass(degree)
+    assert set(run.names) == set(TOTALS[degree])
+    for cfg, points, got in zip(run.cfgs, run.expected, run.got):
+        for name in run.names:
+            assert got[name].points == points[name], (name, cfg.roots)
+    assert run.got_profiles == run.profiles
 
-    The pass trusts what a config and a class table were built to be:
-    validate_config and kind_of raise, the pair labels are warm and the
-    even-theta labels cold, and other class lists were partitioned since
-    the tables were built."""
-    lat = lt.make_lattice(degree)
-    simple = lt.simple_roots(lat)
-    cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
-            for mask in range(1 << len(simple))]
-    named = (A1_NODE, A2_CUSP_2, E7_ROOTS) if degree == 2 else (A2_CUSP_3,)
-    assert all(config(degree, *roots) in cfgs for roots in named)
-    full = cfgs[-1]
-    cfgs += random_configs(lat, random.Random(20 + degree), 40)
-    names = TOTALS[degree]
-    assert {n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)} == set(names)
-    expected = []
-    for cfg in cfgs:
-        parts = {kind: nodal.congruence_classes(cfg, lt.enumerate_classes(lat, kind))
-                 for kind in (ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN)}
-        expected.append({name: scheme_oracle(cfg, name, parts[nodal.SCHEMES[name][0]])
-                         for name in names})
-    profiles = [(cfg, profile_by_pair(cfg)) for cfg in cfgs
-                if degree == 2 and len(cfg.roots) == 1]
-    others = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL) \
-        + lt.enumerate_classes(lat, ClassKind.BLOWDOWN)
-    for c in others[:32]:
-        assert nodal.congruence_classes(full, [c]) == ((c,),)
-    nodal._labels.cache_clear()
-    for name in INVOLUTIONS.keys() & names:  # double_six_partner checks the kind
-        nodal._labels(lat, name)
 
-    def refuse(*args):
-        raise AssertionError("a built config or a table class checked again")
-    monkeypatch.setattr(nodal, "validate_config", refuse)
-    monkeypatch.setattr(lt, "kind_of", refuse)
-    for cfg, points in zip(cfgs, expected):
-        for name, total in names.items():
-            got = nodal.scheme(cfg, name)
-            assert got.points == points[name] and got.total == total, (name, cfg.roots)
-    for cfg, profile in profiles:
-        assert nodal.intersection_profile(cfg) == profile
+def test_scheme_totals_preserved():
+    """Multiplicities account for every class, or every label, of the clean
+    count on every config of the pass: the A1 node, both A2 cusps and E7
+    among them."""
+    for degree, named in ((2, ((), A1_NODE, A2_CUSP_2, E7_ROOTS)), (3, ((), A2_CUSP_3))):
+        run = scheme_pass(degree)
+        assert all(config(degree, *roots) in run.cfgs for roots in named)
+        for cfg, got in zip(run.cfgs, run.got):
+            assert {name: s.total for name, s in got.items()} == TOTALS[degree], cfg.roots
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_schemes_do_not_revalidate(degree):
+    """Schemes and the profile trust a built config."""
+    assert [s for f, s in scheme_pass(degree).calls if f == "validate_config"] == []
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_schemes_partition_the_table_as_built(degree):
+    """A scheme partitions its class table as enumerate_classes built it,
+    sorted and of one kind, with no kind check in between, though other
+    class lists were partitioned since."""
+    run = scheme_pass(degree)
+    assert all(parts == ((c,),) for c, parts in run.one_class)
+    assert [s for f, s in run.calls if f == "kind_of" and s != "eventheta"] == []
+
+
+def test_even_theta_scheme_trusts_the_table():
+    """The eventheta scheme labels the blow-down table by mod2_label: built
+    cold in the pass, its labels cost no kind_of call."""
+    run = scheme_pass(2)
+    assert run.warm == len(INVOLUTIONS.keys() & set(run.names))  # eventheta cold
+    assert [s for f, s in run.calls if f == "kind_of" and s == "eventheta"] == []
 
 
 @pytest.mark.parametrize("name", sorted(INVOLUTIONS))
