@@ -5,15 +5,19 @@ classes, `nodal` runs multiplicity schemes from a root-configuration file,
 `spin` / `spin-table` count spin structures on dual graphs, `theta` runs the
 F2 layer, and `detrep` drives the symmetric determinantal pipeline.  Reports
 go to standard output (TSV or aligned pretty format); errors to standard
-error.  Exit codes: 0 success, 2 input error, 3 degenerate input.
+error.  Exit codes: 0 success, 1 standard output closed before the report
+was written (a reader such as `head` stopped early), 2 input error,
+3 degenerate input.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import defaultdict
 
+EXIT_PIPE = 1  # stdout closed early; the code Python itself exits with on EPIPE
 EXIT_INPUT = 2  # an input error; an exception's `exit_code` overrides it
 
 
@@ -169,6 +173,17 @@ def cmd_detrep(args) -> tuple:
 # ---------------------------------------------------------------------------
 # Parser wiring.
 
+def _int(word: str) -> int:
+    """The integer options' type: text.ascii_int, refusing in argparse's
+    own words for type=int."""
+    from .text import ascii_int
+
+    try:
+        return ascii_int(word)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {word!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser, subcommands' too, whose usage errors raise into `main`:
     they leave through its one `error:` line instead of usage and exit."""
@@ -191,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kw)
 
     p = add_parser("lattice", help="enumerate Picard-lattice classes")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int, required=True)
     p.add_argument("--kind", required=True,
                    choices=("exceptional", "root", "blowdown", "double-six"))
     p.set_defaults(func=cmd_lattice)
@@ -209,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spin)
 
     p = add_parser("spin-table", help="irreducible-curve multiplicity tables")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--nodes", type=int, required=True)
+    p.add_argument("--genus", type=_int, required=True)
+    p.add_argument("--nodes", type=_int, required=True)
     p.set_defaults(func=cmd_spin_table)
 
     p = add_parser("theta", help="F2 theta-characteristic computations")
     p.add_argument("task", choices=("aronhold", "conic-pairs", "zeros"))
-    p.add_argument("--dim", type=int, default=6, help="even F2 dimension (zeros only)")
-    p.add_argument("--arf", type=int, default=0, choices=(0, 1),
+    p.add_argument("--dim", type=_int, default=6, help="even F2 dimension (zeros only)")
+    p.add_argument("--arf", type=_int, default=0, choices=(0, 1),
                    help="Arf invariant of the quadratic form (zeros only)")
     p.set_defaults(func=cmd_theta)
 
@@ -224,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="data file of NAME: polynomial lines")
     p.add_argument("--action", required=True,
                    choices=("quintic", "conic", "check", "quartic"))
-    p.add_argument("--seed", type=int, default=0, help="seed of the shear draws (check only)")
+    p.add_argument("--seed", type=_int, default=0, help="seed of the shear draws (check only)")
     p.set_defaults(func=cmd_detrep)
     return parser
 
@@ -261,6 +276,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _emit(args.func(args), args.format)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # not an input error: as the Python docs' "Note on SIGPIPE" does,
+        # point stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {_cut_words(str(exc), argv)}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)

@@ -21,7 +21,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from . import lattice as lt, theta_f2
+from . import lattice as lt
 from .kernels import components
 from .lattice import ClassKind, DivisorClass, PicardLattice
 from .text import data_lines, echo, parse_int
@@ -169,6 +169,14 @@ def _parts(cfg: NodalConfig, classes) -> tuple[tuple[DivisorClass, ...], ...]:
     return tuple(map(tuple, parts.values()))
 
 
+@lru_cache(maxsize=len(ClassKind))
+def _table_parts(cfg: NodalConfig, kind: ClassKind) -> tuple[tuple[DivisorClass, ...], ...]:
+    """The class table of a kind partitioned modulo the root span: the schemes
+    of one configuration share it.  Keyed by the config's value, and bounded
+    to hold one configuration's tables."""
+    return _parts(cfg, lt.enumerate_classes(cfg.lattice, kind))
+
+
 def congruence_classes(
     cfg: NodalConfig, classes: list[DivisorClass]
 ) -> tuple[tuple[DivisorClass, ...], ...]:
@@ -189,9 +197,21 @@ def _pair(involution):
     return lambda lat, c: min(c, involution(lat, c))
 
 
+def _even_theta(lat: PicardLattice, c: DivisorClass):
+    """Label a blow-down by its even theta characteristic.  scheme() has
+    checked the degree and labels the blow-down table itself, so the
+    per-class checks of even_theta_of_blowdown would prove nothing.
+    theta_f2 loads on first use, so the other schemes never pay for it."""
+    from . import theta_f2
+
+    return theta_f2.mod2_label(c)
+
+
 # Scheme name -> (class kind, required degree, label).  The scheme is the
 # kind's classes modulo N; with a label, the labels met by one congruence
-# part merge, and a point counts the labels it absorbs.  A pair {c, s(c)}
+# part merge, and a point counts the labels it absorbs.  The schemes of one
+# configuration share one partition per class table: _table_parts caches
+# them, and holds one configuration's tables.  A pair {c, s(c)}
 # under the Geiser involution (degree 2) or the double-six pairing
 # (degree 3) is a label, as is a blow-down's even theta characteristic.
 # Totals in degree 2 / 3: lines 56 / 27, blow-downs 576 / 72, bitangents 28,
@@ -202,9 +222,7 @@ SCHEMES = {
     "blowdowns": (ClassKind.BLOWDOWN, None, None),
     "doublesix": (ClassKind.BLOWDOWN, 3, _pair(lt.double_six_partner)),
     "aronhold": (ClassKind.BLOWDOWN, 2, _pair(lt.geiser)),
-    # scheme() has checked the degree and labels the blow-down table itself,
-    # so the per-class checks of even_theta_of_blowdown would prove nothing
-    "eventheta": (ClassKind.BLOWDOWN, 2, lambda lat, c: theta_f2.mod2_label(c)),
+    "eventheta": (ClassKind.BLOWDOWN, 2, _even_theta),
 }
 
 
@@ -223,7 +241,7 @@ def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
     kind, degree, label = SCHEMES[name]
     if degree is not None and cfg.lattice.degree != degree:
         raise ValueError(f"{name} scheme requires degree {degree}")
-    parts = _parts(cfg, lt.enumerate_classes(cfg.lattice, kind))
+    parts = _table_parts(cfg, kind)
     if label is None:
         return MultiplicityScheme(tuple((p[0], len(p)) for p in parts))
     distinct, index = _labels(cfg.lattice, name)

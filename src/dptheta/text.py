@@ -16,15 +16,22 @@ def data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def ascii_int(word: str) -> int:
+    """int(word), refusing with ValueError the words int() reads beyond ASCII
+    digits and sign: `_` separators (1_0) and other scripts' digits."""
+    if not word.isascii() or "_" in word:
+        raise ValueError(f"not an ASCII integer: {echo(word)}")
+    return int(word)
+
+
 def parse_int(text: str) -> int:
-    """int(text) of ASCII digits after at most one sign, at most MAX_LITERAL_DIGITS."""
+    """ascii_int(text) after at most one sign, of at most MAX_LITERAL_DIGITS."""
     body = text.strip()
     digits = len(body.lstrip("+-"))
     if digits > MAX_LITERAL_DIGITS:
         raise ValueError(f"integer literal of {digits} digits exceeds {MAX_LITERAL_DIGITS}")
     try:
-        if body.isascii() and "_" not in body:  # int() also reads 1_0 and other scripts' digits
-            return int(body)
+        return ascii_int(body)
     except ValueError:
         pass
     raise ValueError(f"not an integer: {echo(text)}")

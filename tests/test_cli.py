@@ -308,7 +308,17 @@ IMPORT_SETS = [
     (("spin-table", "--genus", "3", "--nodes", "2"), {"kernels", "spin"}),
     (("theta", "aronhold"), {"lattice", "theta_f2"}),
     (("detrep", "detrep_sample.txt", "--action", "check"), {"detrep", "kernels", "poly"}),
+    # only the eventheta label loads the theta layer
+    (("nodal", "cusp_a2.cfg", "--scheme", "doublesix"), {"kernels", "lattice", "nodal"}),
 ]
+
+
+def import_set_ids(rows):
+    """Each row's subcommand, then its last word when an earlier row ran it."""
+    commands = [argv[0] for argv, _ in rows]
+    return [c if commands.index(c) == i else f"{c}-{rows[i][0][-1]}"
+            for i, c in enumerate(commands)]
+
 
 # the stdlib modules whose presence the probe reports, in this order
 PROBED = ("typing", "dataclasses", "inspect", "fractions", "random")
@@ -322,7 +332,7 @@ print(code, *(m in sys.modules for m in {PROBED!r}), *loaded)
 """
 
 
-@pytest.mark.parametrize("argv,layers", IMPORT_SETS, ids=[a[0] for a, _ in IMPORT_SETS])
+@pytest.mark.parametrize("argv,layers", IMPORT_SETS, ids=import_set_ids(IMPORT_SETS))
 def test_subcommand_loads_only_its_layers(data_dir, argv, layers):
     """Under -S (no site preloads) a command loads its layers and no
     `typing`, `dataclasses` or `inspect`; only the polynomial layer loads
@@ -350,6 +360,44 @@ def test_scheme_choices_match_library():
 def one_error_line(code, out, err):
     return code == 2 and out == "" and len(err.splitlines()) == 1 \
         and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("theta", "zeros", "--dim", "\u0666"),                  # Arabic-Indic six
+    ("theta", "zeros", "--dim", "6_0"),
+    ("theta", "zeros", "--dim", "\uff16"),                  # full-width six
+    ("theta", "zeros", "--arf", "\u0661"),
+    ("lattice", "--kind", "root", "--degree", "\uff13"),
+    ("spin-table", "--nodes", "0", "--genus", "1_0"),
+    ("spin-table", "--genus", "3", "--nodes", "\u0662"),
+    ("detrep", str(DATA / "detrep_sample.txt"), "--action", "check", "--seed", "1_0"),
+    ("theta", "zeros", "--dim", "x"),                       # as type=int refuses it
+], ids=["dim-arabic-indic", "dim-underscore", "dim-full-width", "arf-arabic-indic",
+        "degree-full-width", "genus-underscore", "nodes-arabic-indic", "seed-underscore",
+        "dim-letter"])
+def test_integer_option_takes_ascii_digits_only(capsys, argv):
+    """The integer options read a file literal's characters: no `_` and no
+    other script's digits, refused in argparse's words for type=int.  Each
+    row ends with the option and its word."""
+    code, out, err = run(capsys, *argv)
+    assert one_error_line(code, out, err)
+    assert err == f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n"
+
+
+def test_closed_stdout_exits_1_quietly():
+    """A reader that stops early (`| head -1`) is not an input error: exit
+    1, with nothing on stderr, on a report larger than the pipe buffer."""
+    argv = ("spin-table", "--genus", "100", "--nodes", "100", "--format", "tsv")
+    proc = subprocess.Popen([sys.executable, "-m", "dptheta.cli", *argv], env=fresh_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "nodes\tresolved\tcount\tmultiplicity\todd\teven\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=10) == 1
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 @pytest.mark.parametrize("dim", ["40000", "0", "7"])

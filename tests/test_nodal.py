@@ -556,6 +556,44 @@ def test_even_theta_scheme_trusts_the_table():
     assert [s for f, s in run.calls if f == "kind_of" and s == "eventheta"] == []
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+def test_schemes_of_one_config_share_each_table_partition(monkeypatch, degree):
+    """Every scheme of a degree, run on configs A, B, A, partitions each
+    class table once per visit, and gives what it gives cold; the same
+    roots in another order hit the cache; and a pass over many configs
+    keeps no more than one table per class kind."""
+    lat = lt.make_lattice(degree)
+    simple = lt.simple_roots(lat)
+    names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
+    tables = [lt.enumerate_classes(lat, kind)
+              for kind in dict.fromkeys(nodal.SCHEMES[n][0] for n in names)]
+    made, parts = [], nodal._parts
+    monkeypatch.setattr(nodal, "_parts",
+                        lambda cfg, classes: made.append((cfg, classes)) or parts(cfg, classes))
+    a, b = config(degree, *simple[:1]), config(degree, *simple[1:3])
+    nodal._table_parts.cache_clear()
+    visits = []
+    for cfg in (a, b, a):
+        made.clear()
+        visits.append({n: nodal.scheme(cfg, n) for n in names})
+        assert made == [(cfg, table) for table in tables], cfg.roots
+    for cfg, got in zip((a, b, a), visits):
+        for n in names:
+            nodal._table_parts.cache_clear()
+            assert got[n] == nodal.scheme(cfg, n), (n, cfg.roots)
+    for n in names:
+        nodal.scheme(b, n)
+    hits, made[:] = nodal._table_parts.cache_info().hits, []
+    for n in names:  # b's roots, listed in the other order
+        assert nodal.scheme(config(degree, *reversed(simple[1:3])), n) == visits[1][n]
+    assert made == [] and nodal._table_parts.cache_info().hits == hits + len(names)
+    for mask in range(1 << len(simple)):
+        cfg = config(degree, *(r for k, r in enumerate(simple) if mask >> k & 1))
+        for n in names:
+            nodal.scheme(cfg, n)
+    assert nodal._table_parts.cache_info().currsize <= len(ClassKind)
+
+
 @pytest.mark.parametrize("name", sorted(INVOLUTIONS))
 def test_pair_involutions_fix_no_class(name):
     """So a pair label {c, s(c)} always holds two classes."""
