@@ -149,11 +149,7 @@ def cmd_detrep(args) -> tuple:
     with open(args.input) as fh:
         fields = detrep.parse_data_block(fh.read())
     if args.action == "quartic":
-        detrep.check_keys(fields, detrep.QUARTIC_KEYS)
-        missing = set(detrep.QUARTIC_KEYS) - set(fields)
-        if missing:
-            raise ValueError(f"quartic action needs keys {sorted(missing)}")
-        f, line = detrep.quartic_from_odd_theta(*(fields[k] for k in detrep.QUARTIC_KEYS))
+        f, line = detrep.quartic_from_block(fields)
         return ("quantity", "value"), [("quartic", f), ("bitangent", line)], [
             ("status", None, "bitangent verified")]
     data = detrep.data_from_block(fields)
@@ -174,12 +170,12 @@ def cmd_detrep(args) -> tuple:
 # Parser wiring.
 
 def _int(word: str) -> int:
-    """The integer options' type: text.ascii_int, refusing in argparse's
-    own words for type=int."""
-    from .text import ascii_int
+    """The integer options' type: text.parse_int, a file's integer literal,
+    refused in argparse's own words for type=int."""
+    from .text import parse_int
 
     try:
-        return ascii_int(word)
+        return parse_int(word)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {word!r}") from None
 

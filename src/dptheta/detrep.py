@@ -292,11 +292,11 @@ def parse_data_block(text: str) -> dict[str, MultiPoly]:
         if key in exprs:
             raise ValueError(f"line {lineno}: duplicate key {echo(key)}")
         exprs[key] = expr
-    check_keys(exprs, MATRIX_KEYS + QUARTIC_KEYS)
+    _check_keys(exprs, MATRIX_KEYS + QUARTIC_KEYS)
     return {key: parse_poly(expr, PLANE_VARS) for key, expr in exprs.items()}
 
 
-def check_keys(fields: dict, known: tuple[str, ...]) -> None:
+def _check_keys(fields: dict, known: tuple[str, ...]) -> None:
     """Reject a data block that has keys outside `known`."""
     extra = set(fields).difference(known)
     if extra:
@@ -305,6 +305,15 @@ def check_keys(fields: dict, known: tuple[str, ...]) -> None:
 
 def data_from_block(fields: dict[str, MultiPoly]) -> SymThetaData:
     """The matrix of a parsed data block; a missing entry is zero."""
-    check_keys(fields, MATRIX_KEYS)
+    _check_keys(fields, MATRIX_KEYS)
     zero = MultiPoly.zero(PLANE_VARS)
     return SymThetaData(*(fields.get(k, zero) for k in MATRIX_KEYS))
+
+
+def quartic_from_block(fields: dict[str, MultiPoly]) -> tuple[MultiPoly, MultiPoly]:
+    """quartic_from_odd_theta of a parsed data block's L, Q and H, each required."""
+    _check_keys(fields, QUARTIC_KEYS)
+    missing = set(QUARTIC_KEYS).difference(fields)
+    if missing:
+        raise ValueError(f"quartic action needs keys {sorted(missing)}")
+    return quartic_from_odd_theta(*(fields[k] for k in QUARTIC_KEYS))

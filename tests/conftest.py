@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,13 @@ import pytest
 from dptheta import poly
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+def fresh_env():
+    """os.environ with src first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=pythonpath)
 
 
 @pytest.fixture

@@ -1,13 +1,12 @@
 """Picard-lattice enumeration, Weyl groups and involutions."""
 
 import itertools
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fresh_env
 
 from dptheta import lattice as lt
 from dptheta.lattice import ClassKind
@@ -108,10 +107,8 @@ def test_runtime_imports_no_sympy():
     code = ("import sys, dptheta.cli; from dptheta import lattice as lt; "
             "print(lt.weyl_order(lt.make_lattice(2)), "
             "lt.weyl_order(lt.make_lattice(3)), 'sympy' in sys.modules)")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+                         text=True, check=True, env=fresh_env())
     assert run.stdout.split() == ["2903040", "51840", "False"]
 
 
