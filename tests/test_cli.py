@@ -70,6 +70,15 @@ def test_theta_zeros(capsys):
     assert "zeros\t36" in out
 
 
+def test_detrep_check_rational(capsys, data_dir):
+    """Every entry has a non-integral coefficient, so the Fraction side of
+    the coefficients runs from the parser to the certificate."""
+    code, out, _ = run(capsys, "detrep", str(data_dir / "detrep_rational.txt"),
+                       "--action", "check", "--format", "tsv")
+    assert code == 0
+    assert "verdict\tTotallyTangent" in out.splitlines()
+
+
 @pytest.mark.parametrize("action", ["quintic", "conic", "check", "quartic"])
 def test_detrep_zero_exit3(capsys, data_dir, tmp_path, action):
     path = data_dir / "detrep_zero.txt"
@@ -462,6 +471,30 @@ def test_hostile_input_quoted_in_one_short_line(capsys, tmp_path, name, body, ar
     assert len(err.encode()) < 200 and "..." in err
 
 
+BIG = "9" * 1000  # a literal at the 1000-digit cap
+NINES = "9" * 40 + "..."  # a number of more than 40 nines, as an error quotes it
+
+
+@pytest.mark.parametrize("name,body,argv,message", [
+    (None, None, ("theta", "zeros", "--dim", BIG),
+     f"--dim must be even and between 2 and 1000, got {NINES}"),
+    (None, None, ("spin-table", "--genus", BIG, "--nodes", "0"),
+     f"arithmetic genus {NINES} exceeds 100"),
+    ("big.gr", "v " + BIG + "\n", ("spin",), f"arithmetic genus {NINES} exceeds 5000"),
+    ("big.txt", "H: x0^" + BIG + "\n", ("detrep", "--action", "check"),
+     f"exponent {NINES} exceeds 16"),
+], ids=["theta-dim", "spin-table-genus", "graph-genus", "exponent"])
+def test_outside_number_quoted_in_one_short_line(capsys, tmp_path, name, body, argv, message):
+    """A number from the command line or a file is quoted like any other
+    input: at most 40 characters, then "..."."""
+    if name:
+        (tmp_path / name).write_text(body)
+        argv = (argv[0], str(tmp_path / name), *argv[1:])
+    code, out, err = run(capsys, *argv)
+    assert one_error_line(code, out, err)
+    assert err == f"error: {message}\n" and len(err.encode()) < 200
+
+
 DIGITS = "9" * 5000
 SPACED = "a " * 50000
 
@@ -598,7 +631,6 @@ DIM_CAP, GENUS_CAP, B1_CAP = theta_f2.MAX_COUNT_DIM, spin.MAX_GENUS, spin.MAX_B1
 MEGA = "K" * 10 ** 6
 CANCELLING = " + x0 - x0" * 100_000  # a 1 MB tail of terms that cancel
 SIGNED = " + ".join(f"{m} + -{m}" for m in monomials() * 2) + " + "  # m + -m, twice over
-NINES = "9" * 40 + "..."  # a number of more than 40 nines, as an error quotes it
 
 # each row: (the body of the data file FILE or None, the argv, what the process must show)
 BOUNDS = {
@@ -612,8 +644,6 @@ BOUNDS = {
         and lines[-1].endswith(f"= 2^{2 * (B1_CAP + 1)}"))),
     "detrep-literal-cap": (None, ("detrep", str(DATA / "detrep_cap.txt"), *CHECK, *TSV),
                            tangent_at_literal_cap),
-    # every entry has a non-integral coefficient, so the Fraction side of the
-    # coefficients runs from the parser to the certificate
     "detrep-rational": (None, ("detrep", str(DATA / "detrep_rational.txt"), *CHECK, *TSV), TANGENT),
     # a seed at the literal cap still draws the shears
     "seed-1000-digits": (None, ("detrep", str(DATA / "detrep_sample.txt"), *CHECK, *TSV,
@@ -644,17 +674,19 @@ BOUNDS = {
     "signs-root": ("degree 2\nroot " + "+" * 900 + "1 0 0 0 0 0 0 0\n", ("nodal", FILE, *LINES),
                    one_error),
     # numbers from the command line or a file at the literal cap, quoted the same way
-    "dim-1000-digits": (None, ("theta", "zeros", "--dim", "9" * 1000), lambda proc: one_error(
-        proc, f"--dim must be even and between 2 and 1000, got {NINES}")),
-    "genus-1000-digits": (None, ("spin-table", "--genus", "9" * 1000, "--nodes", "0"),
-                          lambda proc: one_error(proc, f"arithmetic genus {NINES} exceeds 100")),
-    "graph-genus-1000-digits": ("v " + "9" * 1000 + "\n", ("spin", FILE),
-                                lambda proc: one_error(proc, f"arithmetic genus {NINES} exceeds 5000")),
-    "exponent-1000-digits": ("H: x0^" + "9" * 1000 + "\n", ("detrep", FILE, *CHECK),
-                             lambda proc: one_error(proc, f"exponent {NINES} exceeds 16")),
+    "dim-1000-digits": (None, ("theta", "zeros", "--dim", BIG), one_error),
+    "genus-1000-digits": (None, ("spin-table", "--genus", BIG, "--nodes", "0"), one_error),
+    "graph-genus-1000-digits": ("v " + BIG + "\n", ("spin", FILE), one_error),
+    "exponent-1000-digits": ("H: x0^" + BIG + "\n", ("detrep", FILE, *CHECK), one_error),
     # usage errors; each word stays under Linux's 128 KiB MAX_ARG_STRLEN, or exec fails first
     "dim-1001-digits": (None, ("theta", "zeros", "--dim", "9" * 1001), lambda proc: one_error(
         proc, "argument --dim: invalid int value: '" + "9" * 39 + "...")),
+    # past the literal cap an option is no int at all, well under Python's 4300-digit limit
+    "dim-4000-digits": (None, ("theta", "zeros", "--dim", "9" * 4000), lambda proc: one_error(
+        proc, "argument --dim: invalid int value: '" + "9" * 39 + "...")),
+    "genus-4000-digits": (None, ("spin-table", "--genus", "9" * 4000, "--nodes", "0"),
+                          lambda proc: one_error(
+                              proc, "argument --genus: invalid int value: '" + "9" * 39 + "...")),
     "dim-5000-digits": (None, ("theta", "zeros", "--dim", "9" * 5000), one_error),
     "seed-5000-digits": (None, ("detrep", str(DATA / "detrep_sample.txt"), *CHECK,
                                 "--seed", "9" * 5000), one_error),
