@@ -224,9 +224,14 @@ def format_class(d: DivisorClass) -> str:
 
 
 def parse_class(text: str) -> DivisorClass:
-    """Parse an integer vector like "[3, -1, -1, 0]" or "3 -1 -1 0"."""
-    body = text.strip().strip("[]")
-    parts = body.replace(",", " ").split()
-    if not parts:
+    """Parse an integer vector like "[3, -1, -1, 0]" or "3 -1 -1 0": one
+    optional bracket pair, and between two entries one comma, spaces or both."""
+    body = text.strip()
+    if body[:1] == "[" and body[-1:] == "]":
+        body = body[1:-1]
+    fields = [field.split() for field in body.split(",")]
+    if fields == [[]]:
         raise ValueError("empty divisor class")
-    return tuple(parse_int(p) for p in parts)
+    if "[" in body or "]" in body or not all(fields):
+        raise ValueError(f"malformed divisor class {echo(text)}")
+    return tuple(parse_int(p) for field in fields for p in field)

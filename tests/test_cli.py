@@ -25,6 +25,17 @@ def fresh(*argv):
                           capture_output=True, text=True, timeout=10, env=fresh_env())
 
 
+FILE = object()  # the place in an argv of the row's data file
+DIGITS = "9" * 5000  # a literal past the 1000-digit cap
+BIG = "9" * 1000  # a literal at the 1000-digit cap
+MEGA = "K" * 10 ** 6  # a 1 MB word
+
+
+def with_file(argv, path):
+    """argv with the path of its data file in place of FILE."""
+    return [str(path) if word is FILE else word for word in argv]
+
+
 def at_data(argv, folder=DATA):
     """argv with its data file, the word after nodal, spin or detrep, under folder."""
     if argv[0] in ("nodal", "spin", "detrep"):
@@ -350,7 +361,7 @@ def test_detrep_degree_capped_exit2(capsys, expansion_guard, tmp_path, expr):
 
 @pytest.mark.parametrize("expr", ["((((((((2)^16)^16)^16)^16)^16)^16)^16)^16",
                                   "((((1/3)^16)^16)^16)^16",
-                                  f"{2 ** 256}^16", "*".join(["9" * 1000] * 5)],
+                                  f"{2 ** 256}^16", "*".join([BIG] * 5)],
                          ids=["tower", "fraction-tower", "literal", "product"])
 def test_detrep_coefficient_size_capped_exit2(capsys, expansion_guard, tmp_path, expr):
     bad = tmp_path / "tower.txt"
@@ -397,22 +408,19 @@ def test_spin_table_at_genus_cap(capsys):
     assert lines[1].split("\t")[:4] == ["0", "0", str(4 ** 100), "1"]
 
 
-LONG = "9" * 5000
-
-
 @pytest.mark.parametrize("name,body,argv", [
-    ("long.gr", f"v {LONG}\nv 2\ne 0 1\n", ("spin",)),
-    ("long.cfg", f"degree 2\nroot [{LONG}, 1, -1, 0, 0, 0, 0, 0]\n",
+    ("long.gr", f"v {DIGITS}\nv 2\ne 0 1\n", ("spin",)),
+    ("long.cfg", f"degree 2\nroot [{DIGITS}, 1, -1, 0, 0, 0, 0, 0]\n",
      ("nodal", "--scheme", "lines")),
-    ("degree.cfg", f"degree {LONG}\n", ("nodal", "--scheme", "lines")),
-    ("long.txt", f"H: {LONG}*x0^3\n", ("detrep", "--action", "check")),
+    ("degree.cfg", f"degree {DIGITS}\n", ("nodal", "--scheme", "lines")),
+    ("long.txt", f"H: {DIGITS}*x0^3\n", ("detrep", "--action", "check")),
 ], ids=["graph", "config-root", "config-degree", "H"])
 def test_long_integer_literal_exit2(capsys, tmp_path, name, body, argv):
     bad = tmp_path / name
     bad.write_text(body)
     code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
     assert one_error_line(code, out, err)
-    assert err == (f"error: integer literal of 5000 digits exceeds "
+    assert err == (f"error: integer literal of {len(DIGITS)} digits exceeds "
                    f"{text.MAX_LITERAL_DIGITS}\n")
 
 
@@ -438,40 +446,39 @@ def test_duplicate_directive_exit2(capsys, tmp_path, name, body, argv, message):
     assert err == f"error: {message}\n"
 
 
-LONG = "K" * 10 ** 6
+CHECK, LINES, TSV = ("--action", "check"), ("--scheme", "lines"), ("--format", "tsv")
+
+# each row: (the body of the data file FILE, the argv)
+HOSTILE = {
+    "graph-line": (f"v 1\n{MEGA}\n", ("spin", FILE)),
+    "config-directive": (f"{MEGA} 2\n", ("nodal", FILE, *LINES)),
+    "config-degree": (f"degree {BIG}\n", ("nodal", FILE, *LINES)),
+    "graph-edge": (f"v 2\nv 2\ne 0 {BIG}\n", ("spin", FILE)),
+    "repeated-key": (f"{MEGA}: x0\n{MEGA}: x1\n", ("detrep", FILE, *CHECK)),
+    "unknown-key": (f"{MEGA}: x0\nH: x2^3\n", ("detrep", FILE, *CHECK)),
+    "unknown-key-quartic": (f"L: x0\nQ: x1^2\nH: x2^3\n{MEGA}: x0\n",
+                            ("detrep", FILE, "--action", "quartic")),
+    "many-unknown-keys": ("".join(f"K{i}: x0\n" for i in range(100000)),
+                          ("detrep", FILE, *CHECK)),
+    "long-root": ("degree 2\nroot " + "0 " * 300000 + "\n", ("nodal", FILE, *LINES)),
+    "wide-root": ("degree 2\nroot " + " ".join([BIG] * 8) + "\n", ("nodal", FILE, *LINES)),
+    "signs-degree": ("degree " + "+" * 1000 + "2\n", ("nodal", FILE, *LINES)),
+    "signs-genus": ("v " + "-" * 1000 + "1\n", ("spin", FILE)),
+    "signs-root": ("degree 2\nroot " + "+" * 900 + "1 0 0 0 0 0 0 0\n", ("nodal", FILE, *LINES)),
+}
 
 
-@pytest.mark.parametrize("name,body,argv", [
-    ("long_line.gr", "v 1\n" + LONG + "\n", ("spin",)),
-    ("long_directive.cfg", LONG + " 2\n", ("nodal", "--scheme", "lines")),
-    ("long_degree.cfg", "degree " + "9" * 1000 + "\n", ("nodal", "--scheme", "lines")),
-    ("long_edge.gr", "v 2\nv 2\ne 0 " + "9" * 1000 + "\n", ("spin",)),
-    ("repeated_key.txt", f"{LONG}: x0\n{LONG}: x1\n", ("detrep", "--action", "check")),
-    ("long_key.txt", f"{LONG}: x0\nH: x2^3\n", ("detrep", "--action", "check")),
-    ("long_key.txt", f"L: x0\nQ: x1^2\nH: x2^3\n{LONG}: x0\n", ("detrep", "--action", "quartic")),
-    ("many_keys.txt", "".join(f"K{i}: x0\n" for i in range(100000)),
-     ("detrep", "--action", "check")),
-    ("long_root.cfg", "degree 2\nroot " + "0 " * 300000 + "\n", ("nodal", "--scheme", "lines")),
-    ("wide_root.cfg", "degree 2\nroot " + " ".join(["9" * 1000] * 8) + "\n",
-     ("nodal", "--scheme", "lines")),
-    ("signs.cfg", "degree " + "+" * 1000 + "2\n", ("nodal", "--scheme", "lines")),
-    ("signs.gr", "v " + "-" * 1000 + "1\n", ("spin",)),
-    ("signs_root.cfg", "degree 2\nroot " + "+" * 900 + "1 0 0 0 0 0 0 0\n",
-     ("nodal", "--scheme", "lines")),
-], ids=["graph-line", "config-directive", "config-degree", "graph-edge", "repeated-key",
-        "unknown-key", "unknown-key-quartic", "many-unknown-keys", "long-root", "wide-root",
-        "signs-degree", "signs-genus", "signs-root"])
-def test_hostile_input_quoted_in_one_short_line(capsys, tmp_path, name, body, argv):
+@pytest.mark.parametrize("body,argv", HOSTILE.values(), ids=HOSTILE)
+def test_hostile_input_quoted_in_one_short_line(capsys, tmp_path, body, argv):
     """An error quotes at most 40 characters of the input it names, then
     "...": a hostile file gets one `error:` line under 200 bytes."""
-    bad = tmp_path / name
+    bad = tmp_path / "data"
     bad.write_text(body)
-    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    code, out, err = run(capsys, *with_file(argv, bad))
     assert one_error_line(code, out, err)
     assert len(err.encode()) < 200 and "..." in err
 
 
-BIG = "9" * 1000  # a literal at the 1000-digit cap
 NINES = "9" * 40 + "..."  # a number of more than 40 nines, as an error quotes it
 
 
@@ -495,7 +502,6 @@ def test_outside_number_quoted_in_one_short_line(capsys, tmp_path, name, body, a
     assert err == f"error: {message}\n" and len(err.encode()) < 200
 
 
-DIGITS = "9" * 5000
 SPACED = "a " * 50000
 
 
@@ -506,14 +512,14 @@ SPACED = "a " * 50000
     (("theta", "K" * 100000), "K" * 100000),
     (("nodal", str(DATA / "e7.cfg"), "--scheme", "S" * 100000), "S" * 100000),
     (("theta", SPACED), SPACED),
-    (("theta", "zeros", "--arf", "+" + DIGITS[:1000]), int(DIGITS[:1000])),
+    (("theta", "zeros", "--arf", "+" + BIG), int(BIG)),
     (("spin", "f" * 100000), "f" * 100000),
     (("theta", "K" * 100 + "\\"), "K" * 100 + "\\"),
     (("Z" * 100000,), "Z" * 100000),
     (("theta", "aronhold", "--bogus", SPACED), SPACED),
     (("spin-table", "--genus", "3"), None),
     (("nodal", str(DATA / "e7.cfg"), "--scheme=" + "S" * 100000), "S" * 100000),
-    (("theta", "zeros", "--arf=" + DIGITS[:1000]), int(DIGITS[:1000])),
+    (("theta", "zeros", "--arf=" + BIG), int(BIG)),
     (("theta", "aronhold", "-h" + "x" * 100000), "x" * 100000),
     ((SPACED,), SPACED),
     (("theta", "aronhold", "--format", SPACED), SPACED),
@@ -625,10 +631,7 @@ def tangent_at_literal_cap(proc):
     assert digits == text.MAX_LITERAL_DIGITS
 
 
-FILE = object()  # the place in an argv of the row's data file
-CHECK, LINES, TSV = ("--action", "check"), ("--scheme", "lines"), ("--format", "tsv")
 DIM_CAP, GENUS_CAP, B1_CAP = theta_f2.MAX_COUNT_DIM, spin.MAX_GENUS, spin.MAX_B1
-MEGA = "K" * 10 ** 6
 CANCELLING = " + x0 - x0" * 100_000  # a 1 MB tail of terms that cancel
 SIGNED = " + ".join(f"{m} + -{m}" for m in monomials() * 2) + " + "  # m + -m, twice over
 
@@ -647,7 +650,7 @@ BOUNDS = {
     "detrep-rational": (None, ("detrep", str(DATA / "detrep_rational.txt"), *CHECK, *TSV), TANGENT),
     # a seed at the literal cap still draws the shears
     "seed-1000-digits": (None, ("detrep", str(DATA / "detrep_sample.txt"), *CHECK, *TSV,
-                                "--seed", "9" * 1000), TANGENT),
+                                "--seed", BIG), TANGENT),
     # a 1 MB H line of terms that cancel, and one of 969 signed monomial pairs around the
     # sample H: each sum is built once, and a unary minus binds looser than ^
     "detrep-repeated-terms": (around_sample_h("", CANCELLING), ("detrep", FILE, *CHECK, *TSV),
@@ -664,15 +667,9 @@ BOUNDS = {
                      ("detrep", FILE, *CHECK), one_error),
     # hostile files, each quoted in at most 40 characters
     "dollar-h-line": (around_sample_h("$", CANCELLING), ("detrep", FILE, *CHECK), one_error),
-    "graph-line": (f"v 1\n{MEGA}\n", ("spin", FILE), one_error),
-    "config-directive": (f"{MEGA} 2\n", ("nodal", FILE, *LINES), one_error),
-    "repeated-key": (f"{MEGA}: x0\n{MEGA}: x1\n", ("detrep", FILE, *CHECK), one_error),
-    "many-unknown-keys": ("".join(f"K{i}: x0\n" for i in range(100000)), ("detrep", FILE, *CHECK),
-                          one_error),
-    "signs-degree": ("degree " + "+" * 1000 + "2\n", ("nodal", FILE, *LINES), one_error),
-    "signs-genus": ("v " + "-" * 1000 + "1\n", ("spin", FILE), one_error),
-    "signs-root": ("degree 2\nroot " + "+" * 900 + "1 0 0 0 0 0 0 0\n", ("nodal", FILE, *LINES),
-                   one_error),
+    **{key: (*HOSTILE[key], one_error) for key in (
+        "graph-line", "config-directive", "repeated-key", "many-unknown-keys",
+        "signs-degree", "signs-genus", "signs-root")},
     # numbers from the command line or a file at the literal cap, quoted the same way
     "dim-1000-digits": (None, ("theta", "zeros", "--dim", BIG), one_error),
     "genus-1000-digits": (None, ("spin-table", "--genus", BIG, "--nodes", "0"), one_error),
@@ -687,9 +684,9 @@ BOUNDS = {
     "genus-4000-digits": (None, ("spin-table", "--genus", "9" * 4000, "--nodes", "0"),
                           lambda proc: one_error(
                               proc, "argument --genus: invalid int value: '" + "9" * 39 + "...")),
-    "dim-5000-digits": (None, ("theta", "zeros", "--dim", "9" * 5000), one_error),
+    "dim-5000-digits": (None, ("theta", "zeros", "--dim", DIGITS), one_error),
     "seed-5000-digits": (None, ("detrep", str(DATA / "detrep_sample.txt"), *CHECK,
-                                "--seed", "9" * 5000), one_error),
+                                "--seed", DIGITS), one_error),
     "spaced-scheme": (None, ("nodal", str(DATA / "e7.cfg"), "--scheme", SPACED), one_error),
     "long-file-name": (None, ("spin", "f" * 100000), one_error),
     "help": (None, ("--help",), answers(lambda lines: lines[0].startswith("usage: dptheta"))),
@@ -704,4 +701,4 @@ def test_cli_bound_fresh(tmp_path, body, argv, expect):
     path = tmp_path / "data"
     if body is not None:
         path.write_text(body)
-    expect(fresh(*(str(path) if word is FILE else word for word in argv)))
+    expect(fresh(*with_file(argv, path)))

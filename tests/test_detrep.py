@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 import sympy
+from conftest import DATA
 
 from dptheta import detrep
 from dptheta.detrep import (DegenerateError, SymThetaData, Tangency,
@@ -41,10 +42,7 @@ def random_data(rng):
         q2=random_form(rng, 2), h=random_form(rng, 3))
 
 
-SAMPLE = SymThetaData(
-    l11=pp("x0 + 2*x1 - x2"), l12=pp("x1 + x2"), l22=pp("x0 - x1 + 3*x2"),
-    q1=pp("x0^2 + x1*x2 - x2^2"), q2=pp("x0*x1 - 2*x1^2 + x2^2"),
-    h=pp("x0^3 + x1^3 + x2^3 - x0*x1*x2"))
+SAMPLE = detrep.data_from_block(detrep.parse_data_block((DATA / "detrep_sample.txt").read_text()))
 
 
 def test_extract_rejects_bad_cubics():

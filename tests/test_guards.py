@@ -38,6 +38,13 @@ GUARDS = [
     ("contracted-not-blowdown", lambda: lt.contracted_lines(LAT3, E1),
      ValueError, "not a blow-down"),
     ("parse-class-empty", lambda: lt.parse_class("[ ]"), ValueError, "empty divisor"),
+    # one optional bracket pair, and one comma at most between two entries
+    ("parse-class-unbalanced", lambda: lt.parse_class("[3, -1, -1, 0"),
+     ValueError, r"^malformed divisor class '\[3, -1, -1, 0'$"),
+    ("parse-class-doubled", lambda: lt.parse_class("]]3 -1 -1 0[["),
+     ValueError, r"^malformed divisor class '\]\]3 -1 -1 0\[\['$"),
+    ("parse-class-empty-entry", lambda: lt.parse_class("[1, -1,, -1]"),
+     ValueError, r"^malformed divisor class '\[1, -1,, -1\]'$"),
     # an integer literal is ASCII digits after at most one sign, as in a file
     ("int-underscore", lambda: text.parse_int("1_0"), ValueError, "^not an integer: '1_0'$"),
     ("int-arabic-indic", lambda: text.parse_int("١١"), ValueError, "^not an integer: '١١'$"),

@@ -4,10 +4,11 @@ import operator
 import random
 import re
 from fractions import Fraction
-from pathlib import Path
+from functools import cache
 
 import pytest
 import sympy
+from conftest import DATA
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ from dptheta.text import MAX_LITERAL_DIGITS, data_lines, echo, parse_int
 
 V = ("x0", "x1", "x2")
 SYMS = sympy.symbols("x0 x1 x2")
-DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def to_sympy(p: MultiPoly):
@@ -124,17 +124,25 @@ def python_value(text, point):
     return eval(source, {"Fraction": Fraction}, dict(zip(V, point)))
 
 
-def test_parse_matches_python_grammar():
-    """Unary signs bind looser than ^ wherever they stand, as in Python:
-    every expression evaluates to what Python's eval of it gives."""
+@cache
+def grammar_corpus():
+    """3000 random expressions of degree at most MAX_DEGREE, read by three
+    tests: the Python-eval oracle, the reference parser and the mutations."""
     rng = random.Random(17)
     generated = []
     while len(generated) < 3000:
         text, degree = random_expression(rng, 4)
         if degree <= poly.MAX_DEGREE:
             generated.append(text)
-    fixed = ["x0*-x1^2", "x0 - -x1^2", "2*-x0^2", "3--22^0", "-x0^2", "+-+x1^2*x2"]
-    for text in fixed + generated:
+    return tuple(generated)
+
+
+def test_parse_matches_python_grammar():
+    """Unary signs bind looser than ^ wherever they stand, as in Python:
+    every expression evaluates to what Python's eval of it gives."""
+    rng = random.Random(18)
+    fixed = ("x0*-x1^2", "x0 - -x1^2", "2*-x0^2", "3--22^0", "-x0^2", "+-+x1^2*x2")
+    for text in fixed + grammar_corpus():
         point = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in V]
         assert parse_poly(text, V).evaluate(dict(zip(V, point))) \
             == python_value(text, point), text
@@ -259,17 +267,6 @@ def parse_outcome(parse, text, variables=V):
         return parse(text, variables)
     except ValueError as exc:
         return f"ValueError: {exc}"
-
-
-def grammar_corpus():
-    """The 3000 expressions of test_parse_matches_python_grammar."""
-    rng = random.Random(17)
-    generated = []
-    while len(generated) < 3000:
-        text, degree = random_expression(rng, 4)
-        if degree <= poly.MAX_DEGREE:
-            generated.append(text)
-    return generated
 
 
 def mutate(rng, text):

@@ -1,16 +1,22 @@
 """README's Library block runs as written, and each `# N` comment on a
 statement of it is the value of that statement; each of its commands has a
-golden digest."""
+golden digest and runs cleanly in both formats.  Each demo runs cleanly, and
+the tree compiles, with every warning an error."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-from test_cli import GOLDEN_STDOUT, at_data
+import pytest
+from conftest import fresh_env
+from test_cli import GOLDEN_STDOUT, at_data, run
 
 from dptheta.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_block():
@@ -30,15 +36,42 @@ def test_readme_library_block():
     assert checked, "no `# N` value in the Library block"
 
 
+# the argv of each `dptheta` line of README's Command line block
+BLOCK = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+COMMANDS = [line.split()[1:] for line in BLOCK.group(1).splitlines() if line.startswith("dptheta ")]
+
+
 def test_readme_commands_have_golden_digests():
     """Each `dptheta` line of the Command line block, with `--format tsv`,
     parses to the options of a GOLDEN_STDOUT row, in whatever order."""
-    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```$", README.read_text(),
-                      re.M | re.S).group(1)
-    commands = [line.split()[1:] + ["--format", "tsv"]
-                for line in block.splitlines() if line.startswith("dptheta ")]
     parse = build_parser().parse_args
     golden = [parse(at_data(argv)) for argv, _ in GOLDEN_STDOUT]
-    missing = [" ".join(argv) for argv in commands
-               if parse(at_data(argv, README.parent)) not in golden]
-    assert commands and not missing
+    missing = [" ".join(argv) for argv in COMMANDS
+               if parse(at_data([*argv, "--format", "tsv"], ROOT)) not in golden]
+    assert COMMANDS and not missing
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+@pytest.mark.parametrize("argv", COMMANDS, ids=map(" ".join, COMMANDS))
+def test_readme_command_runs_cleanly(capsys, argv, fmt):
+    """Exit 0, nothing on stderr, and no warning."""
+    code, _, err = run(capsys, *at_data([*argv, "--format", fmt], ROOT))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("demo", sorted(ROOT.glob("demos/demo_*.py")), ids=lambda p: p.stem)
+def test_demo_runs_cleanly(demo):
+    """-S hides site-packages, so importing a test-only package fails."""
+    proc = subprocess.run([sys.executable, "-S", "-W", "error", str(demo)],
+                          capture_output=True, text=True, timeout=120, env=fresh_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_tree_compiles_without_warnings(tmp_path):
+    """An invalid escape or `is` with a literal warns at compile time."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "compileall", "-q",
+                           "src", "tests", "bench", "demos"],
+                          capture_output=True, text=True, timeout=120, cwd=ROOT,
+                          env=dict(fresh_env(), PYTHONPYCACHEPREFIX=str(tmp_path)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

@@ -4,19 +4,12 @@ import copy
 import pickle
 
 import pytest
+from conftest import DATA
 
 from dptheta import detrep, lattice as lt, nodal, spin, theta_f2
 
 LAT2 = lt.make_lattice(2)
 ROOT = lt.divisor(LAT2, 0, 1, -1)  # E1 - E2
-SAMPLE = """\
-L11: x0 + 2*x1 - x2
-L12: x1 + x2
-L22: x0 - x1 + 3*x2
-Q1: x0^2 + x1*x2 - x2^2
-Q2: x0*x1 - 2*x1^2 + x2^2
-H: x0^3 + x1^3 + x2^3 - x0*x1*x2
-"""
 
 
 def instances():
@@ -24,7 +17,7 @@ def instances():
     (None for the types that do not check their fields)."""
     cfg = nodal.NodalConfig(LAT2, [ROOT])
     graph = spin.DualGraph((1, 1), ((0, 1), (0, 1)))
-    data = detrep.data_from_block(detrep.parse_data_block(SAMPLE))
+    data = detrep.data_from_block(detrep.parse_data_block((DATA / "detrep_sample.txt").read_text()))
     return [
         (LAT2, {"degree": 4}),
         (cfg, {"roots": (lt.divisor(LAT2, 0, 1, 1),)}),  # E1 + E2: K.r = -2
