@@ -7,9 +7,9 @@ u^T M u containing the line {x0 = x1 = x2 = 0}, and the contact conic
 L11*L22 - L12^2, a cofactor, totally tangent to the quintic.  A 2x2 matrix
 [[L, Q], [Q, H]] gives a quartic with bitangent L.  One certificate checks
 both, for any two plane curves: with denominators cleared and a seeded
-shear, their resultant is one int determinant of Kronecker-packed
-Sylvester entries, TotallyTangent when it is a constant times a square
-(`total_tangency_check` says what that proves).
+shear, their resultant is `poly.packed_sylvester`, one int determinant of
+Kronecker-packed entries, TotallyTangent when it is a constant times a
+square (`total_tangency_check` says what that proves).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import random
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isqrt
 
-from .poly import MultiPoly, parse_poly, sylvester
+from .poly import MultiPoly, integral_terms, pack_digits, packed_sylvester, parse_poly, unpack_digits
 from .text import data_lines, echo
 
 PLANE_VARS = ("x0", "x1", "x2")
@@ -129,12 +129,6 @@ def contact_conic(data: SymThetaData) -> MultiPoly:
 TangencyReport = namedtuple("TangencyReport", "verdict shear")  # shear is the (a, b) used
 
 
-def _integral(p: MultiPoly) -> dict[tuple[int, ...], int]:
-    """The terms of p times the lcm of its denominators."""
-    scale = lcm(*(c.denominator for c in p.terms.values()))
-    return {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
-
-
 def _shear(form: dict, degree: int, a: int, b: int) -> list[list[int]]:
     """x2-coefficients of form(x0 + a*x2, 1 + b*x2, x2), highest power first.
 
@@ -152,78 +146,23 @@ def _shear(form: dict, degree: int, a: int, b: int) -> list[list[int]]:
     return out
 
 
-def _pack_bits(fc: list[list[int]], gc: list[list[int]]) -> int:
-    """Digit width k with every coefficient of Res(f, g) below 2^(k-1).
-
-    A determinant is a signed sum over permutations of products of one
-    entry per row, and ||pq||_1 <= ||p||_1 ||q||_1, so each coefficient is
-    at most the product over rows of the summed l1 norms of the row's
-    entries: ||f||_1^deg(g) * ||g||_1^deg(f), f and g as x2-coefficients.
-    """
-    norm_f = sum(abs(c) for coeffs in fc for c in coeffs)
-    norm_g = sum(abs(c) for coeffs in gc for c in coeffs)
-    bound = norm_f ** (len(gc) - 1) * norm_g ** (len(fc) - 1)
-    return bound.bit_length() + 1
-
-
-def _unpack(value: int, k: int) -> list[int]:
-    """Balanced base-2^k digits of value, low first: each in [-2^(k-1), 2^(k-1))."""
-    half, mask, digits = 1 << (k - 1), (1 << k) - 1, []
-    while value:
-        digit = ((value + half) & mask) - half
-        digits.append(digit)
-        value = (value - digit) >> k
-    return digits
-
-
-def _packed_resultant(fc: list[list[int]], gc: list[list[int]]) -> list[int]:
-    """Res_x2(f, g) as x0-coefficients, low degree first; [] if it is zero.
-
-    fc and gc are the x2-coefficients of f and g as from `_shear`, with
-    nonzero constant leading ones.  Each entry of the Sylvester matrix, a
-    polynomial in x0, is packed into one int by evaluating it at x0 = 2^k
-    (Kronecker substitution); the int determinant is the resultant at 2^k,
-    and the bound behind k makes its balanced digits the coefficients.
-    """
-    k = _pack_bits(fc, gc)
-    fp = [sum(c << (k * e) for e, c in enumerate(coeffs)) for coeffs in fc]
-    gp = [sum(c << (k * e) for e, c in enumerate(coeffs)) for coeffs in gc]
-    return _unpack(sylvester(fp, gp, 0), k)
-
-
-def _square_root(r: list[int]) -> list[int] | None:
-    """S with S^2 = c*r, c the leading coefficient of r, or None if r/c is
-    not the square of a monic s.
-
-    Then S = c*s, which is integral by Gauss's lemma since (c*s)^2 = c*r
-    is.  S is read from the top half of c*r: its x^(m-i) coefficient is
-    2c*S[h-i] plus the products of the S[h-j] already known, so a division
-    that is not exact already rules a square out.
-    """
-    m, c = len(r) - 1, r[-1]
-    if m % 2:
-        return None
-    h = m // 2
-    s = [0] * h + [c]
-    for i in range(1, h + 1):
-        known = sum(s[h - j] * s[h - i + j] for j in range(1, i))
-        s[h - i], rest = divmod(c * r[m - i] - known, 2 * c)
-        if rest:
-            return None
-    square = [0] * (m + 1)
-    for i, x in enumerate(s):
-        for j, y in enumerate(s):
-            square[i + j] += x * y
-    return s if square == [c * x for x in r] else None
-
-
 def _is_square_form(res: list[int], degree: int) -> bool:
-    """Whether the nonzero binary form sum res[e] x0^e x1^(degree - e) is a
-    constant times a square: x1's multiplicity (the degree deficit) is
-    even, and res is a constant times a square in x0, which makes x0's
-    multiplicity (the valuation) even too."""
-    x1_mult = degree - (len(res) - 1)
-    return not x1_mult % 2 and _square_root(res) is not None
+    """Whether the binary form sum res[e] x0^e x1^(degree - e), res[-1] != 0,
+    is a constant times a square: x1's multiplicity (the degree deficit) and
+    the degree in x0 are even, and c*res = S^2, c = res[-1], for S = c*s with
+    s monic, integral by Gauss's lemma.  By Parseval |S_i|^2 <= ||c*res||_1,
+    so with 2^(k-1) > len(res) * ||c*res||_1 the isqrt of c*res packed at 2^k
+    has the balanced digits S' = +-S: a true square passes.  Conversely, if
+    len(S') * max|S'_i|^2 < 2^(k-1), each coefficient of S'^2 is a digit too,
+    so root^2 == packed makes S'^2 = c*res an identity."""
+    if (degree - len(res) + 1) % 2 or len(res) % 2 == 0:
+        return False
+    cres = [res[-1] * x for x in res]
+    k = (len(res) * sum(map(abs, cres))).bit_length() + 1
+    packed = pack_digits(cres, k)
+    root = isqrt(packed)
+    s = unpack_digits(root, k)
+    return root * root == packed and len(s) * max(map(abs, s)) ** 2 < 1 << (k - 1)
 
 
 def total_tangency_check(f: MultiPoly, t: MultiPoly, seed: int = 0) -> TangencyReport:
@@ -244,7 +183,7 @@ def total_tangency_check(f: MultiPoly, t: MultiPoly, seed: int = 0) -> TangencyR
         raise DegenerateError("zero polynomial input")
     if not d * e:
         raise ValueError("each curve must have positive degree")
-    fi, ti = _integral(f), _integral(t)
+    (_, fi), (_, ti) = integral_terms(f), integral_terms(t)
     rng = random.Random(seed)
     for _ in range(100):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
@@ -253,7 +192,7 @@ def total_tangency_check(f: MultiPoly, t: MultiPoly, seed: int = 0) -> TangencyR
             break
     else:
         raise DegenerateError("no shear put the curves in general position")
-    res = _packed_resultant(fs, ts)
+    res = packed_sylvester(fs, ts)
     if not res:
         return TangencyReport(Tangency.COMMON_COMPONENT, (a, b))
     verdict = Tangency.TOTALLY_TANGENT if _is_square_form(res, d * e) else Tangency.NOT_TANGENT

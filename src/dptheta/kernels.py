@@ -1,7 +1,7 @@
 """Exact kernels shared by several layers, with no imports of their own.
 
-The fraction-free (Bareiss) determinant serves `poly` only, through
-`poly.sylvester`, the one Sylvester resultant; union-find serves the
+The fraction-free (Bareiss) determinant of int matrices serves `poly` only,
+through `poly.sylvester`, the one Sylvester resultant; union-find serves the
 connectivity checks of `spin` and `nodal`.
 """
 
@@ -9,11 +9,10 @@ from __future__ import annotations
 
 
 def determinant(matrix):
-    """Determinant by fraction-free (Bareiss) elimination.
+    """Determinant of an int matrix by fraction-free (Bareiss) elimination.
 
-    The entries may be ints or MultiPolys, anything whose `//` divides
-    exactly: each step replaces the trailing block by its 2x2 minors with
-    the pivot, divided by the previous pivot.  Rows swap only on a zero pivot.
+    Each step replaces the trailing block by its 2x2 minors with the pivot,
+    divided exactly by the previous pivot.  Rows swap only on a zero pivot.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -26,7 +25,7 @@ def determinant(matrix):
         if not m[k][k]:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
-                return m[k][k]  # a zero column: the zero of the entry type
+                return 0  # a zero column
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         top, pivot = m[k], m[k][k]

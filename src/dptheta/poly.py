@@ -12,6 +12,7 @@ import operator
 import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 from .kernels import determinant
@@ -180,27 +181,6 @@ class MultiPoly:
         if n < 0:
             raise ValueError("negative power")
         return _power(self, n, MultiPoly.constant(self.vars, 1), operator.mul)
-
-    def __floordiv__(self, other):
-        """Exact quotient by long division in lex order; ValueError if inexact."""
-        other = self._coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        lead, lead_coeff = max(other.terms.items())
-        if not any(lead):  # a constant divisor
-            return self * Fraction(1, lead_coeff)  # int / int would be a float
-        rest, quotient = self, {}
-        while rest:
-            top, coeff = max(rest.terms.items())
-            shift = tuple(a - b for a, b in zip(top, lead))
-            if min(shift) < 0:
-                raise ValueError("polynomial division is not exact")
-            quotient[shift] = Fraction(coeff, lead_coeff)
-            rest = rest - MultiPoly._new(self.vars, {shift: quotient[shift]}) * other
-        return MultiPoly._new(self.vars, quotient)
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.vars == other.vars
@@ -388,29 +368,109 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     return MultiPoly._new(variables, result)
 
 
-def sylvester(fc: list, gc: list, zero):
-    """Res(f, g) from coefficient lists, highest degree first, of ints,
-    MultiPolys or any entries `determinant` takes; deg f + deg g >= 1.  The
-    rows of the lower-degree form (g at equal degrees) come first, so the early
-    Bareiss pivots are its leading coefficient; g's rows first cost (-1)^(mn)."""
+def sylvester(fc: list[int], gc: list[int]) -> int:
+    """Res(f, g) from int coefficient lists, highest degree first; deg f +
+    deg g >= 1.  The rows of the lower-degree form (g at equal degrees) come
+    first, so the early Bareiss pivots are its leading coefficient; g's rows
+    first cost (-1)^(mn)."""
     m, n, sign = len(fc) - 1, len(gc) - 1, 1
     if n <= m:
         fc, gc, m, n, sign = gc, fc, n, m, (-1) ** (m * n)
-    rows = [[zero] * s + fc + [zero] * (n - 1 - s) for s in range(n)]
-    rows += [[zero] * s + gc + [zero] * (m - 1 - s) for s in range(m)]
+    rows = [[0] * s + fc + [0] * (n - 1 - s) for s in range(n)]
+    rows += [[0] * s + gc + [0] * (m - 1 - s) for s in range(m)]
     return determinant(rows) * sign
 
 
+def integral_terms(p: MultiPoly) -> tuple[int, dict[Exponent, int]]:
+    """(s, the terms of s*p), s the lcm of p's denominators."""
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    return scale, {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
+
+
+def pack_digits(coeffs: list[int], k: int) -> int:
+    """Kronecker packing: the polynomial with these coefficients, low degree
+    first, as one int, its value at y = 2^k."""
+    return sum(c << (k * e) for e, c in enumerate(coeffs) if c)
+
+
+def unpack_digits(value: int, k: int) -> list[int]:
+    """Balanced base-2^k digits of value, low first: each in [-2^(k-1), 2^(k-1))."""
+    half, mask, digits = 1 << (k - 1), (1 << k) - 1, []
+    while value:
+        digit = ((value + half) & mask) - half
+        digits.append(digit)
+        value = (value - digit) >> k
+    return digits
+
+
+def _pack_bits(fc: list[list[int]], gc: list[list[int]]) -> int:
+    """Digit width k with every coefficient of Res(f, g) below 2^(k-1).
+
+    A determinant is a signed sum over permutations of products of one
+    entry per row, and ||pq||_1 <= ||p||_1 ||q||_1, so each coefficient is
+    at most the product over rows of the summed l1 norms of the row's
+    entries: ||f||_1^deg(g) * ||g||_1^deg(f).
+    """
+    norm_f = sum(abs(c) for coeffs in fc for c in coeffs)
+    norm_g = sum(abs(c) for coeffs in gc for c in coeffs)
+    bound = norm_f ** (len(gc) - 1) * norm_g ** (len(fc) - 1)
+    return bound.bit_length() + 1
+
+
+def packed_sylvester(fc: list[list[int]], gc: list[list[int]]) -> list[int]:
+    """Res(f, g) in x, f and g given by their x-coefficients, highest power
+    first, each an int polynomial in y as a list low degree first: the
+    resultant's y-coefficients, low first; [] if it is zero.
+
+    Each entry of the Sylvester matrix is packed into one int by evaluating
+    it at y = 2^k (Kronecker substitution); the int determinant is the
+    resultant at 2^k, and the bound behind k makes its balanced digits the
+    coefficients.
+    """
+    k = _pack_bits(fc, gc)
+    return unpack_digits(sylvester([pack_digits(c, k) for c in fc],
+                                   [pack_digits(c, k) for c in gc]), k)
+
+
 def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Sylvester resultant of f and g with respect to one variable."""
+    """Sylvester resultant of f and g with respect to one variable.
+
+    With s_f, s_g the lcms of the denominators and m, n the degrees in name,
+    Res(s_f*f, s_g*g) = s_f^n * s_g^m * Res(f, g) is `packed_sylvester` in one
+    variable y: each other variable v is y^place(v), the places a mixed radix
+    above the v-degrees of f, g and Res, n*deg_v(f) + m*deg_v(g).  The ints
+    grow with the product of those bases: quick in three variables, slow past four."""
+    if f.vars != g.vars:
+        raise ValueError(f"variable mismatch: {f.vars} vs {g.vars}")
     m, n = f.degree_in(name), g.degree_in(name)
     if m < 1 and n < 1:
         raise ValueError(f"variable {name} absent from both polynomials")
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    fc = [f.coefficient(name, m - i) for i in range(m + 1)]
-    gc = [g.coefficient(name, n - i) for i in range(n + 1)]
-    return sylvester(fc, gc, MultiPoly.zero(f.vars))
+    (sf, fi), (sg, gi) = integral_terms(f), integral_terms(g)
+    i = f.vars.index(name)
+    places, radix = [], 1  # (index, place, base) of each other variable
+    for j, v in enumerate(f.vars):
+        if j != i:
+            df, dg = f.degree_in(v), g.degree_in(v)
+            base = max(n * df + m * dg, df, dg) + 1  # f unused at n = 0, g at m = 0
+            places.append((j, radix, base))
+            radix *= base
+
+    def coefficients(terms, degree):
+        out = [[0] * radix for _ in range(degree + 1)]
+        for e, c in terms.items():
+            out[degree - e[i]][sum(e[j] * place for j, place, _ in places)] = c
+        return out
+
+    scale, res = sf ** n * sg ** m, {}
+    for y, c in enumerate(packed_sylvester(coefficients(fi, m), coefficients(gi, n))):
+        if c:
+            exp = [0] * len(f.vars)
+            for j, place, base in places:
+                exp[j] = y // place % base
+            res[tuple(exp)] = Fraction(c, scale)
+    return MultiPoly._new(f.vars, res)
 
 
 # -- univariate helpers: Yun's square-free decomposition ---------------------

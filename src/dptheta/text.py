@@ -17,18 +17,15 @@ def data_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def parse_int(text: str) -> int:
-    """int(text) of ASCII digits after at most one sign, of at most
+    """int(text) of ASCII digits after at most one sign, then of at most
     MAX_LITERAL_DIGITS: no `_` separators (1_0), no other script's digits."""
     body = text.strip()
-    digits = len(body.lstrip("+-"))
-    if digits > MAX_LITERAL_DIGITS:
-        raise ValueError(f"integer literal of {digits} digits exceeds {MAX_LITERAL_DIGITS}")
-    if body.isascii() and "_" not in body:
-        try:
-            return int(body)
-        except ValueError:
-            pass
-    raise ValueError(f"not an integer: {echo(text)}")
+    digits = body.lstrip("+-")
+    if len(body) - len(digits) > 1 or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {echo(text)}")
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"integer literal of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS}")
+    return int(body)
 
 
 def echo(value) -> str:

@@ -8,14 +8,14 @@ import pytest
 import sympy
 from conftest import DATA
 
-from dptheta import detrep
+from dptheta import detrep, poly
 from dptheta.detrep import (DegenerateError, SymThetaData, Tangency,
                             contact_conic, cubic_threefold,
                             discriminant_quintic, extract_matrix,
                             quartic_from_odd_theta, total_tangency_check)
-from dptheta.poly import (MultiPoly, parse_poly, resultant,
-                          squarefree_multiplicities, uni_from_binary_form)
-from test_poly import substitute_term_by_term
+from dptheta.poly import (MultiPoly, parse_poly, squarefree_multiplicities,
+                          uni_from_binary_form)
+from test_poly import laplace_resultant, substitute_term_by_term
 
 P = detrep.PLANE_VARS
 
@@ -213,8 +213,8 @@ def sheared(p, a, b):
 
 
 def yun_tangency(f, t, seed=0):
-    """The former check: a MultiPoly shear, the MultiPoly resultant and Yun's
-    square-free decomposition of the dehomogenized form."""
+    """The former check: a MultiPoly shear, the Laplace-expanded Sylvester
+    determinant and Yun's square-free decomposition of the dehomogenized form."""
     rng = random.Random(seed)
     for _ in range(100):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
@@ -223,7 +223,7 @@ def yun_tangency(f, t, seed=0):
             break
     else:
         raise DegenerateError("no shear put the curves in general position")
-    res = resultant(sheared(f, a, b), sheared(t, a, b), "x2")
+    res = laplace_resultant(sheared(f, a, b), sheared(t, a, b), "x2")
     if res.is_zero():
         return Tangency.COMMON_COMPONENT, (a, b)
     p, degree = uni_from_binary_form(res, "x0", "x1")
@@ -245,10 +245,10 @@ def rational_form(rng, degree):
 
 
 def test_packed_resultant_matches_multipoly_resultant():
-    """The unpacked digits are the MultiPoly resultant of the sheared forms
-    times lf^deg(g) * lg^deg(f), lf and lg the lcms that clear f and g, and
-    each coefficient sits below 2^(k-1), on integral and rational forms of
-    several degrees with either form first."""
+    """The unpacked digits are the Laplace-expanded Sylvester determinant of
+    the sheared forms times lf^deg(g) * lg^deg(f), lf and lg the lcms that
+    clear f and g, and each coefficient sits below 2^(k-1), on integral and
+    rational forms of several degrees with either form first."""
     rng = random.Random(12)
     cases = 0
     while cases < 120:
@@ -264,16 +264,14 @@ def test_packed_resultant_matches_multipoly_resultant():
         point = {"x0": a, "x1": b, "x2": 1}
         if not (f.evaluate(point) and g.evaluate(point)):
             continue
-        fi, gi = detrep._integral(f), detrep._integral(g)
-        lf = Fraction(next(iter(fi.values())), next(iter(f.terms.values())))
-        lg = Fraction(next(iter(gi.values())), next(iter(g.terms.values())))
+        (lf, fi), (lg, gi) = poly.integral_terms(f), poly.integral_terms(g)
         fc, gc = detrep._shear(fi, df, a, b), detrep._shear(gi, dg, a, b)
-        got = detrep._packed_resultant(fc, gc)
-        want, _ = uni_from_binary_form(resultant(sheared(f, a, b), sheared(g, a, b), "x2"),
-                                       "x0", "x1")
+        got = poly.packed_sylvester(fc, gc)
+        want, _ = uni_from_binary_form(
+            laplace_resultant(sheared(f, a, b), sheared(g, a, b), "x2"), "x0", "x1")
         want = [c * lf ** dg * lg ** df for c in want]
         assert got == want, (f, g, a, b)
-        k = detrep._pack_bits(fc, gc)
+        k = poly._pack_bits(fc, gc)
         assert all(abs(c) < 1 << (k - 1) for c in want)
         cases += 1
 
@@ -287,7 +285,7 @@ def test_shear_leads_with_the_value_at_the_centre():
         d = rng.randint(1, 5)
         p = rational_form(rng, d) if case % 2 else random_form(rng, d, dense=False)
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-        pi = detrep._integral(p)
+        _, pi = poly.integral_terms(p)
         value = MultiPoly(P, pi).evaluate({"x0": a, "x1": b, "x2": 1})
         zeros += value == 0
         assert detrep._shear(pi, d, a, b)[0] == [value] + [0] * d, (p, a, b)
@@ -299,9 +297,9 @@ def test_unpack_balanced_negative_digits():
     for digits in ([-16, 15, 0, -1], [3, -16, -16], [0, 0, -7], [15], [-1, 0, 0, 1],
                    [1, -1, 1, -1, 1]):
         value = sum(d << (k * e) for e, d in enumerate(digits))
-        assert detrep._unpack(value, k) == digits
-    assert detrep._unpack(0, k) == []
-    assert detrep._unpack(-1, 1) == [-1]
+        assert poly.unpack_digits(value, k) == digits
+    assert poly.unpack_digits(0, k) == []
+    assert poly.unpack_digits(-1, 1) == [-1]
 
 
 @pytest.mark.parametrize("x0_mult", range(4))
@@ -326,11 +324,13 @@ def test_square_certificate_vs_yun(x0_mult, x1_mult):
 
 def test_square_root_is_integral_certificate():
     """4x^2 + 4x + 1 = 4 (x + 1/2)^2: S = 4x + 2 with S^2 = 4 * r."""
-    assert detrep._square_root([1, 4, 4]) == [2, 4]
-    assert detrep._square_root([1, 4, 5]) is None  # not a square
-    assert detrep._square_root([2, 0, 1]) is None  # S = x fits the top half only
-    assert detrep._square_root([1, 0, 1, 0]) is None  # odd degree
-    assert detrep._square_root([-3]) == [-3]
+    assert detrep._is_square_form([1, 4, 4], 2)
+    assert not detrep._is_square_form([1, 4, 5], 2)  # not a square
+    assert not detrep._is_square_form([2, 0, 1], 2)  # S = x fits the top half only
+    assert not detrep._is_square_form([1, 0, 1, 0], 3)  # odd degree
+    assert detrep._is_square_form([-3], 0)
+    # x^2 + 33x packs (k = 8) to 272^2, whose digits S' = x + 16 square to x^2 + 32x + 256
+    assert not detrep._is_square_form([0, 33, 1], 2)
 
 
 def test_packed_check_matches_yun_oracle():

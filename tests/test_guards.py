@@ -48,6 +48,13 @@ GUARDS = [
     # an integer literal is ASCII digits after at most one sign, as in a file
     ("int-underscore", lambda: text.parse_int("1_0"), ValueError, "^not an integer: '1_0'$"),
     ("int-arabic-indic", lambda: text.parse_int("١١"), ValueError, "^not an integer: '١١'$"),
+    # the characters are checked before the length: a long word is no number
+    ("int-long-word", lambda: text.parse_int("x" * 2000),
+     ValueError, "^not an integer: '" + "x" * 39 + r"\.\.\.$"),
+    ("config-root-long-word", lambda: nodal.parse_config("degree 3\nroot " + "x" * 5000),
+     ValueError, "^not an integer: '" + "x" * 39 + r"\.\.\.$"),
+    ("int-long-literal", lambda: text.parse_int("-" + "9" * 1001),
+     ValueError, "^integer literal of 1001 digits exceeds 1000$"),
     ("graph-genus-underscore", lambda: spin.parse_graph("v 1_0\n"),
      ValueError, "^not an integer: '1_0'$"),
     ("poly-arabic-indic", lambda: parse_poly("١*x0^٣", ("x0",)),
@@ -70,6 +77,9 @@ GUARDS = [
      ValueError, "x used but absent"),
     ("resultant-absent", lambda: poly.resultant(X, X, "y"),
      ValueError, "absent from both"),
+    ("resultant-variable-mismatch",
+     lambda: poly.resultant(X, MultiPoly.variable(("x",), "x"), "x"),
+     ValueError, r"^variable mismatch: \('x', 'y'\) vs \('x',\)$"),
     ("resultant-zero", lambda: poly.resultant(X, MultiPoly.zero(V), "x"),
      ValueError, "zero polynomial"),
     ("uni-divmod-zero", lambda: poly.uni_divmod([Fraction(1)], []),
