@@ -42,13 +42,13 @@ def _clean(terms: Mapping) -> dict:
 
 
 def _mul_terms(a: Mapping, b: Mapping) -> dict:
-    """The product of two term dicts: MultiPoly's and the parser's."""
+    """The product of two term dicts, MultiPoly's and the parser's, not yet `_clean`."""
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             exp = tuple(map(operator.add, ea, eb))
             out[exp] = out.get(exp, 0) + ca * cb
-    return _clean(out)
+    return out
 
 
 def _power(base, n: int, one, mul):
@@ -262,11 +262,13 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     MAX_DEGREE, or a power whose exponent times the bit length of the
     base's largest numerator or denominator is above MAX_COEFF_BITS raises
     ValueError before anything is expanded; so does a sum or product whose
-    formed coefficients outgrow MAX_COEFF_BITS.  Intermediates are term dicts.
+    formed coefficients outgrow MAX_COEFF_BITS.  A product's monomial factors
+    and their powers fold without expansion; only groups of several terms
+    multiply through `_mul_terms` and `_power`.
     """
     variables = _names(variables)
     const = (0,) * len(variables)
-    atoms = {v: {const[:i] + (1,) + const[i + 1:]: 1} for i, v in enumerate(variables)}
+    index = {v: i for i, v in enumerate(variables)}
     stop = _TOKENS.match(text).end()
     if stop < len(text.rstrip()):
         raise ValueError(f"cannot tokenize {echo(text[stop:])}")
@@ -274,7 +276,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     depth = 0
 
     def parse_sum():
-        terms = dict(parse_product())
+        terms = parse_product()
         while tokens[-1] in ("+", "-"):
             combine = operator.add if tokens.pop() == "+" else operator.sub
             term = parse_product()
@@ -293,20 +295,69 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
             if bits > MAX_COEFF_BITS:
                 raise ValueError(f"coefficient size {bits} bits exceeds {MAX_COEFF_BITS}")
 
-    def nested(parse):
-        nonlocal depth
-        depth += 1
-        if depth > MAX_NESTING:
-            raise ValueError(f"expression nested deeper than {MAX_NESTING}")
-        node = parse()
-        depth -= 1
-        return node
-
     def parse_product():
-        factors, degree = [], 0  # degree -1 once a factor is zero
+        """Read every factor, then multiply.  Signs and monomial factors fold
+        into coeff and exps as they are read; groups of several terms
+        multiply in last, fewest terms first."""
+        nonlocal depth
+        coeff, exps, groups, degree, count = 1, list(const), [], 0, 0  # degree -1 once zero
         while True:
-            factors.append(parse_factor())  # the first, after "*", or implicit as in "2x0"
-            factor_degree = max(map(sum, factors[-1]), default=-1)
+            # a factor is signs, an atom and an optional ^n; a sign binds looser
+            # than ^, as in Python: -x0^2 is -(x0^2)
+            top = depth  # each sign and parenthesis nests one level in the factor
+            while tokens[-1] in ("+", "-"):
+                depth += 1
+                coeff = -coeff if tokens.pop() == "-" else coeff
+            tok, base, term, group = tokens.pop(), 1, const, None
+            if depth + (tok == "(") > MAX_NESTING:
+                raise ValueError(f"expression nested deeper than {MAX_NESTING}")
+            if tok == "(":
+                depth += 1
+                group = parse_sum()
+                if tokens.pop() != ")":
+                    raise ValueError("unbalanced parentheses")
+                if len(group) < 2:  # a monomial after all
+                    (term, base), group = next(iter(group.items()), (const, 0)), None
+            elif tok is None:
+                raise ValueError("unexpected end of expression")
+            elif tok[0].isdigit():
+                num, _, den = tok.partition("/")
+                num, den = parse_int(num), parse_int(den) if den else 1
+                if not den:
+                    raise ValueError(f"zero denominator in {echo(tok)}")
+                base = Fraction(num, den) if num % den else num // den
+            elif tok not in index:
+                raise ValueError(f"unknown variable {echo(tok)}" if tok.isidentifier()
+                                 else f"unexpected {echo(tok)}")
+            depth, n = top, 1
+            if tokens[-1] == "^":
+                tokens.pop()
+                n = tokens.pop()
+                if n is None or not n.isdigit():
+                    raise ValueError("exponent must be a nonnegative integer")
+                n = parse_int(n)
+                if n > MAX_DEGREE:
+                    raise ValueError(f"exponent {echo(n)} exceeds {MAX_DEGREE}")
+                if group is not None:
+                    check_degree(max(map(sum, group)) * n)
+                    check_bits(group.values(), n)
+                    group = _clean(_power(group, n, {const: 1}, _mul_terms))
+                elif tok not in index:  # x^n needs no guard past n's own
+                    check_degree((sum(term) if base else -1) * n)
+                    check_bits((base,), n)
+                    base, term = base ** n, tuple(e * n for e in term)
+            if group is not None:
+                factor_degree = max(map(sum, group))
+                groups.append(group)
+            elif tok in index:
+                exps[index[tok]] += n
+                factor_degree, count = n, count + 1
+            else:
+                factor_degree = sum(term) if base else -1
+                exps = list(map(operator.add, exps, term))
+                if count < 2 or not max(abs(coeff.numerator), coeff.denominator) >> MAX_COEFF_BITS:
+                    coeff *= base  # until a product of two or more outgrows MAX_COEFF_BITS
+                count += 1
             check_degree(degree + factor_degree)
             degree = -1 if degree < 0 or factor_degree < 0 else degree + factor_degree
             tok = tokens[-1]
@@ -314,53 +365,17 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
                 tokens.pop()
             elif tok is None or not (tok[0].isalnum() or tok == "("):
                 break
-        # fewest terms first (a stable sort), so a wide factor is met once
-        node, *rest = sorted(factors, key=len)
-        for factor in rest:
-            node = _mul_terms(node, factor)
+        if degree < 0:  # a zero factor, before any oversized product
+            return {}
+        if count > 1:  # the product the fold stopped at, if past the bound
+            check_bits((coeff,))
+        groups.sort(key=len)  # a stable sort, so a wide factor is met once
+        node = ({tuple(exps): _canon(coeff)} if count
+                else {e: coeff * c for e, c in groups.pop(0).items()})
+        for group in groups:
+            node = _clean(_mul_terms(node, group))
             check_bits(node.values())
         return node
-
-    def parse_factor():  # a sign binds looser than "^", as in Python: -x0^2 is -(x0^2)
-        if tokens[-1] not in ("+", "-"):
-            return parse_power()
-        return _mul_terms({const: -1 if tokens.pop() == "-" else 1}, nested(parse_factor))
-
-    def parse_power():
-        base = parse_atom()
-        if tokens[-1] == "^":
-            tokens.pop()
-            exp = tokens.pop()
-            if exp is None or not exp.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
-            exp = parse_int(exp)
-            if exp > MAX_DEGREE:
-                raise ValueError(f"exponent {echo(exp)} exceeds {MAX_DEGREE}")
-            check_degree(max(map(sum, base), default=-1) * exp)
-            check_bits(base.values(), exp)
-            return _power(base, exp, {const: 1}, _mul_terms)
-        return base
-
-    def parse_atom():
-        tok = tokens.pop()
-        if tok == "(":
-            node = nested(parse_sum)
-            if tokens.pop() != ")":
-                raise ValueError("unbalanced parentheses")
-            return node
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        if tok[0].isdigit():
-            num, _, den = tok.partition("/")
-            num, den = parse_int(num), parse_int(den or "1")
-            if not den:
-                raise ValueError(f"zero denominator in {echo(tok)}")
-            value = Fraction(num, den) if num % den else num // den
-            return {const: value} if value else {}
-        if tok in atoms:
-            return atoms[tok]
-        raise ValueError(f"unknown variable {echo(tok)}" if tok.isidentifier()
-                         else f"unexpected {echo(tok)}")
 
     result = parse_sum()
     if tokens[-1] is not None:

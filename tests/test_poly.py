@@ -470,13 +470,37 @@ def test_parse_term_products_meet_wide_factor_once(monkeypatch):
 ], ids=["degree-360", "degree-17", "degree-18", "fraction-bits", "literal-bits",
         "monomial-degree", "constant-exponent", "tower", "fraction-tower", "literal-power"])
 def test_parse_power_guards_run_before_the_power_loop(expansion_guard, expr):
-    """Every power the parser forms, a monomial's too, goes through the
-    shared square-and-multiply loop `_power`, and one past MAX_DEGREE or
-    MAX_COEFF_BITS raises before that loop is entered."""
+    """A power past MAX_DEGREE or MAX_COEFF_BITS raises before it is formed:
+    a monomial's power folds into its exponents and coefficient without
+    the square-and-multiply loop `_power`, and a group of several terms
+    enters that loop only once its guards have passed."""
     with pytest.raises(ValueError, match="exceeds"):
         parse_poly(expr, V)
     assert parse_poly("(x0^8)^2 + 2^16", V) == parse_poly("x0^16 + 65536", V)
-    assert expansion_guard[-4:] == [8, 2, 16, 16]  # the monomial powers of the last two parses
+    assert expansion_guard == []  # monomial powers never enter `_power`
+    parse_poly("(x0 + 1)^16", V)
+    assert expansion_guard == [16]
+
+
+def test_parse_sum_of_monomials_expands_nothing(expansion_guard, monkeypatch):
+    """A sum of monomials folds each term's numbers, variables and powers
+    without expansion: the printed quintic of `detrep_sample.txt` and every
+    line of that file parse without entering `_power` or `_mul_terms`."""
+    text = (DATA / "detrep_sample.txt").read_text()
+    quintic = detrep.discriminant_quintic(detrep.data_from_block(detrep.parse_data_block(text)))
+    mul_terms, products = poly._mul_terms, []
+    expansion_guard.clear()  # only the parses below count
+
+    def recording(a, b):
+        products.append((a, b))
+        return mul_terms(a, b)
+
+    monkeypatch.setattr(poly, "_mul_terms", recording)
+    assert parse_poly(str(quintic), detrep.PLANE_VARS) == quintic
+    lines = [line.partition(":")[2] for _, line in data_lines(text)]
+    assert len(lines) == 6 and all(not parse_poly(line, detrep.PLANE_VARS).is_zero()
+                                   for line in lines)
+    assert expansion_guard == [] and products == []
 
 
 def test_parse_error_quotes_a_bounded_prefix():
