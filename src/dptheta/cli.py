@@ -245,8 +245,9 @@ def _cut_words(message: str, argv: list[str]) -> str:
     echo's cut, in each form the message may hold it.
 
     argparse and the OS quote a value as its repr, or bare (unrecognized
-    arguments), or as the repr of the int that `type=int` made of it; an
-    option's value may be the part of the word after `=` or after `-h`.
+    arguments), or as the repr of the int that an `_int` option made of it
+    (an invalid `--arf` choice); an option's value may be the part of the
+    word after `=` or after `-h`.
     Longer forms are cut first, so that no shorter one splits them.
     """
     from .text import echo

@@ -261,8 +261,9 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     exponent above MAX_DEGREE, a product or power of total degree above
     MAX_DEGREE, or a power whose exponent times the bit length of the
     base's largest numerator or denominator is above MAX_COEFF_BITS raises
-    ValueError before anything is expanded; so does a sum or product whose
-    formed coefficients outgrow MAX_COEFF_BITS.  A product's monomial factors
+    ValueError before anything is expanded; so does a sum, product or power
+    whose formed coefficients outgrow MAX_COEFF_BITS, so that every
+    coefficient returned is within it.  A product's monomial factors
     and their powers fold without expansion; only groups of several terms
     multiply through `_mul_terms` and `_power`.
     """
@@ -342,6 +343,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
                     check_degree(max(map(sum, group)) * n)
                     check_bits(group.values(), n)
                     group = _clean(_power(group, n, {const: 1}, _mul_terms))
+                    check_bits(group.values())
                 elif tok not in index:  # x^n needs no guard past n's own
                     check_degree((sum(term) if base else -1) * n)
                     check_bits((base,), n)
@@ -454,7 +456,11 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     Res(s_f*f, s_g*g) = s_f^n * s_g^m * Res(f, g) is `packed_sylvester` in one
     variable y: each other variable v is y^place(v), the places a mixed radix
     above the v-degrees of f, g and Res, n*deg_v(f) + m*deg_v(g).  The ints
-    grow with the product of those bases: quick in three variables, slow past four."""
+    grow with the product of those bases, so the time is exponential in the
+    number of variables: on four-term forms of degree up to 3 in each
+    variable, 0.3 ms at 3 variables, 11 ms at 4, 1.1 s at 5 and more than
+    2 min at 6 (Python 3.11, a 2-core host).  No caller in the package passes
+    more than 3."""
     if f.vars != g.vars:
         raise ValueError(f"variable mismatch: {f.vars} vs {g.vars}")
     m, n = f.degree_in(name), g.degree_in(name)

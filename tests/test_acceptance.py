@@ -51,9 +51,9 @@ def test_criterion_2_weyl_orders():
 def test_criterion_3_node_example():
     t0 = time.perf_counter()
     cfg = config(2, *A1_NODE)
-    ok = nodal.line_scheme(cfg).multiplicity_profile() == {1: 32, 2: 12}
-    ok &= nodal.bitangent_scheme(cfg).multiplicity_profile() == {1: 16, 2: 6}
-    ok &= nodal.even_theta_scheme(cfg).multiplicity_profile() == {1: 16, 2: 10}
+    ok = nodal.scheme(cfg, "lines").multiplicity_profile() == {1: 32, 2: 12}
+    ok &= nodal.scheme(cfg, "bitangents").multiplicity_profile() == {1: 16, 2: 6}
+    ok &= nodal.scheme(cfg, "eventheta").multiplicity_profile() == {1: 16, 2: 10}
     profile = nodal.intersection_profile(cfg)
     rows = {name: row for name, row in profile}
     ok &= rows["2L-Em-En-Ep"] == (0, 10, 15, 10, 0)
@@ -67,11 +67,11 @@ def test_criterion_3_node_example():
 def test_criterion_4_cusp_example():
     t0 = time.perf_counter()
     cfg3 = config(3, *A2_CUSP_3)
-    ok = nodal.line_scheme(cfg3).multiplicity_profile() == {1: 9, 3: 6}
-    ok &= nodal.double_six_scheme(cfg3).multiplicity_profile() == {1: 6, 3: 10}
+    ok = nodal.scheme(cfg3, "lines").multiplicity_profile() == {1: 9, 3: 6}
+    ok &= nodal.scheme(cfg3, "doublesix").multiplicity_profile() == {1: 6, 3: 10}
     cfg2 = config(2, *A2_CUSP_2)
-    ok &= nodal.bitangent_scheme(cfg2).multiplicity_profile() == {1: 10, 3: 6}
-    ok &= nodal.even_theta_scheme(cfg2).multiplicity_profile() == {1: 6, 3: 10}
+    ok &= nodal.scheme(cfg2, "bitangents").multiplicity_profile() == {1: 10, 3: 6}
+    ok &= nodal.scheme(cfg2, "eventheta").multiplicity_profile() == {1: 6, 3: 10}
     report(4, "cusp example lines/double-six/cross-check", ok, t0)
 
 
@@ -83,7 +83,7 @@ def test_criterion_4_blowdown_congruence_as_stated():
     which passes above."""
     t0 = time.perf_counter()
     cfg3 = config(3, *A2_CUSP_3)
-    got = nodal.blowdown_scheme(cfg3).multiplicity_profile()
+    got = nodal.scheme(cfg3, "blowdowns").multiplicity_profile()
     report("4 (blow-down sub-claim)",
            f"stated 12x1 + 20x3, computed {dict(sorted(got.items()))}",
            got == {1: 12, 3: 20}, t0)
@@ -92,8 +92,8 @@ def test_criterion_4_blowdown_congruence_as_stated():
 def test_criterion_5_e7_example():
     t0 = time.perf_counter()
     cfg = config(2, *E7_ROOTS)
-    ok = nodal.bitangent_scheme(cfg).multiplicity_profile() == {28: 1}
-    ok &= nodal.aronhold_scheme(cfg).multiplicity_profile() == {288: 1}
+    ok = nodal.scheme(cfg, "bitangents").multiplicity_profile() == {28: 1}
+    ok &= nodal.scheme(cfg, "aronhold").multiplicity_profile() == {288: 1}
     report(5, "E7 example: one bitangent x28, one Aronhold point x288", ok, t0)
 
 

@@ -13,8 +13,7 @@ from dptheta.detrep import (DegenerateError, SymThetaData, Tangency,
                             contact_conic, cubic_threefold,
                             discriminant_quintic, extract_matrix,
                             quartic_from_odd_theta, total_tangency_check)
-from dptheta.poly import (MultiPoly, parse_poly, squarefree_multiplicities,
-                          uni_from_binary_form)
+from dptheta.poly import MultiPoly, parse_poly
 from test_poly import laplace_resultant, substitute_term_by_term
 
 P = detrep.PLANE_VARS
@@ -212,9 +211,25 @@ def sheared(p, a, b):
                                    "x1", x1 + b * x2)
 
 
-def yun_tangency(f, t, seed=0):
-    """The former check: a MultiPoly shear, the Laplace-expanded Sylvester
-    determinant and Yun's square-free decomposition of the dehomogenized form."""
+def binary_square(form):
+    """(c, square) for a binary form sum c[e] x0^e x1^(d - e): c is read off
+    .terms up to its last nonzero entry, and square says whether a nonzero
+    form is a constant times a square, decided by the parity of x1's
+    multiplicity d + 1 - len(c) and by sympy's sqf_list of the polynomial
+    in x0."""
+    d = form.total_degree()
+    c = [0] * (1 + max((e[0] for e in form.terms), default=-1))
+    for (i, j, k), v in form.terms.items():
+        assert i + j == d and not k, form
+        c[i] = v
+    _, factors = sympy.Poly(c[::-1], sympy.Symbol("t")).sqf_list()
+    return c, (d + 1 - len(c)) % 2 == 0 and all(m % 2 == 0 for _, m in factors)
+
+
+def sympy_tangency(f, t, seed=0):
+    """The check by independent means: a MultiPoly shear, the Laplace-expanded
+    Sylvester determinant and sympy's square-free decomposition of the
+    dehomogenized form."""
     rng = random.Random(seed)
     for _ in range(100):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
@@ -226,10 +241,9 @@ def yun_tangency(f, t, seed=0):
     res = laplace_resultant(sheared(f, a, b), sheared(t, a, b), "x2")
     if res.is_zero():
         return Tangency.COMMON_COMPONENT, (a, b)
-    p, degree = uni_from_binary_form(res, "x0", "x1")
-    if (degree - (len(p) - 1)) % 2 or any(m % 2 for _, m in squarefree_multiplicities(p)):
-        return Tangency.NOT_TANGENT, (a, b)
-    return Tangency.TOTALLY_TANGENT, (a, b)
+    if binary_square(res)[1]:
+        return Tangency.TOTALLY_TANGENT, (a, b)
+    return Tangency.NOT_TANGENT, (a, b)
 
 
 def rational_form(rng, degree):
@@ -267,8 +281,7 @@ def test_packed_resultant_matches_multipoly_resultant():
         (lf, fi), (lg, gi) = poly.integral_terms(f), poly.integral_terms(g)
         fc, gc = detrep._shear(fi, df, a, b), detrep._shear(gi, dg, a, b)
         got = poly.packed_sylvester(fc, gc)
-        want, _ = uni_from_binary_form(
-            laplace_resultant(sheared(f, a, b), sheared(g, a, b), "x2"), "x0", "x1")
+        want, _ = binary_square(laplace_resultant(sheared(f, a, b), sheared(g, a, b), "x2"))
         want = [c * lf ** dg * lg ** df for c in want]
         assert got == want, (f, g, a, b)
         k = poly._pack_bits(fc, gc)
@@ -306,8 +319,9 @@ def test_unpack_balanced_negative_digits():
 @pytest.mark.parametrize("x1_mult", range(4))
 def test_square_certificate_vs_yun(x0_mult, x1_mult):
     """c * x0^i * x1^j * (interior factors) is a constant times a square
-    exactly when Yun finds every multiplicity even; the leading
-    coefficients make the square root rational, not integral."""
+    exactly when x1's multiplicity and every multiplicity of sympy's
+    sqf_list are even; the leading coefficients make the square root
+    rational, not integral."""
     x0, x1 = MultiPoly.variable(P, "x0"), MultiPoly.variable(P, "x1")
     interiors = [pp("2*x0 + x1"), pp("x0^2 + 3*x1^2"), pp("3*x0 - 5*x1")]
     for lead in (1, -6, 4):
@@ -316,10 +330,8 @@ def test_square_certificate_vs_yun(x0_mult, x1_mult):
             form = (x0 ** x0_mult) * (x1 ** x1_mult) * lead
             for factor, m in zip(interiors, mults):
                 form = form * factor ** m
-            p, degree = uni_from_binary_form(form, "x0", "x1")
-            want = ((degree - (len(p) - 1)) % 2 == 0
-                    and all(m % 2 == 0 for _, m in squarefree_multiplicities(p)))
-            assert detrep._is_square_form([int(c) for c in p], degree) is want, form
+            p, want = binary_square(form)
+            assert detrep._is_square_form([int(c) for c in p], form.total_degree()) is want, form
 
 
 def test_square_root_is_integral_certificate():
@@ -334,7 +346,7 @@ def test_square_root_is_integral_certificate():
 
 
 def test_packed_check_matches_yun_oracle():
-    """Verdict and shear of the packed check equal the former path on
+    """Verdict and shear of the packed check equal sympy_tangency's on
     contact conics, random conics, squared lines and shared components,
     with integral and rational coefficients."""
     rng = random.Random(21)
@@ -355,7 +367,7 @@ def test_packed_check_matches_yun_oracle():
             if f5.is_zero() or t2.is_zero():
                 continue
             try:
-                want = yun_tangency(f5, t2, seed=cases)
+                want = sympy_tangency(f5, t2, seed=cases)
             except DegenerateError:
                 with pytest.raises(DegenerateError):
                     total_tangency_check(f5, t2, seed=cases)

@@ -63,10 +63,10 @@ def test_invalid_roots_rejected():
 
 def test_empty_config_all_multiplicity_one():
     cfg = config(3)
-    assert nodal.line_scheme(cfg).multiplicity_profile() == {1: 27}
-    assert nodal.blowdown_scheme(cfg).multiplicity_profile() == {1: 72}
+    assert nodal.scheme(cfg, "lines").multiplicity_profile() == {1: 27}
+    assert nodal.scheme(cfg, "blowdowns").multiplicity_profile() == {1: 72}
     cfg2 = config(2)
-    assert nodal.bitangent_scheme(cfg2).multiplicity_profile() == {1: 28}
+    assert nodal.scheme(cfg2, "bitangents").multiplicity_profile() == {1: 28}
 
 
 EXPECTED_PROFILE = {
@@ -140,8 +140,8 @@ def test_geiser_quotient_handles_self_pairing():
     """In the E7 scheme all 56 lines are congruent; the quotient still
     counts 28 bitangents."""
     cfg = config(2, *E7_ROOTS)
-    assert nodal.line_scheme(cfg).multiplicity_profile() == {56: 1}
-    assert nodal.bitangent_scheme(cfg).total == 28
+    assert nodal.scheme(cfg, "lines").multiplicity_profile() == {56: 1}
+    assert nodal.scheme(cfg, "bitangents").total == 28
 
 
 def test_parse_config():
@@ -605,11 +605,20 @@ def test_pair_involutions_fix_no_class(name):
 
 
 def test_even_theta_scheme_is_the_eventheta_entry():
-    cfg = config(3, *A2_CUSP_3)
+    """The one pin of the six scheme aliases: each equals nodal.scheme under
+    its name on the node (degree 2) and the cusp (degree 3) where its degree
+    allows, and even_theta_scheme refuses degree 3.  A loop rather than a
+    parametrization keeps this test's id."""
+    node, cusp = config(2, *A1_NODE), config(3, *A2_CUSP_3)
     with pytest.raises(ValueError, match="eventheta scheme requires degree 2"):
-        nodal.even_theta_scheme(cfg)
-    cfg = config(2, *A2_CUSP_2)
-    assert nodal.even_theta_scheme(cfg) == nodal.scheme(cfg, "eventheta")
+        nodal.even_theta_scheme(cusp)
+    aliases = {"lines": "line_scheme", "blowdowns": "blowdown_scheme",
+               "bitangents": "bitangent_scheme", "doublesix": "double_six_scheme",
+               "aronhold": "aronhold_scheme", "eventheta": "even_theta_scheme"}
+    for name, alias in aliases.items():
+        for cfg in (node, cusp):
+            if nodal.SCHEMES[name][1] in (None, cfg.lattice.degree):
+                assert getattr(nodal, alias)(cfg) == nodal.scheme(cfg, name), alias
 
 
 def test_mixed_kinds_rejected():

@@ -231,7 +231,9 @@ def reference_parse(text, variables):
                 raise ValueError(f"exponent {echo(exp)} exceeds {poly.MAX_DEGREE}")
             check_degree(base.total_degree() * exp)
             check_bits(base.terms.values(), exp)
-            return base ** exp
+            power = base ** exp
+            check_bits(power.terms.values())
+            return power
         return base
 
     def parse_atom():
@@ -389,6 +391,19 @@ def test_parse_coefficient_size_bounded():
                 "(((2)^16)^16)^16", "((((2)^16)^16)^16)^16"):
         with pytest.raises(ValueError, match=f"exceeds {top}"):
             parse_poly(bad, V)
+
+
+def test_group_power_coefficients_bounded():
+    """The power guard bounds n times the base's bits, not the multinomial
+    growth of a group's power: (B*x0 + B)^16 with B = 2^256 - 1 passes it,
+    but its middle coefficient has 4100 bits.  Alone or in a sum, and in
+    the oracle, the formed power is refused."""
+    b = 2 ** 256 - 1
+    message = rf"^coefficient size 4100 bits exceeds {poly.MAX_COEFF_BITS}$"
+    for text in (f"({b}*x0 + {b})^16", f"1 + ({b}*x0 + {b})^16"):
+        for parse in (parse_poly, reference_parse):
+            with pytest.raises(ValueError, match=message):
+                parse(text, V)
 
 
 BIG = "9" * MAX_LITERAL_DIGITS  # 3322 bits: one literal fits, a product does not

@@ -416,6 +416,28 @@ def test_blowdown_lines_are_constructed_aronhold_sets():
     assert all(len(p) == 1 for p in pairs_of.values())
 
 
+def test_even_thetas_are_double_sixes():
+    """A marked line E7 takes degree 2 to degree 3: the degree-3 lattice is
+    the degree-2 classes with last coordinate 0.  The 72 degree-2 blow-downs
+    there, that coordinate dropped, are the 72 degree-3 blow-downs; their
+    even thetas (mod2_label) hold them two to each of the 36, and these
+    pairs are the double sixes.  The lift commutes with the reflection in
+    each simple root of E6, which permutes the pairs."""
+    lat2, lat3 = lt.make_lattice(2), lt.make_lattice(3)
+    blowdowns = lt.enumerate_classes(lat3, ClassKind.BLOWDOWN)
+    lifted = [b for b in lt.enumerate_classes(lat2, ClassKind.BLOWDOWN) if b[-1] == 0]
+    assert sorted(b[:-1] for b in lifted) == sorted(blowdowns)
+    pairs = {}
+    for b in lifted:
+        pairs.setdefault(tf.mod2_label(b), set()).add(b[:-1])
+    pairs = set(map(frozenset, pairs.values()))
+    assert len(pairs) == 36 and pairs == set(lt.double_six_orbits(lat3))
+    for root in lt.simple_roots(lat3):
+        for b in blowdowns:
+            assert lt.reflect(lat3, root, b) + (0,) == lt.reflect(lat2, root + (0,), b + (0,))
+        assert {frozenset(lt.reflect(lat3, root, b) for b in p) for p in pairs} == pairs
+
+
 def test_even_theta_of_blowdown_rejects():
     lat2, lat3 = lt.make_lattice(2), lt.make_lattice(3)
     with pytest.raises(ValueError, match="requires degree 2"):

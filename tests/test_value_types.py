@@ -21,7 +21,7 @@ def instances():
     return [
         (LAT2, {"degree": 4}),
         (cfg, {"roots": (lt.divisor(LAT2, 0, 1, 1),)}),  # E1 + E2: K.r = -2
-        (nodal.line_scheme(cfg), None),
+        (nodal.scheme(cfg, "lines"), None),
         (graph, {"edges": ()}),  # two vertices and no edge: not connected
         (spin.spin_counts(graph, ()), None),
         (spin.spin_table_irreducible(3, 1)[0], None),
