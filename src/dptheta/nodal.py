@@ -252,6 +252,7 @@ def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
     return MultiplicityScheme(tuple(sorted((min(g), len(g)) for g in groups.values())))
 
 
+# Aliases for bench/workloads.py alone (other code calls scheme); ROADMAP item 2 drops them.
 def line_scheme(cfg: NodalConfig) -> MultiplicityScheme:
     return scheme(cfg, "lines")
 

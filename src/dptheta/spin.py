@@ -145,12 +145,6 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_even_subset(graph: DualGraph, delta) -> bool:
-    """True when the boundaries of the edges in delta XOR to 0; a repeated,
-    negative or out-of-range edge index raises ValueError."""
-    return _reduce(graph.edges, delta)[0] == 0
-
-
 # spin structures supported on a given even edge subset
 SpinSupport = namedtuple("SpinSupport", "delta count multiplicity")
 

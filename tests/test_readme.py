@@ -1,9 +1,11 @@
 """README's Library block runs as written, and each `# N` comment on a
 statement of it is the value of that statement; each of its commands has a
 golden digest and runs cleanly in both formats.  Each demo runs cleanly, and
-the tree compiles, with every warning an error."""
+the tree compiles, with every warning an error.  One traced bench pass of each
+workload meets the bench's oracles."""
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -75,3 +77,21 @@ def test_tree_compiles_without_warnings(tmp_path):
                           capture_output=True, text=True, timeout=120, cwd=ROOT,
                           env=dict(fresh_env(), PYTHONPYCACHEPREFIX=str(tmp_path)))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+@pytest.mark.parametrize("workload", ["cli", "nodal", "algebra"])
+def test_bench_smoke_traced(workload):
+    """`bench/run.py --seconds 0 --trace 1`: an untraced and a traced pass
+    of every op, then the kernel rows, all under the bench's oracles (exit
+    codes, Weyl invariance, tangency verdicts, zero counts).  The cli passes
+    run cli.main in process with cold caches, so they also cover handlers
+    that import their layer on first use."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", "0", "--seconds", "0", "--trace", "1"],
+                          capture_output=True, text=True, timeout=120, cwd=ROOT, env=fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    failed = "\n".join(line for line in lines if line.startswith("# FAILED"))
+    assert (result["correct"], result["failed"]) == (True, 0), failed
+    assert result["attempted"] > 0

@@ -10,7 +10,7 @@ from operator import xor
 
 import pytest
 
-from dptheta import lattice as lt, theta_f2 as tf
+from dptheta import lattice as lt, nodal, theta_f2 as tf
 from dptheta.lattice import ClassKind
 
 
@@ -436,6 +436,43 @@ def test_even_thetas_are_double_sixes():
         for b in blowdowns:
             assert lt.reflect(lat3, root, b) + (0,) == lt.reflect(lat2, root + (0,), b + (0,))
         assert {frozenset(lt.reflect(lat3, root, b) for b in p) for p in pairs} == pairs
+
+
+def test_unmarked_bitangents_are_the_27_lines():
+    """Across the same bridge, each of the 27 Geiser pairs of degree-2 lines
+    other than the marked one {E7, geiser(E7)} holds exactly one line with
+    last coordinate 0, and those lines, that coordinate dropped, are the 27
+    lines of degree 3."""
+    lat2, lat3 = lt.make_lattice(2), lt.make_lattice(3)
+    e7 = lt.class_E(lat2, 7)
+    bitangents = {frozenset((c, lt.geiser(lat2, c)))
+                  for c in lt.enumerate_classes(lat2, ClassKind.EXCEPTIONAL)}
+    unmarked = bitangents - {frozenset((e7, lt.geiser(lat2, e7)))}
+    assert len(bitangents) == 28 and len(unmarked) == 27
+    lines = []
+    for p in unmarked:
+        (line,) = (c for c in p if c[-1] == 0)
+        lines.append(line[:-1])
+    assert sorted(lines) == sorted(lt.enumerate_classes(lat3, ClassKind.EXCEPTIONAL))
+
+
+def test_bitangent_scheme_is_line_scheme_plus_marked_point():
+    """For each of the 64 subsets of E6's simple roots, lifted to degree 2
+    by a last coordinate 0, the bitangent scheme is the degree-3 line scheme
+    plus the marked pair {E7, geiser(E7)} as a point of multiplicity 1."""
+    lat2, lat3 = lt.make_lattice(2), lt.make_lattice(3)
+    e7 = lt.class_E(lat2, 7)
+    marked = min(e7, lt.geiser(lat2, e7))
+    simple = lt.simple_roots(lat3)
+    for k in range(len(simple) + 1):
+        for subset in combinations(simple, k):
+            cfg2 = nodal.NodalConfig(lat2, [r + (0,) for r in subset])
+            bitangents = nodal.scheme(cfg2, "bitangents")
+            assert (marked, 1) in bitangents.points
+            profile = Counter(bitangents.multiplicity_profile())
+            profile[1] -= 1
+            lines = nodal.scheme(nodal.NodalConfig(lat3, subset), "lines")
+            assert +profile == lines.multiplicity_profile(), subset
 
 
 def test_even_theta_of_blowdown_rejects():
