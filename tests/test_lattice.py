@@ -1,10 +1,11 @@
 """Picard-lattice enumeration, Weyl groups and involutions."""
 
 import itertools
+import math
+import random
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from conftest import fresh_env
 
@@ -13,38 +14,26 @@ from dptheta.lattice import ClassKind
 
 
 def brute_force_classes(degree, selfint, kdeg):
-    """Independent oracle: scan an integer box for classes with the given
-    self-intersection s and anticanonical degree t.
+    """Independent oracle: scan an integer box for the classes
+    D = a L + sum(c_i E_i) with D.D = a^2 - sum(c_i^2) = s and anticanonical
+    degree -K.D = 3a + sum(c_i) = t, in exact integers.
 
-    For D = a L - sum(b_i E_i) with a^2 - sum(b_i^2) = s and
-    sum(b_i) = t - 3a (writing b_i for the E_i coefficients directly, the
-    pairing against -K = 3L - sum(E_i) gives 3a + sum(b_i) = t), Cauchy-
-    Schwarz bounds a: (t - 3a)^2 <= n (a^2 + (t... )).  Concretely
-    sum(b_i)^2 <= n sum(b_i^2) = n (a^2 - s), so a ranges over the roots of
-    (9 - n) a^2 - 6 t a + t^2 + n s <= 0 and |b_i| <= sqrt(a^2 - s).
+    Cauchy-Schwarz, sum(c_i)^2 <= n sum(c_i^2), gives (t - 3a)^2 <=
+    n (a^2 - s), that is (9 - n) a^2 - 6 t a + t^2 + n s <= 0, which bounds a;
+    each |c_i| <= isqrt(a^2 - s), and the degree t fixes the last c_i.
     """
-    n = 9 - degree
-    # solve (9-n) a^2 - 6 t a + (t^2 + n s) <= 0 for a
-    t = kdeg
-    qa, qb, qc = 9 - n, -6 * t, t * t + n * selfint
-    disc = qb * qb - 4 * qa * qc
-    if disc < 0:
-        return []
-    lo = int(np.floor((-qb - np.sqrt(disc)) / (2 * qa)))
-    hi = int(np.ceil((-qb + np.sqrt(disc)) / (2 * qa)))
+    n, s, t = 9 - degree, selfint, kdeg
+    window = range(-10, 11)
+    feasible = [a for a in window if (9 - n) * a * a - 6 * t * a + t * t + n * s <= 0]
+    # the inequality is convex in a, so a window wider than its solutions holds them all
+    assert feasible and window[0] < feasible[0] and feasible[-1] < window[-1]
     found = []
-    for a in range(lo, hi + 1):
-        bound = a * a - selfint
-        if bound < 0:
-            continue
-        bmax = int(np.floor(np.sqrt(bound)))
-        axes = [np.arange(-bmax, bmax + 1)] * n
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        sq = (grid * grid).sum(axis=1)
-        sm = grid.sum(axis=1)
-        mask = (a * a - sq == selfint) & (3 * a + sm == t)
-        for row in grid[mask]:
-            found.append((a,) + tuple(int(c) for c in row))
+    for a in feasible:
+        bmax = math.isqrt(a * a - s)
+        for head in itertools.product(range(-bmax, bmax + 1), repeat=n - 1):
+            last = t - 3 * a - sum(head)
+            if a * a - sum(x * x for x in head) - last * last == s:
+                found.append((a, *head, last))
     return sorted(found)
 
 
@@ -171,9 +160,9 @@ def pair_by_zip(lat, a, b):
 @pytest.mark.parametrize("degree", [2, 3])
 def test_pair_matches_zip_oracle(degree):
     lat = lt.make_lattice(degree)
-    rng = np.random.default_rng(degree)
+    rng = random.Random(degree)
     for _ in range(500):
-        a, b = (tuple(int(x) for x in rng.integers(-9, 10, lat.rank)) for _ in range(2))
+        a, b = (tuple(rng.randint(-9, 9) for _ in range(lat.rank)) for _ in range(2))
         assert lt.pair(lat, a, b) == pair_by_zip(lat, a, b)
     big = (3 ** 80,) + (-(2 ** 70),) * lat.npoints
     assert lt.pair(lat, big, big) == pair_by_zip(lat, big, big)

@@ -2,7 +2,8 @@
 statement of it is the value of that statement; each of its commands has a
 golden digest and runs cleanly in both formats.  Each demo runs cleanly, and
 the tree compiles, with every warning an error.  One traced bench pass of each
-workload meets the bench's oracles."""
+workload meets the bench's oracles.  The `test` extra names exactly what the
+tests and the bench import."""
 
 import ast
 import json
@@ -95,3 +96,21 @@ def test_bench_smoke_traced(workload):
     failed = "\n".join(line for line in lines if line.startswith("# FAILED"))
     assert (result["correct"], result["failed"]) == (True, 0), failed
     assert result["attempted"] > 0
+
+
+def test_test_extra_names_exactly_the_imports():
+    """The `test` extra of pyproject.toml names exactly the packages that
+    `tests/` and `bench/` import, imports inside functions included, once
+    the stdlib, their own files and dptheta are dropped."""
+    extra = re.search(r"^test = \[(.*)\]$", (ROOT / "pyproject.toml").read_text(), re.M)
+    named = set(re.findall(r'"([A-Za-z0-9_.-]+)', extra.group(1)))
+    files = [*ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]
+    local = {path.stem for path in files} | {"dptheta"}
+    imported = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    assert imported - set(sys.stdlib_module_names) - local == named

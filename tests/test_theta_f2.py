@@ -4,7 +4,7 @@ import copy
 import pickle
 import random
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import xor
 
@@ -473,6 +473,87 @@ def test_bitangent_scheme_is_line_scheme_plus_marked_point():
             profile[1] -= 1
             lines = nodal.scheme(nodal.NodalConfig(lat3, subset), "lines")
             assert +profile == lines.multiplicity_profile(), subset
+
+
+@cache
+def _reflection(lat, root):
+    """The reflection in a root, as a map of the blow-down table."""
+    return {c: lt.reflect(lat, root, c) for c in lt.enumerate_classes(lat, ClassKind.BLOWDOWN)}
+
+
+def orbit_profile(cfg, label):
+    """Test-side W(N)-orbit oracle for a blow-down scheme: the profile of
+    the labels merged by the joins c ~ reflect(r, c), r in cfg.roots.  The
+    joins' components are the W(N)-orbits of the table, so merging the
+    labels at the two ends of each join merges exactly the labels that one
+    orbit meets, as nodal.scheme merges those that one congruence part meets."""
+    lat = cfg.lattice
+    labels = {c: label(c) for c in lt.enumerate_classes(lat, ClassKind.BLOWDOWN)}
+    parent = {x: x for x in labels.values()}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for r in cfg.roots:
+        for c, d in _reflection(lat, r).items():
+            parent[find(labels[d])] = find(labels[c])
+    return dict(Counter(Counter(map(find, list(parent))).values()))
+
+
+def test_even_thetas_are_double_sixes_by_orbits():
+    """Across the marked-line bridge, for each of the 64 subsets of E6's
+    simple roots, lifted to degree 2 by a last coordinate 0, the degree-3
+    double-six scheme and the degree-2 even-theta scheme have the same
+    W(N)-orbit profile.  Congruence (nodal.scheme) gives them equal profiles
+    on exactly the 16 subsets of type trivial, A1, A2, D4, D5 or E6; the
+    other 48 are recorded divergences of the congruence rule."""
+    lat2, lat3 = lt.make_lattice(2), lt.make_lattice(3)
+
+    def double_six(c):
+        return min(c, lt.double_six_partner(lat3, c))
+
+    simple = lt.simple_roots(lat3)
+    agree = {}
+    for k in range(len(simple) + 1):
+        for subset in combinations(simple, k):
+            cfg3 = nodal.NodalConfig(lat3, subset)
+            cfg2 = nodal.NodalConfig(lat2, [r + (0,) for r in subset])
+            assert orbit_profile(cfg3, double_six) == orbit_profile(cfg2, tf.mod2_label), subset
+            agree[subset] = (nodal.scheme(cfg3, "doublesix").multiplicity_profile()
+                             == nodal.scheme(cfg2, "eventheta").multiplicity_profile())
+    six = {"trivial", "A1", "A2", "D4", "D5", "E6"}
+    assert len(agree) == 64 and sum(agree.values()) == 16
+    assert all(ok == (nodal.validate_config(nodal.NodalConfig(lat3, subset)) in six)
+               for subset, ok in agree.items())
+
+
+def _e(i, j):
+    """The degree-2 root E_i - E_j."""
+    return tuple((k == i) - (k == j) for k in range(8))
+
+
+@pytest.mark.parametrize("roots,kind,congruence,orbits", [
+    ([_e(1, 2)], "A1", {1: 16, 2: 10}, {1: 16, 2: 10}),
+    ([_e(1, 2), _e(2, 3)], "A2", {1: 6, 3: 10}, {1: 6, 3: 10}),
+    ([_e(1, 2), _e(3, 4)], "A1+A1", {2: 12, 4: 3}, {1: 8, 2: 8, 4: 3}),
+    ([_e(1, 2), _e(2, 3), _e(3, 4)], "A3", {2: 1, 4: 4, 6: 3}, {1: 2, 4: 4, 6: 3}),
+    ([_e(1, 2), _e(3, 4), _e(4, 5)], "A1+A2", {2: 1, 4: 4, 6: 3}, {1: 4, 2: 1, 3: 4, 6: 3}),
+    ([_e(1, 2), _e(3, 4), _e(5, 6)], "A1+A1+A1", {4: 7, 8: 1}, {1: 4, 2: 6, 4: 3, 8: 1}),
+    ([_e(1, 2), _e(3, 4), (1, 0, 0, 0, 0, -1, -1, -1)], "A1+A1+A1",  # L - E5 - E6 - E7
+     {2: 12, 4: 3}, {2: 12, 4: 3}),
+], ids=["A1", "A2", "A1+A1", "A3", "A1+A2", "3A1-first-orbit", "3A1-second-orbit"])
+def test_eventheta_congruence_against_orbits(roots, kind, congruence, orbits):
+    """The even-theta scheme of one degree-2 representative per type:
+    today's congruence profile, and the W(N)-orbit profile of the oracle.
+    They differ on A1+A1, A3, A1+A2 and the first 3A1 orbit; there the
+    congruence column is a recorded divergence, not a claim that it is
+    right."""
+    cfg = nodal.NodalConfig(lt.make_lattice(2), roots)
+    assert nodal.validate_config(cfg) == kind
+    assert nodal.scheme(cfg, "eventheta").multiplicity_profile() == congruence
+    assert orbit_profile(cfg, tf.mod2_label) == orbits
 
 
 def test_even_theta_of_blowdown_rejects():
