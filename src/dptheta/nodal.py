@@ -13,13 +13,19 @@ involution (degree 2) or the double-six pairing (degree 3), or by their
 even theta characteristic, and merging the labels that one congruence
 class meets gives the schemes of bitangents, Aronhold sets, double sixes
 and even theta characteristics of the branch curve.
+
+Congruence is keyed by linear invariants read off a diagonal form of the
+root matrix, evaluated over a whole class table at once on packed columns.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import lru_cache
-from operator import mul
+import sys
+from array import array
+from collections import Counter, namedtuple
+from functools import lru_cache, partial
+from itertools import chain, repeat
+from operator import add, lshift, mod, mul
 
 from . import lattice as lt
 from .kernels import components
@@ -114,67 +120,144 @@ def validate_config(cfg: NodalConfig) -> str:
     return "+".join(sorted(names, key=lambda s: (s[0], int(s[1:]))))
 
 
-def _echelon(roots) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """Integer echelon basis of the span of the roots.
+@lru_cache(maxsize=1)
+def _invariants(cfg: NodalConfig):
+    """Linear congruence invariants of the root span N, from a diagonal form.
 
-    Column by column, Euclid's algorithm on the rows not yet used leaves one
-    row with a positive pivot and clears the column in all the others
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).  Each
-    row is returned sparse, as (pivot column, pivot, its nonzero
-    (column, entry) pairs); the row is zero left of its pivot.
+    Unimodular row and column operations bring the root matrix R to
+    P.R.Q = [diag(d_1, ..., d_r) | 0], Smith's normal form without its
+    divisibility chain (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.4): each step moves the smallest entry of the pivot row to
+    the pivot, reduces that row by column operations and the pivot column
+    by row operations, and keeps the pivot once both are clear; a remainder
+    left below it brings its row up.  Dependent roots end as zero rows.
+    Then v = w mod N exactly when (vQ)_i = (wQ)_i for i > r and
+    (vQ)_i = (wQ)_i mod d_i where d_i > 1.  Returns the free columns of Q,
+    the (column, d_i) pairs with d_i > 1 and the largest |q|_1 of those
+    columns; cached for one configuration, whose class tables share it.
     """
-    rows = [list(r) for r in roots]
-    basis = []
-    for col in range(len(rows[0]) if rows else 0):
-        live = [r for r in rows if r[col]]
-        while len(live) > 1:
-            piv = min(live, key=lambda r: abs(r[col]))
-            for r in live:
-                if r is not piv:
-                    q = r[col] // piv[col]
-                    for k in range(col, len(r)):
-                        r[k] -= q * piv[k]
-            live = [r for r in live if r[col]]
-        if live:
-            piv = live[0]
-            if piv[col] < 0:
-                piv[:] = [-x for x in piv]
-            basis.append((col, piv[col], [(k, x) for k, x in enumerate(piv) if x]))
-            rows = [r for r in rows if r is not piv]
-    return basis
+    n = cfg.lattice.rank
+    rows = [list(r) for r in cfg.roots]
+    cols = [[0] * n for _ in range(n)]  # the columns of Q
+    for j in range(n):
+        cols[j][j] = 1
+    moduli = []
+    while len(moduli) < len(rows):
+        k, top = len(moduli), rows[len(moduli)]
+        if not any(top[k:]):  # a dependent root
+            rows.pop(k)
+            continue
+        _, j = min((abs(x), j) for j, x in enumerate(top[k:], k) if x)
+        if j != k:
+            for row in rows:
+                row[k], row[j] = row[j], row[k]
+            cols[k], cols[j] = cols[j], cols[k]
+        p = top[k]
+        for j in range(k + 1, n):
+            if q := top[j] // p:
+                for row in rows:
+                    row[j] -= q * row[k]
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[k])]
+        if any(top[k + 1:]):
+            continue  # a remainder in the pivot row becomes the next pivot
+        for row in rows[k + 1:]:
+            row[k] %= p  # the row operation, as the pivot row is clear
+        below = [i for i in range(k + 1, len(rows)) if rows[i][k]]
+        if below:
+            rows[k], rows[below[0]] = rows[below[0]], top
+        else:
+            moduli.append(abs(p))
+    free = tuple(map(tuple, cols[len(moduli):]))
+    torsion = tuple((tuple(c), d) for c, d in zip(cols, moduli) if d > 1)
+    return free, torsion, max(map(sum, map(map, repeat(abs), free + tuple(c for c, _ in torsion))))
 
 
-def _coset_key(basis, v: DivisorClass) -> DivisorClass:
-    """Canonical representative of v modulo the span of an echelon basis.
-
-    Each pivot coordinate is reduced into [0, p); two classes are congruent
-    exactly when their reductions agree.
-    """
-    v = list(v)
-    for col, p, row in basis:
-        q = v[col] // p
-        if q:
-            for k, x in row:
-                v[k] -= q * x
-    return tuple(v)
+_Packing = namedtuple("_Packing", "width count bound columns half")
+_WORDS = {array(code).itemsize * 8: code for code in "QLIHB"}  # bits -> typecode
+_WIDTHS = sorted(_WORDS)
 
 
-def _parts(cfg: NodalConfig, classes) -> tuple[tuple[DivisorClass, ...], ...]:
-    """Partition classes modulo the root span, trusting them sorted and of one
-    kind, as a class table is: each part fills in order, parts by first member."""
-    basis = _echelon(cfg.roots)
-    parts: dict[DivisorClass, list[DivisorClass]] = {}
-    for c in classes:
-        parts.setdefault(_coset_key(basis, c), []).append(c)
-    return tuple(map(tuple, parts.values()))
+def _width(bits: int) -> int:
+    """The narrowest digit width of at least `bits` bits: one array word, or
+    a multiple of 64 bits."""
+    return next((w for w in _WIDTHS if w >= bits), -(-bits // 64) * 64)
+
+
+def _pack(classes, width: int) -> _Packing:
+    """Each coordinate column of classes as one int: class j's entry plus
+    2^(width-1) at bit width*j, built through `array`.  The width grows past
+    the one asked for when an entry needs it; `half` is 2^(width-1) in every
+    digit and `bound` the largest |entry|."""
+    bound = max(map(abs, chain.from_iterable(classes)), default=0)
+    width = max(width, _width(bound.bit_length() + 1))
+    code, half = _WORDS[min(width, 64)], 1 << (width - 1)
+
+    def column(entries):
+        words = map(add, entries, repeat(half))
+        if width > 64:  # 64-bit words, low word first
+            words = [x >> s & 0xFFFFFFFFFFFFFFFF for x in words for s in range(0, width, 64)]
+        words = array(code, words)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return int.from_bytes(words.tobytes(), "little")
+
+    ones = ((1 << width * len(classes)) - 1) // ((1 << width) - 1)
+    return _Packing(width, len(classes), bound, tuple(map(column, zip(*classes))), half * ones)
+
+
+@lru_cache(maxsize=None)
+def _table_packing(lat: PicardLattice, kind: ClassKind, width: int) -> _Packing:
+    return _pack(lt.enumerate_classes(lat, kind), width)
+
+
+def _fit(pack, norm: int, count: int):
+    """pack(width) at the narrowest width whose digit holds `count` balanced
+    k-bit sub-digits, each a value q.v of a class v with |q|_1 <= norm, so
+    2^k > 2|q.v|: k comes from the bound of the classes.  Returns
+    (packing, k)."""
+    packing = pack(8)
+    k = (2 * packing.bound * norm + 1).bit_length()
+    width = _width(k * max(count, 1))
+    return (packing if width == packing.width else pack(width)), k
+
+
+def _values(q, packing: _Packing):
+    """Each class's value of the functional q, plus 2^(width-1), in order:
+    the digits of one big-int expression over the packed columns."""
+    value = sum(map(mul, q, packing.columns)) + (1 - sum(q)) * packing.half
+    raw = value.to_bytes(packing.width // 8 * packing.count, "little")
+    if packing.width > 64:
+        step = packing.width // 8
+        return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
+    digits = array(_WORDS[packing.width], raw)
+    if sys.byteorder == "big":
+        digits.byteswap()
+    return digits
+
+
+def _keys(cfg: NodalConfig, classes, pack) -> tuple[int, ...]:
+    """The congruence key of each class modulo the root span, in order.
+
+    The free invariants combine into one functional with k-bit digits, which
+    the diagonal form's torsion coordinates refine, each reduced mod d_i per
+    class; pack(width) packs the classes."""
+    free, torsion, norm = _invariants(cfg)
+    packing, k = _fit(pack, norm, len(free))
+    shifts = range(0, k * len(free), k)
+    combined = [sum(map(lshift, c, shifts)) for c in zip(*free)]
+    keys = _values(combined, packing)
+    for q, d in torsion:
+        keys = map(add, map(mul, keys, repeat(d)), map(mod, _values(q, packing), repeat(d)))
+    return tuple(keys)
 
 
 @lru_cache(maxsize=len(ClassKind))
-def _table_parts(cfg: NodalConfig, kind: ClassKind) -> tuple[tuple[DivisorClass, ...], ...]:
-    """The class table of a kind partitioned modulo the root span: the schemes
-    of one configuration share it.  Keyed by the config's value, and bounded
-    to hold one configuration's tables."""
-    return _parts(cfg, lt.enumerate_classes(cfg.lattice, kind))
+def _table_parts(cfg: NodalConfig, kind: ClassKind) -> tuple[int, ...]:
+    """The congruence keys of a kind's class table, in table order: the
+    schemes of one configuration share them.  Keyed by the config's value,
+    and bounded to hold one configuration's tables."""
+    return _keys(cfg, lt.enumerate_classes(cfg.lattice, kind),
+                 partial(_table_packing, cfg.lattice, kind))
 
 
 def congruence_classes(
@@ -189,7 +272,10 @@ def congruence_classes(
     classes = sorted(classes)
     if len({lt.kind_of(cfg.lattice, c) for c in classes}) > 1:
         raise ValueError("classes of mixed kinds")
-    return _parts(cfg, classes)
+    parts: dict[int, list[DivisorClass]] = {}
+    for key, c in zip(_keys(cfg, classes, partial(_pack, classes)), classes):
+        parts.setdefault(key, []).append(c)
+    return tuple(map(tuple, parts.values()))
 
 
 def _pair(involution):
@@ -210,7 +296,7 @@ def _even_theta(lat: PicardLattice, c: DivisorClass):
 # Scheme name -> (class kind, required degree, label).  The scheme is the
 # kind's classes modulo N; with a label, the labels met by one congruence
 # part merge, and a point counts the labels it absorbs.  The schemes of one
-# configuration share one partition per class table: _table_parts caches
+# configuration share one key list per class table: _table_parts caches
 # them, and holds one configuration's tables.  A pair {c, s(c)}
 # under the Geiser involution (degree 2) or the double-six pairing
 # (degree 3) is a label, as is a blow-down's even theta characteristic.
@@ -228,28 +314,41 @@ SCHEMES = {
 
 @lru_cache(maxsize=None)
 def _labels(lat: PicardLattice, name: str):
-    """The distinct labels of a scheme, and each class's index among them."""
+    """The distinct labels of a scheme, and each class's index among them in
+    table order."""
     kind, _, label = SCHEMES[name]
-    of_class = {c: label(lat, c) for c in lt.enumerate_classes(lat, kind)}
-    distinct = sorted(set(of_class.values()))
+    of_class = [label(lat, c) for c in lt.enumerate_classes(lat, kind)]
+    distinct = sorted(set(of_class))
     index = {x: i for i, x in enumerate(distinct)}
-    return tuple(distinct), {c: index[x] for c, x in of_class.items()}
+    return tuple(distinct), tuple(map(index.__getitem__, of_class))
+
+
+def _points(keys, members) -> tuple:
+    """A point per distinct key, in order of first occurrence: the key's first
+    member and the number of its occurrences."""
+    first = dict(zip(reversed(keys), reversed(members)))
+    counts = Counter(keys)
+    return tuple(zip(map(first.__getitem__, counts), counts.values()))
 
 
 def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
-    """The multiplicity scheme `name` of SCHEMES for a configuration."""
+    """The multiplicity scheme `name` of SCHEMES for a configuration.
+
+    Without a label a point is a congruence class of the table.  With one,
+    each class joins its label to the first label of its congruence class,
+    and a point is a component of the labels: its least label, as labels are
+    sorted, and its size."""
     kind, degree, label = SCHEMES[name]
     if degree is not None and cfg.lattice.degree != degree:
         raise ValueError(f"{name} scheme requires degree {degree}")
-    parts = _table_parts(cfg, kind)
+    keys = _table_parts(cfg, kind)
     if label is None:
-        return MultiplicityScheme(tuple((p[0], len(p)) for p in parts))
-    distinct, index = _labels(cfg.lattice, name)
-    joins = [(index[p[0]], index[c]) for p in parts for c in p[1:]]
-    groups: dict[int, list] = {}
-    for x, comp in zip(distinct, components(len(distinct), joins)):
-        groups.setdefault(comp, []).append(x)
-    return MultiplicityScheme(tuple(sorted((min(g), len(g)) for g in groups.values())))
+        return MultiplicityScheme(_points(keys, lt.enumerate_classes(cfg.lattice, kind)))
+    distinct, labels = _labels(cfg.lattice, name)
+    first = dict(zip(reversed(keys), reversed(labels)))
+    joins = set(zip(map(first.__getitem__, keys), labels))
+    joins.difference_update(zip(range(len(distinct)), range(len(distinct))))  # merge nothing
+    return MultiplicityScheme(_points(components(len(distinct), joins), distinct))
 
 
 # Aliases for bench/workloads.py alone (other code calls scheme); ROADMAP item 2 drops them.
@@ -295,12 +394,20 @@ _PROFILE_FAMILIES = (
 )
 
 
+@lru_cache(maxsize=None)
+def _profile_families(lat: PicardLattice) -> tuple[int, ...]:
+    """Each blow-down's row of _PROFILE_FAMILIES, in table order."""
+    row = {sig: i for i, (_, sig) in enumerate(_PROFILE_FAMILIES)}
+    return tuple(row[(d[0], tuple(sorted(d[1:])))]
+                 for d in lt.enumerate_classes(lat, ClassKind.BLOWDOWN))
+
+
 def intersection_profile(cfg: NodalConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Frequency table of D.F over the 576 blow-down classes D.
 
     Requires a single-root (A1) configuration F in degree 2.  Rows are the
     ten coefficient families, columns the intersection numbers 2, 1, 0,
-    -1, -2.
+    -1, -2; D.F of every D is read off one packed dot product.
     """
     if cfg.lattice.degree != 2:
         raise ValueError("profile requires degree 2")
@@ -308,13 +415,15 @@ def intersection_profile(cfg: NodalConfig) -> tuple[tuple[str, tuple[int, ...]],
         raise ValueError("profile requires a single A1 root")
     f = cfg.roots[0]
     jf = (f[0],) + tuple(-x for x in f[1:])  # D.F = sum(d_i * jf_i)
-    column = {c: j for j, c in enumerate(PROFILE_COLUMNS)}
-    table = {name: [0] * len(PROFILE_COLUMNS) for name, _ in _PROFILE_FAMILIES}
-    sig_to_name = {sig: name for name, sig in _PROFILE_FAMILIES}
-    for d in lt.enumerate_classes(cfg.lattice, ClassKind.BLOWDOWN):
-        name = sig_to_name[(d[0], tuple(sorted(d[1:])))]
-        table[name][column[sum(map(mul, d, jf))]] += 1
-    return tuple((name, tuple(table[name])) for name, _ in _PROFILE_FAMILIES)
+    packing, _ = _fit(partial(_table_packing, cfg.lattice, ClassKind.BLOWDOWN),
+                      sum(map(abs, jf)), 1)
+    half = 1 << (packing.width - 1)
+    column = {half + c: j for j, c in enumerate(PROFILE_COLUMNS)}
+    table = [[0] * len(PROFILE_COLUMNS) for _ in _PROFILE_FAMILIES]
+    counts = Counter(zip(_profile_families(cfg.lattice), _values(jf, packing)))
+    for (row, value), count in counts.items():
+        table[row][column[value]] += count
+    return tuple((name, tuple(row)) for (name, _), row in zip(_PROFILE_FAMILIES, table))
 
 
 def profile_column_totals(profile) -> tuple[int, ...]:

@@ -1,9 +1,12 @@
 """ADE root configurations and multiplicity schemes."""
 
+import math
 import random
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -136,6 +139,37 @@ def test_congruence_classes_partition():
     assert sorted(flat) == sorted(classes)
 
 
+LooseConfig = namedtuple("LooseConfig", "lattice roots")  # hashable, and never validated
+
+
+def test_dependent_roots_span_what_their_basis_spans():
+    """Roots listed with integral combinations of themselves, a config that
+    NodalConfig refuses, part every table as the roots alone do."""
+    for degree, roots in ((2, A2_CUSP_2), (2, UNSATURATED[2]["A7"][1]), (3, A2_CUSP_3)):
+        lat = lt.make_lattice(degree)
+        extra = (lt.scale(2, roots[0]), lt.add(roots[0], roots[1]), lt.sub(roots[1], roots[0]))
+        loose = LooseConfig(lat, tuple(roots) + extra)
+        for kind in (ClassKind.EXCEPTIONAL, ClassKind.BLOWDOWN):
+            table = lt.enumerate_classes(lat, kind)
+            assert nodal.congruence_classes(loose, table) == nodal.congruence_classes(
+                config(degree, *roots), table)
+
+
+def test_congruence_classes_at_the_digit_bounds():
+    """No class and the zero class, whose values need no bit; and, under the
+    trivial config, whose free invariants are the coordinates, every class
+    of no kind with entries in [-2, 2] on L, E1 and E2, whose values reach
+    the bound that sizes each digit: each is a part of its own."""
+    cfg = config(2, *A2_CUSP_2)
+    assert nodal.congruence_classes(cfg, []) == ()
+    zero = (0,) * cfg.lattice.rank
+    assert nodal.congruence_classes(cfg, [zero, zero]) == ((zero, zero),)
+    cfg = config(2)
+    box = [head + (0,) * 5 for head in product(range(-2, 3), repeat=3)]
+    box = [c for c in box if lt.kind_of(cfg.lattice, c) is None]
+    assert nodal.congruence_classes(cfg, box) == tuple((c,) for c in sorted(box))
+
+
 def test_geiser_quotient_handles_self_pairing():
     """In the E7 scheme all 56 lines are congruent; the quotient still
     counts 28 bitangents."""
@@ -231,17 +265,79 @@ def oracle_parts(key, members):
     return tuple(sorted(tuple(sorted(p)) for p in parts.values()))
 
 
+# Root configurations whose span N is not saturated in the Picard lattice,
+# found by a random search and named by their validate_config type: the
+# torsion of Z^n / N has the order shown, so congruence modulo N needs the
+# mod-d_i coordinates of the diagonal form.  A1+A3+A3 also leaves a
+# remainder in a pivot row of that form.
+UNSATURATED = {
+    2: {
+        "A1+A1+A1+A1+A1+A1+A1": (8, [
+            (-2, 1, 1, 1, 1, 1, 1, 0), (0, 0, 0, 0, 1, -1, 0, 0), (-1, 0, 0, 0, 1, 1, 0, 1),
+            (0, 0, 0, 1, 0, 0, -1, 0), (1, 0, 0, -1, 0, 0, -1, -1), (-1, 1, 1, 0, 0, 0, 0, 1),
+            (0, -1, 1, 0, 0, 0, 0, 0)]),
+        "A7": (2, [
+            (1, 0, -1, 0, -1, 0, 0, -1), (-1, 0, 1, 0, 1, 0, 1, 0), (1, 0, 0, -1, -1, 0, -1, 0),
+            (0, 0, -1, 0, 1, 0, 0, 0), (-2, 1, 1, 1, 0, 1, 1, 1), (1, 0, 0, 0, 0, -1, -1, -1),
+            (0, -1, 0, 0, 0, 1, 0, 0)]),
+        "A1+A1+A1+D4": (4, [
+            (1, 0, -1, 0, 0, 0, -1, -1), (-2, 0, 1, 1, 1, 1, 1, 1), (0, 0, 0, 0, 1, -1, 0, 0),
+            (0, 1, 0, -1, 0, 0, 0, 0), (1, 0, 0, 0, -1, -1, -1, 0), (0, 0, -1, 0, 0, 0, 0, 1),
+            (-1, 1, 0, 1, 0, 0, 1, 0)]),
+        "A1+A3+A3": (4, [
+            (-2, 0, 1, 1, 1, 1, 1, 1), (-1, 1, 1, 0, 0, 1, 0, 0), (0, 0, -1, 0, 0, 0, 0, 1),
+            (1, -1, 0, -1, -1, 0, 0, 0), (1, -1, 0, 0, 0, 0, -1, -1), (1, 0, -1, 0, -1, 0, 0, -1),
+            (1, 0, 0, 0, -1, -1, -1, 0)]),
+        "A2+A5": (3, [
+            (2, -1, -1, -1, -1, -1, -1, 0), (1, 0, 0, -1, -1, 0, 0, -1), (1, 0, -1, 0, 0, 0, -1, -1),
+            (0, -1, 0, 1, 0, 0, 0, 0), (-1, 0, 1, 0, 0, 1, 0, 1), (0, 0, 0, -1, 1, 0, 0, 0),
+            (-2, 1, 0, 1, 1, 1, 1, 1)]),
+    },
+    3: {
+        "A2+A2+A2": (3, [
+            (-1, 1, 1, 0, 1, 0, 0), (0, -1, 1, 0, 0, 0, 0), (-1, 1, 0, 0, 0, 1, 1),
+            (1, 0, 0, -1, -1, 0, -1), (1, -1, -1, -1, 0, 0, 0), (0, 0, 0, 0, 0, -1, 1)]),
+        "A1+A5": (2, [
+            (1, -1, 0, -1, -1, 0, 0), (0, 1, 0, 0, 0, 0, -1), (1, -1, 0, 0, 0, -1, -1),
+            (0, 0, -1, 0, 0, 0, 1), (-1, 0, 0, 1, 1, 1, 0), (0, 0, 0, 1, -1, 0, 0)]),
+        "A1+A1+A1+A1": (2, [
+            (-1, 1, 1, 0, 0, 1, 0), (-1, 1, 0, 1, 0, 0, 1), (1, 0, -1, -1, -1, 0, 0),
+            (1, 0, 0, 0, -1, -1, -1)]),
+    },
+}
+
+
+def maximal_minors_gcd(cfg):
+    """Oracle: the gcd of the r x r minors of the root matrix, r roots being
+    linearly independent in a negative definite span; 1 for no roots."""
+    roots = cfg.roots
+    if not roots:
+        return 1
+    return math.gcd(*(determinant([[r[c] for c in cols] for r in roots])
+                      for cols in combinations(range(cfg.lattice.rank), len(roots))))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_unsaturated_configs_have_their_type_and_torsion(degree):
+    for name, (order, roots) in UNSATURATED[degree].items():
+        cfg = config(degree, *roots)
+        assert nodal.validate_config(cfg) == name
+        assert maximal_minors_gcd(cfg) == order, name
+
+
 @cache
 def congruence_cases(degree, kind):
-    """The empty, full, conjugated and greedy random configs of one degree,
-    each with the class table of one kind keyed once by rational_key, a
-    shuffled copy of the table and that copy with a third duplicated."""
+    """The empty, full, conjugated, greedy random and unsaturated configs of
+    one degree, each with the class table of one kind keyed once by
+    rational_key, a shuffled copy of the table and that copy with a third
+    duplicated."""
     lat = lt.make_lattice(degree)
     rng = random.Random(degree)
     classes = lt.enumerate_classes(lat, kind)
     cfgs = [config(degree), config(degree, *lt.simple_roots(lat))]
     cfgs += conjugated_configs(lat, rng, 5)
     cfgs += random_configs(lat, rng, 5)
+    cfgs += (config(degree, *roots) for _, roots in UNSATURATED[degree].values())
     cases = []
     for cfg in cfgs:
         key = dict(zip(classes, map(rational_key(lat, cfg.roots), classes)))
@@ -256,6 +352,56 @@ def congruence_cases(degree, kind):
 def test_congruence_classes_match_rational_oracle(degree, kind):
     for cfg, classes, _, _, oracle in congruence_cases(degree, kind):
         assert nodal.congruence_classes(cfg, classes) == oracle(classes)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_torsion_order_is_the_gcd_of_maximal_minors(degree):
+    """The moduli d_i > 1 of the diagonal form multiply to the gcd of the
+    maximal minors of the root matrix, the order of the torsion of Z^n / N,
+    on every config of congruence_cases."""
+    for cfg, *_ in congruence_cases(degree, ClassKind.EXCEPTIONAL):
+        _, torsion, _ = nodal._invariants(cfg)
+        assert math.prod(d for _, d in torsion) == maximal_minors_gcd(cfg), cfg.roots
+
+
+def saturation_vectors(cfg, m):
+    """Oracle: the integral vectors sum(c_i r_i) with every c_i in
+    {0, 1/m, ..., (m - 1)/m}: one per element of the torsion when m is its
+    exponent."""
+    out = []
+    for coeffs in product(range(m), repeat=len(cfg.roots)):
+        v = [sum(Fraction(c, m) * r[k] for c, r in zip(coeffs, cfg.roots))
+             for k in range(cfg.lattice.rank)]
+        if all(x.denominator == 1 for x in v):
+            out.append(tuple(map(int, v)))
+    return out
+
+
+def test_congruence_classes_widen_past_64_bit_digits():
+    """Classes of no kind with entries near 10^30 need digits of more than 64
+    bits; shifted by integral combinations of the roots and by the torsion
+    vectors of an unsaturated span, they still part as rational_key parts
+    them."""
+    rng = random.Random(30)
+    for degree, name, exponent in ((2, "A2", 1), (2, "A1+A1+A1+A1+A1+A1+A1", 2),
+                                   (3, "A2+A2+A2", 3)):
+        order, roots = UNSATURATED[degree].get(name, (1, A2_CUSP_2))
+        cfg = config(degree, *roots)
+        lat = cfg.lattice
+        torsion = saturation_vectors(cfg, exponent)
+        assert len(torsion) == order
+        classes = []
+        for _ in range(4):
+            base = tuple(rng.randint(-10 ** 30, 10 ** 30) for _ in range(lat.rank))
+            for _ in range(6):
+                shift = rng.choice(torsion)
+                for r in cfg.roots:
+                    shift = lt.add(shift, lt.scale(rng.randint(-10 ** 29, 10 ** 29), r))
+                classes.append(lt.add(base, shift))
+        assert {lt.kind_of(lat, c) for c in classes} == {None}
+        key = rational_key(lat, cfg.roots)
+        assert nodal.congruence_classes(cfg, classes) == oracle_parts(
+            {c: key(c) for c in classes}, classes)
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -558,18 +704,18 @@ def test_even_theta_scheme_trusts_the_table():
 
 @pytest.mark.parametrize("degree", [2, 3])
 def test_schemes_of_one_config_share_each_table_partition(monkeypatch, degree):
-    """Every scheme of a degree, run on configs A, B, A, partitions each
-    class table once per visit, and gives what it gives cold; the same
-    roots in another order hit the cache; and a pass over many configs
-    keeps no more than one table per class kind."""
+    """Every scheme of a degree, run on configs A, B, A, keys each class
+    table once per visit, and gives what it gives cold; the same roots in
+    another order hit the cache; and a pass over many configs keeps no more
+    than one table per class kind."""
     lat = lt.make_lattice(degree)
     simple = lt.simple_roots(lat)
     names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
     tables = [lt.enumerate_classes(lat, kind)
               for kind in dict.fromkeys(nodal.SCHEMES[n][0] for n in names)]
-    made, parts = [], nodal._parts
-    monkeypatch.setattr(nodal, "_parts",
-                        lambda cfg, classes: made.append((cfg, classes)) or parts(cfg, classes))
+    made, keys = [], nodal._keys
+    monkeypatch.setattr(nodal, "_keys", lambda cfg, classes, pack:
+                        made.append((cfg, classes)) or keys(cfg, classes, pack))
     a, b = config(degree, *simple[:1]), config(degree, *simple[1:3])
     nodal._table_parts.cache_clear()
     visits = []
