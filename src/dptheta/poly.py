@@ -16,7 +16,7 @@ from math import lcm
 from numbers import Rational
 
 from .kernels import determinant
-from .text import echo, parse_int
+from .text import echo, int_of_digits
 
 Exponent = tuple[int, ...]
 
@@ -246,7 +246,7 @@ class MultiPoly:
 
 
 _TOKEN = re.compile(r"\s*([0-9]+/[0-9]+|[0-9]+|[A-Za-z_]\w*|\^|\*|\+|-|\(|\))")
-_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")  # the longest run of tokens from the start
+_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")  # longest run of tokens from the start, for messages
 MAX_NESTING = 100  # parentheses and unary signs, each one recursion
 MAX_DEGREE = 16  # exponents and the total degree of each product
 MAX_COEFF_BITS = 4096  # coefficient bits of each sum and product; exponent times base bits
@@ -270,10 +270,10 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     variables = _names(variables)
     const = (0,) * len(variables)
     index = {v: i for i, v in enumerate(variables)}
-    stop = _TOKENS.match(text).end()
-    if stop < len(text.rstrip()):
-        raise ValueError(f"cannot tokenize {echo(text[stop:])}")
-    tokens = [None] + _TOKEN.findall(text)[::-1]  # pop() takes the next token; None ends the input
+    tokens = _TOKEN.findall(text)  # findall skips what no token starts; the join check sees it
+    if "".join(tokens) != "".join(text.split()):
+        raise ValueError(f"cannot tokenize {echo(text[_TOKENS.match(text).end():])}")
+    tokens = [None] + tokens[::-1]  # pop() takes the next token; None ends the input
     depth = 0
 
     def parse_sum():
@@ -323,7 +323,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
                 raise ValueError("unexpected end of expression")
             elif tok[0].isdigit():
                 num, _, den = tok.partition("/")
-                num, den = parse_int(num), parse_int(den) if den else 1
+                num, den = int_of_digits(num), int_of_digits(den) if den else 1
                 if not den:
                     raise ValueError(f"zero denominator in {echo(tok)}")
                 base = Fraction(num, den) if num % den else num // den
@@ -336,7 +336,7 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
                 n = tokens.pop()
                 if n is None or not n.isdigit():
                     raise ValueError("exponent must be a nonnegative integer")
-                n = parse_int(n)
+                n = int_of_digits(n)
                 if n > MAX_DEGREE:
                     raise ValueError(f"exponent {echo(n)} exceeds {MAX_DEGREE}")
                 if group is not None:

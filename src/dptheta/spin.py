@@ -8,19 +8,24 @@ multiplicity 2^{b1(graph) - b1(support)}.
 
 One F2 reduction, `_reduce`, serves evenness, b1 and the even subsets: an
 edge's boundary is the vertex bitmask (1 << i) ^ (1 << j), 0 for a loop, and
-a subset is even when its boundaries XOR to 0.  Union-find
-(`kernels.components`) checks the graph's connectivity only.
+a subset is even when its boundaries XOR to 0.  `spin_scheme` reduces the
+whole graph once: its basis is a set of fundamental cycles, and each
+support's b1 is a small F2 rank over the edges' cycle signatures, deduplicated
+so that chains and parallel classes count once.  `spin_counts` reduces one
+given subset.  Union-find (`kernels.components`) checks the graph's
+connectivity only.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from operator import itemgetter
 
 from .kernels import components
 from .text import data_lines, echo, parse_int
 
-MAX_B1 = 16  # even_subsets lists all 2^b1 kernel vectors
+MAX_B1 = 16  # spin_scheme lists all 2^b1 supports, each b1 a rank of at most 16 bits
 MAX_GENUS = 100  # spin-table: at most 5151 rows, counts below 2^200
 MAX_GRAPH_GENUS = 5000  # spin prints counts up to 2^{2g}: at most 3011 digits
 
@@ -123,14 +128,21 @@ def betti(n_vertices: int, edges) -> int:
     return len(_reduce([(index[i], index[j]) for i, j in edges], range(len(edges)))[1])
 
 
-def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
-    """All even subsets of edges, as sorted tuples of edge indices.
-
-    They are the span of `_reduce`'s basis, built by doubling: 2^{b1} members.
-    """
+def _span(graph: DualGraph) -> tuple[list[int], list[int]]:
+    """(basis, span): `_reduce`'s even-subset basis over all edges, and its
+    span built by doubling, so that span[k] is the XOR of basis[j] over the
+    set bits j of k."""
+    basis = _reduce(graph.edges, range(len(graph.edges)))[1]
     span = [0]
-    for tag in _reduce(graph.edges, range(len(graph.edges)))[1]:
+    for tag in basis:
         span += [s ^ tag for s in span]
+    return basis, span
+
+
+def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
+    """All even subsets of edges, as sorted tuples of edge indices: the
+    2^{b1} members of `_span`."""
+    span = _span(graph)[1]
     assert len(span) == 1 << graph.b1
     return tuple(sorted(map(_indices, span)))
 
@@ -165,8 +177,40 @@ def spin_counts(graph: DualGraph, delta) -> SpinSupport:
 
 
 def spin_scheme(graph: DualGraph) -> tuple[SpinSupport, ...]:
-    """One SpinSupport per even subset; total degree sums to 2^{2g}."""
-    return tuple(spin_counts(graph, d) for d in even_subsets(graph))
+    """One SpinSupport per even subset, sorted by delta, as `spin_counts`
+    gives them; total degree sums to 2^{2g}.
+
+    basis[j] is the fundamental cycle C_j of the spanning forest made of
+    `_reduce`'s pivot edges: one non-forest edge and the forest path between
+    its ends.  Edge e lies in C_j for j in its signature sig(e), and in the
+    support span[k] when sig(e) & k has odd weight.  A cycle of span[k] is a
+    sum over J of the C_j with J inside k (the non-forest edges force it)
+    and sig(e) & J of even weight for every e outside span[k], so
+    b1(span[k]) = |k| - rank{sig(e) & k of even weight}.  A signature of one
+    bit never counts, so only the distinct ones of two or more bits are
+    kept: each chain of degree-2 vertices and each parallel class is one.
+    """
+    basis, span = _span(graph)
+    signature = [0] * len(graph.edges)
+    for j, tag in enumerate(basis):
+        for e in _indices(tag):
+            signature[e] |= 1 << j
+    shared = {sig for sig in signature if sig & (sig - 1)}
+    genus_bits = 2 * sum(graph.genera)
+    supports = []
+    for k, mask in enumerate(span):
+        pivots = []
+        for sig in shared:
+            row = sig & k
+            if not row.bit_count() & 1:
+                for p in pivots:  # pivots keep distinct top bits; min clears each
+                    row = min(row, row ^ p)
+                if row:
+                    pivots.append(row)
+        b_delta = k.bit_count() - len(pivots)
+        supports.append((_indices(mask), 1 << (genus_bits + b_delta), 1 << (graph.b1 - b_delta)))
+    supports.sort(key=itemgetter(0))
+    return tuple(map(SpinSupport._make, supports))
 
 
 def theta_counts(g: int) -> tuple[int, int]:

@@ -23,9 +23,16 @@ def parse_int(text: str) -> int:
     digits = body.lstrip("+-")
     if len(body) - len(digits) > 1 or not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {echo(text)}")
+    value = int_of_digits(digits)
+    return -value if body.startswith("-") else value
+
+
+def int_of_digits(digits: str) -> int:
+    """int(digits) of a run of ASCII digits the caller has checked, refused
+    past MAX_LITERAL_DIGITS."""
     if len(digits) > MAX_LITERAL_DIGITS:
         raise ValueError(f"integer literal of {len(digits)} digits exceeds {MAX_LITERAL_DIGITS}")
-    return int(body)
+    return int(digits)
 
 
 def echo(value) -> str:

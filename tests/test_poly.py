@@ -3,6 +3,7 @@
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -313,6 +314,22 @@ def test_parse_matches_reference_on_malformed_input():
         assert got == parse_outcome(reference_parse, text), text
         failures += isinstance(got, str)
     assert failures > len(corpus) // 2  # the mutations mostly are malformed
+
+
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("stray", ["", "$", "/ ", "\u0661"], ids=["none", "dollar", "slash", "arabic-one"])
+def test_tokenizer_whitespace_matches_reference(stray):
+    """parse_poly checks that its tokens cover the text by comparing their
+    join with the text's own non-whitespace; around every code point that
+    str.isspace accepts, with and without a stray character, it returns the
+    same polynomial or raises the same message as the reference."""
+    assert len(SPACES) > 20
+    for c in SPACES:
+        for text in (f"{c}x0{c}+{c}2{c}", f"x0{c}{stray}{c}x1", f"{stray}{c}1/2{c}x2{c}",
+                     f"x0^{c}2{stray}", f"({c}x0{c}){c}{stray}"):
+            assert parse_outcome(parse_poly, text) == parse_outcome(reference_parse, text), text
 
 
 def test_parse_matches_reference_on_every_data_line():

@@ -209,6 +209,79 @@ def test_caterpillar_tree():
     assert support.count * support.multiplicity == 4 ** g.genus
 
 
+def random_chained_graph(rng):
+    """A random connected stable dual graph on 1-12 vertices: a spanning
+    tree, extra edges (loops allowed), maybe repeats of one edge and maybe
+    a chain of 1-6 genus-1 vertices between two old ones; b1 <= 12."""
+    while True:
+        nv = rng.randint(1, 12)
+        genera = [rng.choice((0, 0, 1, 2)) for _ in range(nv)]
+        edges = [(rng.randrange(v), v) for v in range(1, nv)]
+        edges += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 8))]
+        if rng.random() < 0.5:
+            ends = [rng.randrange(nv)] + list(range(nv, nv + rng.randint(1, 6)))
+            genera += [1] * (len(ends) - 1)
+            ends.append(rng.randrange(nv))
+            edges += list(zip(ends, ends[1:]))
+        if rng.random() < 0.3:
+            edges += [rng.choice(edges)] * rng.randint(1, 3)
+        try:
+            graph = DualGraph(genera, edges)
+        except ValueError:
+            continue
+        if graph.b1 <= 12:
+            return graph
+
+
+def ring_with_chords(n, chords, rng):
+    """n genus-1 vertices in a randomly labelled ring, plus random chords."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[v], label[(v + 1) % n]) for v in range(n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(chords)]
+    return DualGraph([1] * n, edges)
+
+
+def test_spin_scheme_against_spin_counts():
+    """spin_scheme reads each support's b1 off the cycle signatures; on
+    seeded graphs with loops, multi-edges, bridges, genus-0 vertices and
+    genus-1 chains, and on a 200-vertex ring whose long chains collapse, it
+    equals spin_counts over even_subsets, which reduces each support anew."""
+    rng = random.Random(41)
+    graphs = [random_chained_graph(rng) for _ in range(150)]
+    graphs.append(ring_with_chords(200, 6, rng))
+    seen = Counter()
+    for g in graphs:
+        subsets = spin.even_subsets(g)
+        assert spin.spin_scheme(g) == tuple(spin.spin_counts(g, d) for d in subsets), g
+        degree = Counter(v for e in g.edges for v in e)
+        seen["loop"] += any(i == j for i, j in g.edges)
+        seen["multi-edge"] += len(set(g.edges)) < len(g.edges)
+        seen["bridge"] += len(set().union(*subsets)) < len(g.edges)
+        seen["genus 0"] += 0 in g.genera
+        seen["chain"] += any(degree[v] == 2 and g.genera[v] == 1 for v in range(len(g.genera)))
+    assert min(seen.values()) >= 20, seen
+
+
+def test_spin_scheme_reduces_once(monkeypatch):
+    """One spin_scheme call runs `_reduce` once, for the whole graph, and
+    counts no support through spin_counts."""
+    calls = Counter()
+    reduce = spin._reduce
+
+    def counting(edges, delta):
+        calls["_reduce"] += 1
+        return reduce(edges, delta)
+
+    def refuse(graph, delta):
+        raise AssertionError("spin_counts called")
+
+    monkeypatch.setattr(spin, "_reduce", counting)
+    monkeypatch.setattr(spin, "spin_counts", refuse)
+    scheme = spin.spin_scheme(ring_with_chords(30, 5, random.Random(3)))
+    assert len(scheme) == 2 ** 6 and calls == {"_reduce": 1}
+
+
 def test_components_on_long_path():
     n = 5000
     assert kernels.components(n, [(v, v + 1) for v in range(n - 1)]) \
