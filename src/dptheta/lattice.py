@@ -68,7 +68,7 @@ def divisor(lat: PicardLattice, a: int, *b: int) -> DivisorClass:
 def class_E(lat: PicardLattice, i: int) -> DivisorClass:
     """E_i with 1-based index i."""
     if not 1 <= i <= lat.npoints:
-        raise ValueError(f"index {i} out of range")
+        raise ValueError(f"index {echo(i)} out of range")
     v = [0] * lat.rank
     v[i] = 1
     return tuple(v)

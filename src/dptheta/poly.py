@@ -67,7 +67,7 @@ def _names(variables: Iterable[str]) -> tuple[str, ...]:
     """The variable names as a tuple; a repeated name raises ValueError."""
     variables = tuple(variables)
     if len(set(variables)) != len(variables):
-        raise ValueError(f"repeated variable name in {variables}")
+        raise ValueError(f"repeated variable name in {echo(variables)}")
     return variables
 
 
@@ -82,7 +82,8 @@ class MultiPoly:
         for exp, coeff in terms.items():
             if coeff and (len(exp) != len(self.vars)
                           or any(not isinstance(e, int) or e < 0 for e in exp)):
-                raise ValueError(f"bad exponent {tuple(exp)} for variables {self.vars}")
+                raise ValueError(f"bad exponent {echo(tuple(exp))} "
+                                 f"for variables {echo(self.vars)}")
         object.__setattr__(self, "terms", {tuple(e): c for e, c in terms.items() if c})
 
     @classmethod

@@ -9,9 +9,10 @@ multiplicity 2^{b1(graph) - b1(support)}.
 One F2 reduction, `_reduce`, serves evenness, b1 and the even subsets: an
 edge's boundary is the vertex bitmask (1 << i) ^ (1 << j), 0 for a loop, and
 a subset is even when its boundaries XOR to 0.  `spin_scheme` reduces the
-whole graph once: its basis is a set of fundamental cycles, and each
-support's b1 is a small F2 rank over the edges' cycle signatures, deduplicated
-so that chains and parallel classes count once.  `spin_counts` reduces one
+whole graph once: its basis is a set of fundamental cycles, whose span by
+doubling lists the even subsets as the supports' deltas, and each support's
+b1 is a small F2 rank over the edges' cycle signatures, deduplicated so that
+chains and parallel classes count once.  `spin_counts` reduces one
 given subset.  Union-find (`kernels.components`) checks the graph's
 connectivity only.
 """
@@ -96,7 +97,7 @@ def _reduce(edges, delta) -> tuple[int, list[int]]:
     total, seen, pivots, basis, m = 0, set(), {}, [], len(edges)
     for e in delta:
         if e in seen or not 0 <= e < m:
-            raise ValueError(f"edge index {e} is repeated or out of range")
+            raise ValueError(f"edge index {echo(e)} is repeated or out of range")
         seen.add(e)
         i, j = edges[e]
         boundary, tag = (1 << i) ^ (1 << j), 1 << e
@@ -126,25 +127,6 @@ def betti(n_vertices: int, edges) -> int:
     _check_range(n_vertices, edges)
     index = {v: k for k, v in enumerate({v for edge in edges for v in edge})}
     return len(_reduce([(index[i], index[j]) for i, j in edges], range(len(edges)))[1])
-
-
-def _span(graph: DualGraph) -> tuple[list[int], list[int]]:
-    """(basis, span): `_reduce`'s even-subset basis over all edges, and its
-    span built by doubling, so that span[k] is the XOR of basis[j] over the
-    set bits j of k."""
-    basis = _reduce(graph.edges, range(len(graph.edges)))[1]
-    span = [0]
-    for tag in basis:
-        span += [s ^ tag for s in span]
-    return basis, span
-
-
-def even_subsets(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
-    """All even subsets of edges, as sorted tuples of edge indices: the
-    2^{b1} members of `_span`."""
-    span = _span(graph)[1]
-    assert len(span) == 1 << graph.b1
-    return tuple(sorted(map(_indices, span)))
 
 
 def _indices(mask: int) -> tuple[int, ...]:
@@ -190,7 +172,10 @@ def spin_scheme(graph: DualGraph) -> tuple[SpinSupport, ...]:
     bit never counts, so only the distinct ones of two or more bits are
     kept: each chain of degree-2 vertices and each parallel class is one.
     """
-    basis, span = _span(graph)
+    basis = _reduce(graph.edges, range(len(graph.edges)))[1]
+    span = [0]  # span[k] is the XOR of basis[j] over the set bits j of k
+    for tag in basis:
+        span += [s ^ tag for s in span]
     signature = [0] * len(graph.edges)
     for j, tag in enumerate(basis):
         for e in _indices(tag):

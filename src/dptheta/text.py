@@ -37,6 +37,14 @@ def int_of_digits(digits: str) -> int:
 
 def echo(value) -> str:
     """repr(value) as an error message quotes it: its first 40 characters,
-    then "...".  A str, list or tuple is cut to 41 items before the repr."""
-    shown = repr(value[:41] if type(value) in (str, list, tuple) else value)
+    then "...".  A str, list or tuple is cut to 41 items before the repr.
+    A value whose repr raises, as an int past the interpreter's int-to-str
+    digit limit does, alone or in a list, is named by type and size."""
+    sized = type(value) in (str, list, tuple)
+    try:
+        shown = repr(value[:41] if sized else value)
+    except Exception:
+        size = f" of length {len(value)}" if sized else \
+            f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        shown = f"<{type(value).__name__}{size}>"
     return shown if len(shown) <= 40 else shown[:40] + "..."

@@ -202,7 +202,7 @@ class QuadraticSpace(namedtuple("QuadraticSpace", "dim rows")):
     def __new__(cls, dim, rows):
         rows = tuple(rows)
         if dim < 0 or len(rows) < dim:
-            raise ValueError(f"dimension {dim} needs 0 <= dim <= len(rows) = {len(rows)}")
+            raise ValueError(f"dimension {echo(dim)} needs 0 <= dim <= len(rows) = {len(rows)}")
         return super().__new__(cls, dim, rows)
 
     def evaluate(self, v: int) -> int:
@@ -242,7 +242,7 @@ def make_space(g: int, arf_invariant: int = 0) -> QuadraticSpace:
     if g < 1:
         raise ValueError("g must be >= 1")
     if 2 * g > MAX_COUNT_DIM:
-        raise ValueError(f"dimension {2 * g} exceeds {MAX_COUNT_DIM}")
+        raise ValueError(f"dimension {echo(2 * g)} exceeds {MAX_COUNT_DIM}")
     if arf_invariant not in (0, 1):
         raise ValueError("Arf invariant must be 0 or 1")
     dim = 2 * g

@@ -107,10 +107,9 @@ def test_criterion_6_spin_tables():
     rng = random.Random(5)
     for _ in range(200):
         g = random_graph(rng)
-        subsets = spin.even_subsets(g)
-        ok &= len(subsets) == 2 ** spin.betti(len(g.genera), g.edges)
-        ok &= sum(s.count * s.multiplicity
-                  for s in spin.spin_scheme(g)) == 4 ** g.genus
+        scheme = spin.spin_scheme(g)
+        ok &= len(scheme) == 2 ** spin.betti(len(g.genera), g.edges)
+        ok &= sum(s.count * s.multiplicity for s in scheme) == 4 ** g.genus
     report(6, "genus-3 table verbatim + 200-graph properties", ok, t0)
 
 

@@ -13,6 +13,7 @@ LAT2, LAT3 = lt.make_lattice(2), lt.make_lattice(3)
 V = ("x", "y")
 X = MultiPoly.variable(V, "x")
 L3, E1 = lt.divisor(LAT3, 1), lt.class_E(LAT3, 1)
+HUGE = 10 ** 5000  # past the interpreter's 4300-digit int-to-str limit
 
 
 def set_attribute():
@@ -110,6 +111,27 @@ GUARDS = [
      ValueError, r"^dimension 4 needs 0 <= dim <= len\(rows\) = 1$"),
     ("arf-negative-dim", lambda: theta_f2.arf(theta_f2.QuadraticSpace(-2, ())),
      ValueError, r"^dimension -2 needs 0 <= dim <= len\(rows\) = 0$"),
+    # a value past the int-to-str digit limit, or a 100,000-item tuple, is
+    # quoted by text.echo: each check ends in its own one-line message
+    ("class-E-huge-index", lambda: lt.class_E(LAT3, HUGE),
+     ValueError, "^index <int of 16610 bits> out of range$"),
+    ("edge-index-huge", lambda: spin.spin_counts(spin.DualGraph((1, 1), ((0, 1),)), (HUGE,)),
+     ValueError, "^edge index <int of 16610 bits> is repeated or out of range$"),
+    ("quadratic-space-huge-dim", lambda: theta_f2.QuadraticSpace(HUGE, ()),
+     ValueError, r"^dimension <int of 16610 bits> needs 0 <= dim <= len\(rows\) = 0$"),
+    ("make-space-huge-genus", lambda: theta_f2.make_space(HUGE),
+     ValueError, "^dimension <int of 16611 bits> exceeds 1000$"),
+    ("repeated-name-long-tuple", lambda: MultiPoly.constant(("x",) * 100000, 1),
+     ValueError, "^repeated variable name in " + re.escape("(" + "'x', " * 7 + "'x',...") + "$"),
+    ("bad-exponent-long-tuple", lambda: MultiPoly(("x",), {(0,) * 100000: 1}),
+     ValueError,
+     "^bad exponent " + re.escape("(" + "0, " * 13 + "...") + r" for variables \('x',\)$"),
+    ("make-lattice-huge-degree", lambda: lt.make_lattice(HUGE),
+     ValueError, "^degree must be 2 or 3, got <int of 16610 bits>$"),
+    ("spin-table-huge-genus", lambda: spin.spin_table_irreducible(HUGE, 0),
+     ValueError, "^arithmetic genus <int of 16610 bits> exceeds 100$"),
+    ("subset-class-huge-element", lambda: theta_f2.EvenSubsetClass([HUGE, 1]),
+     ValueError, "^not an even subset of 1..8: <list of length 2>$"),
 ]
 
 
@@ -118,6 +140,16 @@ GUARDS = [
 def test_guard(call, exc, pattern):
     with pytest.raises(exc, match=pattern):
         call()
+
+
+@pytest.mark.parametrize("value, shown", [
+    (HUGE, "<int of 16610 bits>"),
+    (10 ** 4299, "1" + "0" * 39 + "..."),
+], ids=["int-over-limit", "int-under-limit"])
+def test_echo_never_raises(value, shown):
+    """An int that repr refuses is named by its bit length; an int that
+    repr accepts is quoted as before."""
+    assert text.echo(value) == shown
 
 
 def test_zero_polynomial_is_homogeneous():

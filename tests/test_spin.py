@@ -127,11 +127,16 @@ def test_table_degree_identity():
                 == sum(r.count for r in rows)
 
 
+def deltas(graph):
+    """The graph's even edge subsets as spin_scheme lists them."""
+    return tuple(s.delta for s in spin.spin_scheme(graph))
+
+
 def test_even_subsets_against_brute_force():
     rng = random.Random(11)
     for _ in range(50):
         g = random_graph(rng)
-        assert spin.even_subsets(g) == brute_even_subsets(g)
+        assert deltas(g) == brute_even_subsets(g)
 
 
 def random_large_graph(rng):
@@ -157,7 +162,7 @@ def test_even_subsets_against_elimination():
     sizes = []
     for _ in range(120):
         g = random_large_graph(rng)
-        subsets = spin.even_subsets(g)
+        subsets = deltas(g)
         assert subsets == elimination_even_subsets(g)
         assert all(degree_even(g, d) for d in subsets)
         sizes.append((g.genus - sum(g.genera), len(g.edges)))
@@ -246,13 +251,14 @@ def test_spin_scheme_against_spin_counts():
     """spin_scheme reads each support's b1 off the cycle signatures; on
     seeded graphs with loops, multi-edges, bridges, genus-0 vertices and
     genus-1 chains, and on a 200-vertex ring whose long chains collapse, it
-    equals spin_counts over even_subsets, which reduces each support anew."""
+    equals spin_counts over the elimination oracle's even subsets, which
+    reduces each support anew."""
     rng = random.Random(41)
     graphs = [random_chained_graph(rng) for _ in range(150)]
     graphs.append(ring_with_chords(200, 6, rng))
     seen = Counter()
     for g in graphs:
-        subsets = spin.even_subsets(g)
+        subsets = elimination_even_subsets(g)
         assert spin.spin_scheme(g) == tuple(spin.spin_counts(g, d) for d in subsets), g
         degree = Counter(v for e in g.edges for v in e)
         seen["loop"] += any(i == j for i, j in g.edges)
