@@ -1,8 +1,9 @@
 """Exact kernels shared by several layers, with no imports of their own.
 
 The fraction-free (Bareiss) determinant of int matrices serves `poly` only,
-through `poly.sylvester`, the one Sylvester resultant; union-find serves the
-connectivity checks of `spin` and `nodal`.
+through `poly.sylvester`, the one Sylvester resultant; union-find serves
+`spin`'s connectivity check, `nodal.validate_config` and the label merge of
+`nodal`'s even-theta scheme.
 """
 
 from __future__ import annotations

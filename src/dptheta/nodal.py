@@ -8,11 +8,14 @@ or of (1, 2, 2), (1, 2, 3), (1, 2, 4) vertices (E6, E7, E8).
 
 Exceptional and blow-down classes that become congruent modulo N coalesce;
 the multiplicity of a point of the resulting scheme is the size of its
-congruence class.  Labelling classes by their pair under the Geiser
-involution (degree 2) or the double-six pairing (degree 3), or by their
-even theta characteristic, and merging the labels that one congruence
-class meets gives the schemes of bitangents, Aronhold sets, double sixes
-and even theta characteristics of the branch curve.
+congruence class.  Labelling classes by their pair {c, s(c)} under the
+Geiser involution (degree 2) or the double-six pairing (degree 3) gives the
+schemes of bitangents, Aronhold sets and double sixes: s is affine with
+linear part -1, so it maps each coset K of N onto a coset s(K), and fixes
+no class, so a point is the pairs of one coset pair {K, s(K)}.  Labelling
+blow-downs by their even theta characteristic, and merging the labels that
+one congruence class meets, gives the even theta characteristics of the
+branch curve.
 
 Congruence is keyed by linear invariants read off a diagonal form of the
 root matrix, evaluated over a whole class table at once on packed columns.
@@ -278,9 +281,13 @@ def congruence_classes(
     return tuple(map(tuple, parts.values()))
 
 
-def _pair(involution):
+class _Pair(namedtuple("_Pair", "involution")):
     """Label a class by the smaller member of its pair {c, s(c)}."""
-    return lambda lat, c: min(c, involution(lat, c))
+
+    __slots__ = ()
+
+    def __call__(self, lat: PicardLattice, c: DivisorClass):
+        return min(c, self.involution(lat, c))
 
 
 def _even_theta(lat: PicardLattice, c: DivisorClass):
@@ -294,20 +301,21 @@ def _even_theta(lat: PicardLattice, c: DivisorClass):
 
 
 # Scheme name -> (class kind, required degree, label).  The scheme is the
-# kind's classes modulo N; with a label, the labels met by one congruence
-# part merge, and a point counts the labels it absorbs.  The schemes of one
-# configuration share one key list per class table: _table_parts caches
-# them, and holds one configuration's tables.  A pair {c, s(c)}
-# under the Geiser involution (degree 2) or the double-six pairing
-# (degree 3) is a label, as is a blow-down's even theta characteristic.
+# kind's classes modulo N, and with a label a point counts labels.  A pair
+# {c, s(c)} under the Geiser involution (degree 2) or the double-six pairing
+# (degree 3) is a label, and a point is the pairs of one coset pair
+# {K, s(K)}; a blow-down's even theta characteristic is a label too, and
+# only there do the labels met by one congruence part merge.  The schemes of
+# one configuration share one key list per class table: _table_parts caches
+# them, and holds one configuration's tables.
 # Totals in degree 2 / 3: lines 56 / 27, blow-downs 576 / 72, bitangents 28,
 # double sixes 36, Aronhold sets 288, even thetas 36.
 SCHEMES = {
     "lines": (ClassKind.EXCEPTIONAL, None, None),
-    "bitangents": (ClassKind.EXCEPTIONAL, 2, _pair(lt.geiser)),
+    "bitangents": (ClassKind.EXCEPTIONAL, 2, _Pair(lt.geiser)),
     "blowdowns": (ClassKind.BLOWDOWN, None, None),
-    "doublesix": (ClassKind.BLOWDOWN, 3, _pair(lt.double_six_partner)),
-    "aronhold": (ClassKind.BLOWDOWN, 2, _pair(lt.geiser)),
+    "doublesix": (ClassKind.BLOWDOWN, 3, _Pair(lt.double_six_partner)),
+    "aronhold": (ClassKind.BLOWDOWN, 2, _Pair(lt.geiser)),
     "eventheta": (ClassKind.BLOWDOWN, 2, _even_theta),
 }
 
@@ -323,6 +331,16 @@ def _labels(lat: PicardLattice, name: str):
     return tuple(distinct), tuple(map(index.__getitem__, of_class))
 
 
+@lru_cache(maxsize=None)
+def _pairs(lat: PicardLattice, name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two table indices (i_l, j_l), i_l < j_l, of each label l of a
+    pair scheme, as two tuples in label order: i_l <-> j_l is a
+    fixed-point-free involution of the table indices."""
+    _, of_class = _labels(lat, name)
+    grouped = sorted(range(len(of_class)), key=of_class.__getitem__)  # stable
+    return tuple(grouped[0::2]), tuple(grouped[1::2])
+
+
 def _points(keys, members) -> tuple:
     """A point per distinct key, in order of first occurrence: the key's first
     member and the number of its occurrences."""
@@ -335,9 +353,12 @@ def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
     """The multiplicity scheme `name` of SCHEMES for a configuration.
 
     Without a label a point is a congruence class of the table.  With one,
-    each class joins its label to the first label of its congruence class,
-    and a point is a component of the labels: its least label, as labels are
-    sorted, and its size."""
+    a point is a set of labels, given by its least label, as labels are
+    sorted, and its size.  A pair {c, s(c)} meets just the parts K of c and
+    s(K) of s(c), as s(c + n) = s(c) - n, so a point is the labels of a part
+    pair {K, s(K)}, keyed by the smaller key.  Only even thetas merge: each
+    class joins its label to the first label of its congruence class, and a
+    point is a component of the labels."""
     kind, degree, label = SCHEMES[name]
     if degree is not None and cfg.lattice.degree != degree:
         raise ValueError(f"{name} scheme requires degree {degree}")
@@ -345,6 +366,10 @@ def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
     if label is None:
         return MultiplicityScheme(_points(keys, lt.enumerate_classes(cfg.lattice, kind)))
     distinct, labels = _labels(cfg.lattice, name)
+    if isinstance(label, _Pair):
+        left, right = _pairs(cfg.lattice, name)
+        pair_keys = map(min, map(keys.__getitem__, left), map(keys.__getitem__, right))
+        return MultiplicityScheme(_points(list(pair_keys), distinct))
     first = dict(zip(reversed(keys), reversed(labels)))
     joins = set(zip(map(first.__getitem__, keys), labels))
     joins.difference_update(zip(range(len(distinct)), range(len(distinct))))  # merge nothing

@@ -128,6 +128,10 @@ class MultiPoly:
         return max((sum(e) for e in self.terms), default=-1)
 
     def degree_in(self, name: str) -> int:
+        """Degree in one variable; 0 for a name not in vars, -1 for the zero
+        polynomial."""
+        if name not in self.vars:
+            return 0 if self.terms else -1
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=-1)
 
@@ -156,7 +160,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return MultiPoly.constant(self.vars, other)
         if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+            raise ValueError(f"variable mismatch: {echo(self.vars)} vs {echo(other.vars)}")
         return other
 
     def __add__(self, other):
@@ -209,7 +213,7 @@ class MultiPoly:
         for v in self.vars:
             if v not in variables:
                 if self.degree_in(v) > 0:
-                    raise ValueError(f"variable {v} used but absent from target")
+                    raise ValueError(f"variable {echo(v)} used but absent from target")
                 mapping.append(None)
             else:
                 mapping.append(variables.index(v))
@@ -463,10 +467,10 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     2 min at 6 (Python 3.11, a 2-core host).  No caller in the package passes
     more than 3."""
     if f.vars != g.vars:
-        raise ValueError(f"variable mismatch: {f.vars} vs {g.vars}")
+        raise ValueError(f"variable mismatch: {echo(f.vars)} vs {echo(g.vars)}")
     m, n = f.degree_in(name), g.degree_in(name)
     if m < 1 and n < 1:
-        raise ValueError(f"variable {name} absent from both polynomials")
+        raise ValueError(f"variable {echo(name)} absent from both polynomials")
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
     (sf, fi), (sg, gi) = integral_terms(f), integral_terms(g)

@@ -14,6 +14,14 @@ V = ("x", "y")
 X = MultiPoly.variable(V, "x")
 L3, E1 = lt.divisor(LAT3, 1), lt.class_E(LAT3, 1)
 HUGE = 10 ** 5000  # past the interpreter's 4300-digit int-to-str limit
+# two polynomials in 100,000 variables each, x0.. and y0..: each tuple is
+# quoted by text.echo, so the mismatch message stays under 200 bytes
+LONG_MISMATCH = "^variable mismatch: " + " vs ".join(
+    re.escape(f"('{v}0', '{v}1', '{v}2', '{v}3', '{v}4', '{v}5', '{v}6...") for v in "xy") + "$"
+
+
+def long_poly(letter):
+    return MultiPoly.variable(tuple(f"{letter}{i}" for i in range(100000)), letter + "0")
 
 
 def set_attribute():
@@ -75,9 +83,12 @@ GUARDS = [
      ValueError, "repeated variable name"),
     ("negative-power", lambda: X ** -1, ValueError, "negative power"),
     ("rename-drops-used", lambda: X.rename_vars(("y",)),
-     ValueError, "x used but absent"),
+     ValueError, "^variable 'x' used but absent from target$"),
     ("resultant-absent", lambda: poly.resultant(X, X, "y"),
      ValueError, "absent from both"),
+    # a name that is not a variable at all has degree 0, so the check is reached
+    ("resultant-name-not-a-variable", lambda: poly.resultant(X, X + 1, "z"),
+     ValueError, "^variable 'z' absent from both polynomials$"),
     ("resultant-variable-mismatch",
      lambda: poly.resultant(X, MultiPoly.variable(("x",), "x"), "x"),
      ValueError, r"^variable mismatch: \('x', 'y'\) vs \('x',\)$"),
@@ -126,6 +137,15 @@ GUARDS = [
     ("bad-exponent-long-tuple", lambda: MultiPoly(("x",), {(0,) * 100000: 1}),
      ValueError,
      "^bad exponent " + re.escape("(" + "0, " * 13 + "...") + r" for variables \('x',\)$"),
+    ("mismatch-long-tuples", lambda: long_poly("x") + long_poly("y"),
+     ValueError, LONG_MISMATCH),
+    ("resultant-mismatch-long-tuples",
+     lambda: poly.resultant(long_poly("x"), long_poly("y"), "x0"), ValueError, LONG_MISMATCH),
+    ("rename-drops-long-name",
+     lambda: MultiPoly.variable(("x" * 100000,), "x" * 100000).rename_vars(("y",)),
+     ValueError, "^variable '" + "x" * 39 + r"\.\.\. used but absent from target$"),
+    ("resultant-absent-long-name", lambda: poly.resultant(X, X + 1, "z" * 100000),
+     ValueError, "^variable '" + "z" * 39 + r"\.\.\. absent from both polynomials$"),
     ("make-lattice-huge-degree", lambda: lt.make_lattice(HUGE),
      ValueError, "^degree must be 2 or 3, got <int of 16610 bits>$"),
     ("spin-table-huge-genus", lambda: spin.spin_table_irreducible(HUGE, 0),

@@ -750,6 +750,26 @@ def test_pair_involutions_fix_no_class(name):
     assert len({min(c, INVOLUTIONS[name](lat, c)) for c in classes}) == len(classes) // 2
 
 
+@pytest.mark.parametrize("name", sorted(INVOLUTIONS))
+def test_pair_involutions_map_parts_onto_parts(name):
+    """The premise of the pair schemes: s maps each congruence part of its
+    class table onto a part, on every simple-root subset and random config
+    of the pass; and the cached partner index pairs each class with its
+    image, a fixed-point-free involution of the table indices."""
+    kind, degree, _ = nodal.SCHEMES[name]
+    lat = lt.make_lattice(degree)
+    table = lt.enumerate_classes(lat, kind)
+    image = {c: INVOLUTIONS[name](lat, c) for c in table}
+    first, second = nodal._pairs(lat, name)
+    partner = dict(zip(first, second)) | dict(zip(second, first))
+    assert sorted(partner) == list(range(len(table)))
+    assert all(partner[i] != i and partner[partner[i]] == i for i in partner)
+    assert all(table[partner[i]] == image[table[i]] for i in partner)
+    for cfg in scheme_pass(degree).cfgs:
+        parts = set(map(frozenset, nodal.congruence_classes(cfg, table)))
+        assert all(frozenset(map(image.get, p)) in parts for p in parts), cfg.roots
+
+
 def test_even_theta_scheme_is_the_eventheta_entry():
     """The one pin of the six scheme aliases: each equals nodal.scheme under
     its name on the node (degree 2) and the cusp (degree 3) where its degree

@@ -685,6 +685,15 @@ def test_homogeneity_and_degrees():
     assert MultiPoly.zero(V).total_degree() == -1
 
 
+def test_degree_in():
+    """The degree in each variable, 0 in a variable the polynomial lacks,
+    and -1 for the zero polynomial, whatever the name."""
+    p = parse_poly("x0^2*x1 + x2^3 + 1", V)
+    assert [p.degree_in(v) for v in V] == [2, 1, 3]
+    assert p.degree_in("z") == 0 and MultiPoly.constant(V, 5).degree_in("x0") == 0
+    assert MultiPoly.zero(V).degree_in("x0") == MultiPoly.zero(V).degree_in("z") == -1
+
+
 def test_determinant_vs_sympy():
     rng = random.Random(2)
     for n in range(1, 7):
