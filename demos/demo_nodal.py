@@ -4,7 +4,8 @@
 Reruns the three worked degenerations shipped in demos/data: a single node
 (A1), a cusp (A2, in both degrees) and the maximal E7 case.  Each runs every
 scheme of its degree, and the schemes of one configuration share one
-partition per class table.
+partition per class table; `eventheta` shares none, as it reads the F2
+cosets of the roots' labels instead of a class table.
 """
 
 from pathlib import Path

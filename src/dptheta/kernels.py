@@ -2,8 +2,7 @@
 
 The fraction-free (Bareiss) determinant of int matrices serves `poly` only,
 through `poly.sylvester`, the one Sylvester resultant; union-find serves
-`spin`'s connectivity check, `nodal.validate_config` and the label merge of
-`nodal`'s even-theta scheme.
+`spin`'s connectivity check and `nodal.validate_config` only.
 """
 
 from __future__ import annotations

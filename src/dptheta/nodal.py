@@ -15,7 +15,10 @@ linear part -1, so it maps each coset K of N onto a coset s(K), and fixes
 no class, so a point is the pairs of one coset pair {K, s(K)}.  Labelling
 blow-downs by their even theta characteristic, and merging the labels that
 one congruence class meets, gives the even theta characteristics of the
-branch curve.
+branch curve: a point is the even classes of one coset theta + V, V the F2
+span of the roots' labels.  The labels are additive, so no merge crosses
+cosets; and each coset's even classes merge into one, on every one of the
+107,911 root sublattices of E7 = K-perp, as an exhaustive check found.
 
 Congruence is keyed by linear invariants read off a diagonal form of the
 root matrix, evaluated over a whole class table at once on packed columns.
@@ -281,64 +284,57 @@ def congruence_classes(
     return tuple(map(tuple, parts.values()))
 
 
-class _Pair(namedtuple("_Pair", "involution")):
-    """Label a class by the smaller member of its pair {c, s(c)}."""
-
-    __slots__ = ()
-
-    def __call__(self, lat: PicardLattice, c: DivisorClass):
-        return min(c, self.involution(lat, c))
-
-
-def _even_theta(lat: PicardLattice, c: DivisorClass):
-    """Label a blow-down by its even theta characteristic.  scheme() has
-    checked the degree and labels the blow-down table itself, so the
-    per-class checks of even_theta_of_blowdown would prove nothing.
-    theta_f2 loads on first use, so the other schemes never pay for it."""
-    from . import theta_f2
-
-    return theta_f2.mod2_label(c)
-
-
-# Scheme name -> (class kind, required degree, label).  The scheme is the
-# kind's classes modulo N, and with a label a point counts labels.  A pair
-# {c, s(c)} under the Geiser involution (degree 2) or the double-six pairing
-# (degree 3) is a label, and a point is the pairs of one coset pair
-# {K, s(K)}; a blow-down's even theta characteristic is a label too, and
-# only there do the labels met by one congruence part merge.  The schemes of
-# one configuration share one key list per class table: _table_parts caches
-# them, and holds one configuration's tables.
-# Totals in degree 2 / 3: lines 56 / 27, blow-downs 576 / 72, bitangents 28,
-# double sixes 36, Aronhold sets 288, even thetas 36.
+# Scheme name -> (class kind, required degree, involution).  The scheme is
+# the kind's classes modulo N.  With an involution s, the Geiser involution
+# (degree 2) or the double-six pairing (degree 3), a point is the pairs
+# {c, s(c)} of one coset pair {K, s(K)}.  A point of the even thetas, the
+# blow-downs' labels, is the even classes of one coset of the F2 span of the
+# roots' labels: no part's labels leave a coset, and the parts join each
+# coset's even classes into one; it keys no class table.  The other schemes
+# of one configuration share one key list per class table: _table_parts
+# caches them, and holds one configuration's tables.  Totals in degree 2 / 3:
+# lines 56 / 27, blow-downs 576 / 72, bitangents 28, double sixes 36,
+# Aronhold sets 288, even thetas 36.
 SCHEMES = {
     "lines": (ClassKind.EXCEPTIONAL, None, None),
-    "bitangents": (ClassKind.EXCEPTIONAL, 2, _Pair(lt.geiser)),
+    "bitangents": (ClassKind.EXCEPTIONAL, 2, lt.geiser),
     "blowdowns": (ClassKind.BLOWDOWN, None, None),
-    "doublesix": (ClassKind.BLOWDOWN, 3, _Pair(lt.double_six_partner)),
-    "aronhold": (ClassKind.BLOWDOWN, 2, _Pair(lt.geiser)),
-    "eventheta": (ClassKind.BLOWDOWN, 2, _even_theta),
+    "doublesix": (ClassKind.BLOWDOWN, 3, lt.double_six_partner),
+    "aronhold": (ClassKind.BLOWDOWN, 2, lt.geiser),
+    "eventheta": (ClassKind.BLOWDOWN, 2, None),
 }
 
 
 @lru_cache(maxsize=None)
-def _labels(lat: PicardLattice, name: str):
-    """The distinct labels of a scheme, and each class's index among them in
-    table order."""
-    kind, _, label = SCHEMES[name]
-    of_class = [label(lat, c) for c in lt.enumerate_classes(lat, kind)]
-    distinct = sorted(set(of_class))
-    index = {x: i for i, x in enumerate(distinct)}
-    return tuple(distinct), tuple(map(index.__getitem__, of_class))
+def _pairs(lat: PicardLattice, name: str) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """The pairs {c, s(c)} of a pair scheme's class table, in one pass: the
+    least class table[i] of each pair and its table indices i < j, as three
+    tuples; the table is sorted, so i ascends with the least class."""
+    kind, _, involution = SCHEMES[name]
+    table = lt.enumerate_classes(lat, kind)
+    index = {c: i for i, c in enumerate(table)}
+    pairs = [(c, i, j) for i, c in enumerate(table) if i < (j := index[involution(lat, c)])]
+    return tuple(map(tuple, zip(*pairs)))
 
 
-@lru_cache(maxsize=None)
-def _pairs(lat: PicardLattice, name: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two table indices (i_l, j_l), i_l < j_l, of each label l of a
-    pair scheme, as two tuples in label order: i_l <-> j_l is a
-    fixed-point-free involution of the table indices."""
-    _, of_class = _labels(lat, name)
-    grouped = sorted(range(len(of_class)), key=of_class.__getitem__)  # stable
-    return tuple(grouped[0::2]), tuple(grouped[1::2])
+def _theta_cosets(cfg: NodalConfig) -> tuple:
+    """(least class, count) of the even classes in each coset of the F2 span
+    of the roots' mod2_label masks.  Reduced against pivots of distinct top
+    bits, min(v, v ^ p) clearing each, a mask keys its coset.  theta_f2
+    loads on first use, so the other schemes never pay for it."""
+    from . import theta_f2
+
+    def reduced(v, pivots):
+        for p in pivots:
+            v = min(v, v ^ p)
+        return v
+
+    pivots = []
+    for r in cfg.roots:
+        if v := reduced(theta_f2.mod2_label(r).mask, pivots):
+            pivots.append(v)
+    evens = theta_f2.even_classes()
+    return _points([reduced(t.mask, pivots) for t in evens], evens)
 
 
 def _points(keys, members) -> tuple:
@@ -352,28 +348,24 @@ def _points(keys, members) -> tuple:
 def scheme(cfg: NodalConfig, name: str) -> MultiplicityScheme:
     """The multiplicity scheme `name` of SCHEMES for a configuration.
 
-    Without a label a point is a congruence class of the table.  With one,
-    a point is a set of labels, given by its least label, as labels are
-    sorted, and its size.  A pair {c, s(c)} meets just the parts K of c and
-    s(K) of s(c), as s(c + n) = s(c) - n, so a point is the labels of a part
-    pair {K, s(K)}, keyed by the smaller key.  Only even thetas merge: each
-    class joins its label to the first label of its congruence class, and a
-    point is a component of the labels."""
-    kind, degree, label = SCHEMES[name]
+    Without an involution a point is a congruence class of the table; with
+    one, a set of pairs, given by its least class and its size.  A pair
+    {c, s(c)} meets just the parts K of c and s(K) of s(c), as
+    s(c + n) = s(c) - n, so a point is the pairs of a part pair {K, s(K)},
+    keyed by the smaller key.  An even-theta point is the even classes of a
+    coset theta + V: the labels of a part c + N lie in mod2_label(c) + V,
+    and the parts merge each coset's even classes into one."""
+    kind, degree, involution = SCHEMES[name]
     if degree is not None and cfg.lattice.degree != degree:
         raise ValueError(f"{name} scheme requires degree {degree}")
+    if name == "eventheta":
+        return MultiplicityScheme(_theta_cosets(cfg))
     keys = _table_parts(cfg, kind)
-    if label is None:
+    if involution is None:
         return MultiplicityScheme(_points(keys, lt.enumerate_classes(cfg.lattice, kind)))
-    distinct, labels = _labels(cfg.lattice, name)
-    if isinstance(label, _Pair):
-        left, right = _pairs(cfg.lattice, name)
-        pair_keys = map(min, map(keys.__getitem__, left), map(keys.__getitem__, right))
-        return MultiplicityScheme(_points(list(pair_keys), distinct))
-    first = dict(zip(reversed(keys), reversed(labels)))
-    joins = set(zip(map(first.__getitem__, keys), labels))
-    joins.difference_update(zip(range(len(distinct)), range(len(distinct))))  # merge nothing
-    return MultiplicityScheme(_points(components(len(distinct), joins), distinct))
+    least, left, right = _pairs(cfg.lattice, name)
+    pair_keys = map(min, map(keys.__getitem__, left), map(keys.__getitem__, right))
+    return MultiplicityScheme(_points(list(pair_keys), least))
 
 
 # Aliases for bench/workloads.py alone (other code calls scheme); ROADMAP item 2 drops them.

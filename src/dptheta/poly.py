@@ -114,6 +114,8 @@ class MultiPoly:
     @classmethod
     def variable(cls, variables: Iterable[str], name: str) -> "MultiPoly":
         variables = _names(variables)
+        if name not in variables:
+            raise ValueError(f"variable {echo(name)} absent from the variables")
         exp = [0] * len(variables)
         exp[variables.index(name)] = 1
         return cls._new(variables, {tuple(exp): 1})
@@ -144,7 +146,10 @@ class MultiPoly:
         return degree is None or degs == {degree}
 
     def coefficient(self, name: str, power: int) -> "MultiPoly":
-        """Coefficient of name**power, as a polynomial in the same variables."""
+        """Coefficient of name**power, as a polynomial in the same variables.
+        A name not in vars has degree 0, as in degree_in."""
+        if name not in self.vars:
+            return self if power == 0 else MultiPoly._new(self.vars, {})
         i = self.vars.index(name)
         out = {}
         for exp, coeff in self.terms.items():
@@ -197,6 +202,8 @@ class MultiPoly:
     def evaluate(self, values: Mapping[str, Fraction | int]) -> int | Fraction:
         """The exact value at a point of ints and Fractions, an int when it is
         integral; a coordinate that is not an exact rational raises TypeError."""
+        if missing := [v for v in self.vars if v not in values]:
+            raise ValueError(f"no value for variable {echo(missing[0])}")
         point = [_canon(values[v]) for v in self.vars]
         total = 0
         for exp, coeff in self.terms.items():

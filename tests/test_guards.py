@@ -146,6 +146,14 @@ GUARDS = [
      ValueError, "^variable '" + "x" * 39 + r"\.\.\. used but absent from target$"),
     ("resultant-absent-long-name", lambda: poly.resultant(X, X + 1, "z" * 100000),
      ValueError, "^variable '" + "z" * 39 + r"\.\.\. absent from both polynomials$"),
+    ("variable-absent-name", lambda: MultiPoly.variable(("x",), "z"),
+     ValueError, "^variable 'z' absent from the variables$"),
+    ("variable-absent-long-name", lambda: MultiPoly.variable(V, "z" * 100000),
+     ValueError, "^variable '" + "z" * 39 + r"\.\.\. absent from the variables$"),
+    ("evaluate-no-value", lambda: X.evaluate({}), ValueError, "^no value for variable 'x'$"),
+    ("evaluate-no-value-long-name",
+     lambda: MultiPoly.variable(("x" * 100000,), "x" * 100000).evaluate({"x": 1}),
+     ValueError, "^no value for variable '" + "x" * 39 + r"\.\.\.$"),
     ("make-lattice-huge-degree", lambda: lt.make_lattice(HUGE),
      ValueError, "^degree must be 2 or 3, got <int of 16610 bits>$"),
     ("spin-table-huge-genus", lambda: spin.spin_table_irreducible(HUGE, 0),

@@ -596,19 +596,21 @@ def scheme_oracle(cfg, name, parts):
 @cache
 def scheme_pass(degree):
     """Every scheme of one degree, run once on every E7 / E6 simple-root
-    subset and on greedy random root sets, then each single-root profile,
-    with the oracle answer of each computed beforehand.
+    subset, on greedy random root sets and on the UNSATURATED spans, then
+    each single-root profile, with the oracle answer of each computed
+    beforehand.
 
     The pass is made as a built config and a class table are trusted: the
-    pair labels warm and the even-theta labels cold, 32 other class lists
-    partitioned since the tables were built, and every call to
-    validate_config and kind_of logged with the scheme that made it."""
+    pair tables warm, 32 other class lists partitioned since the tables were
+    built, and every call to validate_config and kind_of logged with the
+    scheme that made it."""
     lat = lt.make_lattice(degree)
     simple = lt.simple_roots(lat)
     cfgs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
             for mask in range(1 << len(simple))]
     full = cfgs[-1]
     cfgs += random_configs(lat, random.Random(20 + degree), 40)
+    cfgs += (nodal.NodalConfig(lat, roots) for _, roots in UNSATURATED[degree].values())
     names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
     expected = []
     for cfg in cfgs:
@@ -621,10 +623,9 @@ def scheme_pass(degree):
     others = lt.enumerate_classes(lat, ClassKind.EXCEPTIONAL) \
         + lt.enumerate_classes(lat, ClassKind.BLOWDOWN)
     one_class = [(c, nodal.congruence_classes(full, [c])) for c in others[:32]]
-    nodal._labels.cache_clear()
+    nodal._pairs.cache_clear()
     for name in INVOLUTIONS.keys() & set(names):  # double_six_partner checks the kind
-        nodal._labels(lat, name)
-    warm = nodal._labels.cache_info().currsize
+        nodal._pairs(lat, name)
 
     step, calls = [None], []
 
@@ -646,7 +647,7 @@ def scheme_pass(degree):
         got_profiles = [nodal.intersection_profile(cfg) for cfg in singles]
     return SimpleNamespace(cfgs=cfgs, names=names, expected=expected, got=got,
                            profiles=profiles, got_profiles=got_profiles,
-                           one_class=one_class, warm=warm, calls=calls)
+                           one_class=one_class, calls=calls)
 
 
 # Each scheme's total: every class of its kind, or every label, is counted.
@@ -691,15 +692,21 @@ def test_schemes_partition_the_table_as_built(degree):
     class lists were partitioned since."""
     run = scheme_pass(degree)
     assert all(parts == ((c,),) for c, parts in run.one_class)
-    assert [s for f, s in run.calls if f == "kind_of" and s != "eventheta"] == []
+    assert [s for f, s in run.calls if f == "kind_of"] == []
 
 
-def test_even_theta_scheme_trusts_the_table():
-    """The eventheta scheme labels the blow-down table by mod2_label: built
-    cold in the pass, its labels cost no kind_of call."""
+def test_even_theta_scheme_reads_no_class_table(monkeypatch):
+    """The eventheta scheme reads the F2 cosets of the roots' labels: with
+    enumerate_classes and the table keys refused, it gives what it gave in
+    the pass, on every config of the pass."""
     run = scheme_pass(2)
-    assert run.warm == len(INVOLUTIONS.keys() & set(run.names))  # eventheta cold
-    assert [s for f, s in run.calls if f == "kind_of" and s == "eventheta"] == []
+
+    def refuse(*args):
+        raise AssertionError("a class table was read")
+    monkeypatch.setattr(lt, "enumerate_classes", refuse)
+    monkeypatch.setattr(nodal, "_table_parts", refuse)
+    for cfg, got in zip(run.cfgs, run.got):
+        assert nodal.scheme(cfg, "eventheta") == got["eventheta"], cfg.roots
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -707,7 +714,8 @@ def test_schemes_of_one_config_share_each_table_partition(monkeypatch, degree):
     """Every scheme of a degree, run on configs A, B, A, keys each class
     table once per visit, and gives what it gives cold; the same roots in
     another order hit the cache; and a pass over many configs keeps no more
-    than one table per class kind."""
+    than one table per class kind.  Every scheme but eventheta, which reads
+    no table, hits the cache."""
     lat = lt.make_lattice(degree)
     simple = lt.simple_roots(lat)
     names = [n for n, (_, d, _) in nodal.SCHEMES.items() if d in (None, degree)]
@@ -732,7 +740,8 @@ def test_schemes_of_one_config_share_each_table_partition(monkeypatch, degree):
     hits, made[:] = nodal._table_parts.cache_info().hits, []
     for n in names:  # b's roots, listed in the other order
         assert nodal.scheme(config(degree, *reversed(simple[1:3])), n) == visits[1][n]
-    assert made == [] and nodal._table_parts.cache_info().hits == hits + len(names)
+    keyed = [n for n in names if n != "eventheta"]
+    assert made == [] and nodal._table_parts.cache_info().hits == hits + len(keyed)
     for mask in range(1 << len(simple)):
         cfg = config(degree, *(r for k, r in enumerate(simple) if mask >> k & 1))
         for n in names:
@@ -754,13 +763,15 @@ def test_pair_involutions_fix_no_class(name):
 def test_pair_involutions_map_parts_onto_parts(name):
     """The premise of the pair schemes: s maps each congruence part of its
     class table onto a part, on every simple-root subset and random config
-    of the pass; and the cached partner index pairs each class with its
-    image, a fixed-point-free involution of the table indices."""
+    of the pass; and the cached pairs list each pair's least class in
+    sorted order and pair each class with its image, a fixed-point-free
+    involution of the table indices."""
     kind, degree, _ = nodal.SCHEMES[name]
     lat = lt.make_lattice(degree)
     table = lt.enumerate_classes(lat, kind)
     image = {c: INVOLUTIONS[name](lat, c) for c in table}
-    first, second = nodal._pairs(lat, name)
+    least, first, second = nodal._pairs(lat, name)
+    assert least == tuple(table[i] for i in first) == tuple(sorted(least))
     partner = dict(zip(first, second)) | dict(zip(second, first))
     assert sorted(partner) == list(range(len(table)))
     assert all(partner[i] != i and partner[partner[i]] == i for i in partner)

@@ -694,6 +694,15 @@ def test_degree_in():
     assert MultiPoly.zero(V).degree_in("x0") == MultiPoly.zero(V).degree_in("z") == -1
 
 
+def test_coefficient_of_absent_name():
+    """A name not in vars has degree 0, as degree_in says: its power 0 is the
+    polynomial itself and any other power has coefficient zero."""
+    p = parse_poly("x0^2*x1 + x2^3 + 1", V)
+    assert p.coefficient("z", 0) == p
+    assert p.coefficient("z", 1) == p.coefficient("z", 2) == MultiPoly.zero(V)
+    assert p.coefficient("x0", 2) == parse_poly("x1", V)
+
+
 def test_determinant_vs_sympy():
     rng = random.Random(2)
     for n in range(1, 7):

@@ -387,6 +387,15 @@ def test_mod2_label_matches_dictionary_oracle():
         assert tf.mod2_label(d) == _odd_label_oracle(d), d
 
 
+def test_mod2_label_is_additive():
+    """The premise of the even-theta scheme's F2 cosets: mod2_label is a
+    homomorphism from Z^8 to the 64 classes, on seeded random vectors."""
+    rng = random.Random(44)
+    for _ in range(500):
+        a, b = (tuple(rng.randint(-50, 50) for _ in range(8)) for _ in range(2))
+        assert tf.mod2_label(lt.add(a, b)) == tf.mod2_label(a) + tf.mod2_label(b), (a, b)
+
+
 def test_blowdown_label_matches_contracted_lines_oracle():
     lat = lt.make_lattice(2)
     blowdowns = lt.enumerate_classes(lat, ClassKind.BLOWDOWN)
@@ -489,16 +498,30 @@ def orbit_profile(cfg, label):
     orbit meets, as nodal.scheme merges those that one congruence part meets."""
     lat = cfg.lattice
     labels = {c: label(c) for c in lt.enumerate_classes(lat, ClassKind.BLOWDOWN)}
-    parent = {x: x for x in labels.values()}
+    return join_profile(labels.values(), ((labels[c], labels[d]) for r in cfg.roots
+                                          for c, d in _reflection(lat, r).items()))
+
+
+def transvection_profile(cfg):
+    """Test-side transvection oracle: the profile of the 36 even classes
+    merged by the joins theta ~ theta + mod2_label(r), r in cfg.roots, whose
+    two ends are even.  It reads no Picard table."""
+    evens = set(tf.even_classes())
+    return join_profile(evens, ((t, t + tf.mod2_label(r)) for r in cfg.roots
+                                for t in evens if t + tf.mod2_label(r) in evens))
+
+
+def join_profile(nodes, joins):
+    """Map size -> number of the components of nodes under the joins."""
+    parent = {x: x for x in nodes}
 
     def find(x):
         while parent[x] != x:
             x = parent[x]
         return x
 
-    for r in cfg.roots:
-        for c, d in _reflection(lat, r).items():
-            parent[find(labels[d])] = find(labels[c])
+    for a, b in joins:
+        parent[find(b)] = find(a)
     return dict(Counter(Counter(map(find, list(parent))).values()))
 
 
@@ -546,14 +569,16 @@ def _e(i, j):
 ], ids=["A1", "A2", "A1+A1", "A3", "A1+A2", "3A1-first-orbit", "3A1-second-orbit"])
 def test_eventheta_congruence_against_orbits(roots, kind, congruence, orbits):
     """The even-theta scheme of one degree-2 representative per type:
-    today's congruence profile, and the W(N)-orbit profile of the oracle.
-    They differ on A1+A1, A3, A1+A2 and the first 3A1 orbit; there the
-    congruence column is a recorded divergence, not a claim that it is
+    today's congruence profile, and the W(N)-orbit profile of the oracle,
+    which the transvection components of the 36 even classes match.  The
+    two columns differ on A1+A1, A3, A1+A2 and the first 3A1 orbit; there
+    the congruence column is a recorded divergence, not a claim that it is
     right."""
     cfg = nodal.NodalConfig(lt.make_lattice(2), roots)
     assert nodal.validate_config(cfg) == kind
     assert nodal.scheme(cfg, "eventheta").multiplicity_profile() == congruence
     assert orbit_profile(cfg, tf.mod2_label) == orbits
+    assert transvection_profile(cfg) == orbits
 
 
 def test_even_theta_of_blowdown_rejects():
