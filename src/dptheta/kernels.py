@@ -1,8 +1,9 @@
 """Exact kernels shared by several layers, with no imports of their own.
 
-The fraction-free (Bareiss) determinant of int matrices serves `poly` only,
-through `poly.sylvester`, the one Sylvester resultant; union-find serves
-`spin`'s connectivity check and `nodal.validate_config` only.
+The fraction-free (Bareiss) determinant of int matrices serves
+`poly.sylvester`, the one Sylvester resultant, and `nodal.validate_config`'s
+definiteness check.  Union-find serves `spin`'s connectivity check and
+`nodal.validate_config`'s component labels.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """ADE degenerations of Del Pezzo surfaces and their multiplicity schemes.
 
 A configuration of effective (-2)-classes spans a negative definite root
-sublattice N of the Picard lattice.  By Smith's theorem that holds exactly
-when each component of the pairing graph is an ADE diagram: a path (A_n),
-or a tree whose one branch vertex has arms of (1, 1, k) vertices (D_{k+3})
-or of (1, 2, 2), (1, 2, 3), (1, 2, 4) vertices (E6, E7, E8).
+sublattice N of the Picard lattice.  K.K = d > 0 and the form has
+signature (1, 9 - d), so K-perp is negative definite (Hodge index): roots
+in it span a definite lattice exactly when they are independent, that is,
+when their Gram determinant is nonzero.
 
 Exceptional and blow-down classes that become congruent modulo N coalesce;
 the multiplicity of a point of the resulting scheme is the size of its
@@ -34,7 +34,7 @@ from itertools import chain, repeat
 from operator import add, lshift, mod, mul
 
 from . import lattice as lt
-from .kernels import components
+from .kernels import components, determinant
 from .lattice import ClassKind, DivisorClass, PicardLattice
 from .text import data_lines, echo, parse_int
 
@@ -80,11 +80,10 @@ def validate_config(cfg: NodalConfig) -> str:
     """Check the root invariants and return the Dynkin type, e.g. "A1+A2".
 
     Requirements: every member is a K-orthogonal (-2)-class, distinct members
-    pair to 0 or 1, and the integral span is negative definite.  The Gram
-    matrix is A - 2I for the adjacency matrix A of the pairing graph, so by
-    Smith's theorem that holds exactly when each component is a path (A_n)
-    or a tree whose one branch vertex has arms of (1, 1, k) vertices
-    (D_{k+3}) or of (1, 2, 2), (1, 2, 3), (1, 2, 4) vertices (E6, E7, E8).
+    pair to 0 or 1, and the Gram determinant is nonzero, so the span is
+    negative definite.  Then each component of the pairing graph is an A, D
+    or E diagram: A has no branch vertex, D's has two or more leaf
+    neighbours (arms 1, 1, k) and E's one (arms 1, 2, k).
     """
     lat, roots = cfg.lattice, cfg.roots
     if not roots:
@@ -95,33 +94,28 @@ def validate_config(cfg: NodalConfig) -> str:
             raise ValueError(f"{echo(r)} has self-intersection != -2")
         if lt.pair(lat, r, lat.canonical) != 0:
             raise ValueError(f"{echo(r)} is not orthogonal to K")
-    pairing = {(i, j): lt.pair(lat, roots[i], roots[j])
-               for i in range(n) for j in range(i + 1, n)}
-    for (i, j), p in pairing.items():
-        if p not in (0, 1):
-            raise ValueError(f"pairing {p} of {echo(roots[i])} and "
-                             f"{echo(roots[j])} not in {{0, 1}}")
-    edges = [e for e, p in pairing.items() if p]
-    nbrs = [[j for e in edges if i in e for j in e if j != i] for i in range(n)]
+    gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = lt.pair(lat, roots[i], roots[j])
+            if p not in (0, 1):
+                raise ValueError(f"pairing {p} of {echo(roots[i])} and "
+                                 f"{echo(roots[j])} not in {{0, 1}}")
+            if p:
+                gram[i][j] = gram[j][i] = 1
+                edges.append((i, j))
+    if not determinant(gram):  # K-perp is negative definite: definite = independent
+        raise ValueError("root span is not negative definite")
+    degree = [sum(row) + 2 for row in gram]
     comps: dict[int, list[int]] = {}
     for i, label in enumerate(components(n, edges)):
         comps.setdefault(label, []).append(i)
     names = []
     for verts in comps.values():
-        branch = [i for i in verts if len(nbrs[i]) > 2]
-        tree = sum(len(nbrs[i]) for i in verts) == 2 * len(verts) - 2
-        arms = ()
-        if tree and len(branch) == 1:  # arm sizes: the paths left without the branch vertex
-            cut = components(n, [e for e in edges if branch[0] not in e])
-            arms = tuple(sorted(cut.count(cut[j]) for j in nbrs[branch[0]]))
-        if tree and not branch:
-            family = "A"
-        elif len(arms) == 3 and arms[1] == 1:
-            family = "D"
-        elif arms in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
-            family = "E"
-        else:
-            raise ValueError("root span is not negative definite")
+        branch = [i for i in verts if degree[i] > 2]  # at most one, of degree 3
+        leaves = [j for b in branch for j in verts if gram[b][j] == 1 and degree[j] == 1]
+        family = "A" if not branch else "D" if len(leaves) > 1 else "E"
         names.append(f"{family}{len(verts)}")
     return "+".join(sorted(names, key=lambda s: (s[0], int(s[1:]))))
 

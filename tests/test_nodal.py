@@ -463,19 +463,24 @@ def dynkin_by_arm_walk(cfg):
 
 NON_ADE_DIAGRAMS = [
     # a triangle: an affine A2 cycle
-    [(-2, 0, 1, 1, 1, 1, 1, 1), (0, 1, -1, 0, 0, 0, 0, 0),
-     (2, -1, 0, -1, -1, -1, -1, -1)],
+    (2, [(-2, 0, 1, 1, 1, 1, 1, 1), (0, 1, -1, 0, 0, 0, 0, 0),
+         (2, -1, 0, -1, -1, -1, -1, -1)]),
     # a centre with four arms: affine D4
-    [(-2, 0, 1, 1, 1, 1, 1, 1), (0, 1, -1, 0, 0, 0, 0, 0),
-     (1, 0, 0, -1, -1, -1, 0, 0), (1, 0, 0, -1, 0, 0, -1, -1),
-     (2, -1, -1, 0, -1, -1, -1, -1)],
+    (2, [(-2, 0, 1, 1, 1, 1, 1, 1), (0, 1, -1, 0, 0, 0, 0, 0),
+         (1, 0, 0, -1, -1, -1, 0, 0), (1, 0, 0, -1, 0, 0, -1, -1),
+         (2, -1, -1, 0, -1, -1, -1, -1)]),
+    # affine E7 and affine E6: trees with one branch vertex, of one leaf
+    # neighbour and of none, so only the Gram determinant rejects them
+    (2, list(E7_ROOTS) + [(-2, 0, 1, 1, 1, 1, 1, 1)]),
+    (3, list(lt.simple_roots(lt.make_lattice(3))) + [(-2, 1, 1, 1, 1, 1, 1)]),
 ]
 
 
-@pytest.mark.parametrize("roots", NON_ADE_DIAGRAMS, ids=["triangle", "four-arm-star"])
-def test_non_ade_diagrams_rejected(roots):
+@pytest.mark.parametrize("degree,roots", NON_ADE_DIAGRAMS,
+                         ids=["triangle", "four-arm-star", "affine-E7", "affine-E6"])
+def test_non_ade_diagrams_rejected(degree, roots):
     with pytest.raises(ValueError, match="root span is not negative definite"):
-        config(2, *roots)
+        config(degree, *roots)
 
 
 def negative_definite_by_sylvester(lat, roots):
@@ -512,8 +517,7 @@ def validated(degree):
             for mask in range(1 << len(simple))]
     sets += (cfg.roots for cfg in random_configs(lat, random.Random(10 + degree), 40))
     sets += pairwise_root_sets(lat, random.Random(40 + degree), 3000)
-    if degree == 2:
-        sets += NON_ADE_DIAGRAMS
+    sets += (roots for d, roots in NON_ADE_DIAGRAMS if d == degree)
     out = []
     for roots in sets:
         cfg = SimpleNamespace(lattice=lat, roots=tuple(sorted(roots)))
@@ -539,14 +543,16 @@ def test_validate_config_matches_sylvester_oracle(degree):
 
 @pytest.mark.parametrize("degree", [2, 3])
 def test_dynkin_names_match_arm_walk_oracle(degree):
-    """Each accepted name agrees with the arm walk, and E6, D5, A5, A1+A2
-    and, in degree 2 only, E7 are met."""
+    """Each accepted name agrees with the arm walk, and E6, D5, D4, A5, A1+A2
+    and, in degree 2 only, E7, D6 and A7 are met: branch vertices with one,
+    two and three leaf neighbours."""
     names = set()
     for cfg, name, error in validated(degree):
         if error is None:
             assert name == dynkin_by_arm_walk(cfg), cfg.roots
             names.add(name)
-    assert {"E6", "D5", "A5", "A1+A2"} <= names
+    met = {"E6", "D5", "D4", "A5", "A1+A2"}
+    assert met | ({"E7", "D6", "A7"} if degree == 2 else set()) <= names
     assert ("E7" in names) == (degree == 2)
 
 

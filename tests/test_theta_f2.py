@@ -12,6 +12,7 @@ import pytest
 
 from dptheta import lattice as lt, nodal, theta_f2 as tf
 from dptheta.lattice import ClassKind
+from test_nodal import UNSATURATED, random_configs
 
 
 def test_group_structure():
@@ -485,30 +486,31 @@ def test_bitangent_scheme_is_line_scheme_plus_marked_point():
 
 
 @cache
-def _reflection(lat, root):
-    """The reflection in a root, as a map of the blow-down table."""
-    return {c: lt.reflect(lat, root, c) for c in lt.enumerate_classes(lat, ClassKind.BLOWDOWN)}
+def _reflection(lat, root, kind):
+    """The reflection in a root, as a map of the class table of one kind."""
+    return {c: lt.reflect(lat, root, c) for c in lt.enumerate_classes(lat, kind)}
 
 
-def orbit_profile(cfg, label):
-    """Test-side W(N)-orbit oracle for a blow-down scheme: the profile of
-    the labels merged by the joins c ~ reflect(r, c), r in cfg.roots.  The
-    joins' components are the W(N)-orbits of the table, so merging the
-    labels at the two ends of each join merges exactly the labels that one
-    orbit meets, as nodal.scheme merges those that one congruence part meets."""
+def orbit_profile(cfg, label, kind):
+    """Test-side W(N)-orbit oracle for a scheme on the table of one kind:
+    the profile of the labels merged by the joins c ~ reflect(r, c), r in
+    cfg.roots.  The joins' components are the W(N)-orbits of the table, so
+    merging the labels at the two ends of each join merges exactly the
+    labels that one orbit meets."""
     lat = cfg.lattice
-    labels = {c: label(c) for c in lt.enumerate_classes(lat, ClassKind.BLOWDOWN)}
+    labels = {c: label(c) for c in lt.enumerate_classes(lat, kind)}
     return join_profile(labels.values(), ((labels[c], labels[d]) for r in cfg.roots
-                                          for c, d in _reflection(lat, r).items()))
+                                          for c, d in _reflection(lat, r, kind).items()))
 
 
-def transvection_profile(cfg):
-    """Test-side transvection oracle: the profile of the 36 even classes
-    merged by the joins theta ~ theta + mod2_label(r), r in cfg.roots, whose
-    two ends are even.  It reads no Picard table."""
-    evens = set(tf.even_classes())
-    return join_profile(evens, ((t, t + tf.mod2_label(r)) for r in cfg.roots
-                                for t in evens if t + tf.mod2_label(r) in evens))
+def transvection_profile(cfg, classes):
+    """Test-side transvection oracle: the profile of the given classes (the
+    36 even or the 28 odd ones) merged by the joins theta ~ theta +
+    mod2_label(r), r in cfg.roots, whose two ends are both in the set.  It
+    reads no Picard table."""
+    members = set(classes)
+    return join_profile(members, ((t, t + tf.mod2_label(r)) for r in cfg.roots
+                                  for t in members if t + tf.mod2_label(r) in members))
 
 
 def join_profile(nodes, joins):
@@ -543,7 +545,8 @@ def test_even_thetas_are_double_sixes_by_orbits():
         for subset in combinations(simple, k):
             cfg3 = nodal.NodalConfig(lat3, subset)
             cfg2 = nodal.NodalConfig(lat2, [r + (0,) for r in subset])
-            assert orbit_profile(cfg3, double_six) == orbit_profile(cfg2, tf.mod2_label), subset
+            assert (orbit_profile(cfg3, double_six, ClassKind.BLOWDOWN)
+                    == orbit_profile(cfg2, tf.mod2_label, ClassKind.BLOWDOWN)), subset
             agree[subset] = (nodal.scheme(cfg3, "doublesix").multiplicity_profile()
                              == nodal.scheme(cfg2, "eventheta").multiplicity_profile())
     six = {"trivial", "A1", "A2", "D4", "D5", "E6"}
@@ -577,8 +580,27 @@ def test_eventheta_congruence_against_orbits(roots, kind, congruence, orbits):
     cfg = nodal.NodalConfig(lt.make_lattice(2), roots)
     assert nodal.validate_config(cfg) == kind
     assert nodal.scheme(cfg, "eventheta").multiplicity_profile() == congruence
-    assert orbit_profile(cfg, tf.mod2_label) == orbits
-    assert transvection_profile(cfg) == orbits
+    assert orbit_profile(cfg, tf.mod2_label, ClassKind.BLOWDOWN) == orbits
+    assert transvection_profile(cfg, tf.even_classes()) == orbits
+
+
+def test_bitangents_match_odd_transvections():
+    """The degree-2 bitangent scheme has the profile of the transvection
+    components of the 28 odd classes and of the W(N)-orbits of the 56 lines
+    labelled by mod2_label: on the 128 E7 simple-root subsets, 40 greedy
+    random configurations and the 5 unsaturated spans.  On bitangents the
+    congruence and orbit rules agree."""
+    lat = lt.make_lattice(2)
+    simple = lt.simple_roots(lat)
+    configs = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
+               for mask in range(1 << len(simple))]
+    configs += random_configs(lat, random.Random(22), 40)
+    configs += (nodal.NodalConfig(lat, roots) for _, roots in UNSATURATED[2].values())
+    assert len(configs) == 173
+    for cfg in configs:
+        profile = nodal.scheme(cfg, "bitangents").multiplicity_profile()
+        assert profile == transvection_profile(cfg, tf.odd_classes()), cfg.roots
+        assert profile == orbit_profile(cfg, tf.mod2_label, ClassKind.EXCEPTIONAL), cfg.roots
 
 
 def test_even_theta_of_blowdown_rejects():
