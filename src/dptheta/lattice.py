@@ -161,20 +161,6 @@ def simple_roots(lat: PicardLattice) -> tuple[DivisorClass, ...]:
     return tuple(roots)
 
 
-def weyl_orbit(lat: PicardLattice, seed: DivisorClass) -> tuple[DivisorClass, ...]:
-    """Orbit of seed under the reflection group, sorted lexicographically."""
-    roots = simple_roots(lat)
-    seen, todo = {seed}, [seed]
-    while todo:
-        x = todo.pop()
-        for r in roots:
-            y = reflect(lat, r, x)
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return tuple(sorted(seen))
-
-
 def weyl_order(lat: PicardLattice) -> int:
     """Order of the reflection group, read off the blow-down table.
 
@@ -201,14 +187,6 @@ def double_six_partner(lat: PicardLattice, blowdown: DivisorClass) -> DivisorCla
     if kind_of(lat, blowdown) is not ClassKind.BLOWDOWN:
         raise ValueError("not a blow-down class")
     return sub(scale(-2, lat.canonical), blowdown)
-
-
-def contracted_lines(lat: PicardLattice, blowdown: DivisorClass) -> tuple[DivisorClass, ...]:
-    """The exceptional classes orthogonal to a blow-down class (6 or 7)."""
-    if kind_of(lat, blowdown) is not ClassKind.BLOWDOWN:
-        raise ValueError("not a blow-down class")
-    return tuple(d for d in enumerate_classes(lat, ClassKind.EXCEPTIONAL)
-                 if pair(lat, d, blowdown) == 0)
 
 
 def double_six_orbits(lat: PicardLattice) -> tuple[frozenset[DivisorClass], ...]:

@@ -6,15 +6,14 @@ structures correspond to the even subsets of edges; each support carries
 2^{2 sum(g_v) + b1(support)} spin structures, every one counting with
 multiplicity 2^{b1(graph) - b1(support)}.
 
-One F2 reduction, `_reduce`, serves evenness, b1 and the even subsets: an
-edge's boundary is the vertex bitmask (1 << i) ^ (1 << j), 0 for a loop, and
-a subset is even when its boundaries XOR to 0.  `spin_scheme` reduces the
+One F2 reduction, `_reduce`, serves b1 and the even subsets: an edge's
+boundary is the vertex bitmask (1 << i) ^ (1 << j), 0 for a loop, and a
+subset is even when its boundaries XOR to 0.  `spin_scheme` reduces the
 whole graph once: its basis is a set of fundamental cycles, whose span by
 doubling lists the even subsets as the supports' deltas, and each support's
 b1 is a small F2 rank over the edges' cycle signatures, deduplicated so that
-chains and parallel classes count once.  `spin_counts` reduces one
-given subset.  Union-find (`kernels.components`) checks the graph's
-connectivity only.
+chains and parallel classes count once.  Union-find (`kernels.components`)
+checks the graph's connectivity only.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .text import data_lines, echo, parse_int
 MAX_B1 = 16  # spin_scheme lists all 2^b1 supports, each b1 a rank of at most 16 bits
 MAX_GENUS = 100  # spin-table: at most 5151 rows, counts below 2^200
 MAX_GRAPH_GENUS = 5000  # spin prints counts up to 2^{2g}: at most 3011 digits
+MAX_LISTED = 1 << 21  # edges over all deltas: a fresh tsv listing takes 1.5 s, 23 MB, 150 MB RSS
 
 
 class DualGraph(namedtuple("DualGraph", "genera edges")):
@@ -86,22 +86,16 @@ def _check_range(n_vertices: int, edges) -> None:
             raise ValueError(f"edge {echo((i, j))} out of range")
 
 
-def _reduce(edges, delta) -> tuple[int, list[int]]:
-    """(XOR of the boundaries, even-subset basis) of the distinct edges in delta.
+def _reduce(edges) -> list[int]:
+    """Even-subset basis of the edges, each vector a bitmask of edge indices.
 
-    A repeated, negative or out-of-range index raises ValueError.  Each
-    boundary is reduced against pivots keyed by their highest set bit,
+    Each boundary is reduced against pivots keyed by their highest set bit,
     carrying a one-hot tag of the edges combined; each tag whose boundary
-    reduces to 0 is a basis vector, so len(basis) is b1 of those edges.
+    reduces to 0 is a basis vector, so len(basis) is b1 of the edges.
     """
-    total, seen, pivots, basis, m = 0, set(), {}, [], len(edges)
-    for e in delta:
-        if e in seen or not 0 <= e < m:
-            raise ValueError(f"edge index {echo(e)} is repeated or out of range")
-        seen.add(e)
-        i, j = edges[e]
+    pivots, basis = {}, []
+    for e, (i, j) in enumerate(edges):
         boundary, tag = (1 << i) ^ (1 << j), 1 << e
-        total ^= boundary
         while boundary:
             top = boundary.bit_length()
             if top not in pivots:
@@ -111,7 +105,7 @@ def _reduce(edges, delta) -> tuple[int, list[int]]:
             tag ^= pivots[top][1]
         else:
             basis.append(tag)
-    return total, basis
+    return basis
 
 
 def betti(n_vertices: int, edges) -> int:
@@ -126,7 +120,7 @@ def betti(n_vertices: int, edges) -> int:
     edges = list(edges)
     _check_range(n_vertices, edges)
     index = {v: k for k, v in enumerate({v for edge in edges for v in edge})}
-    return len(_reduce([(index[i], index[j]) for i, j in edges], range(len(edges)))[1])
+    return len(_reduce([(index[i], index[j]) for i, j in edges]))
 
 
 def _indices(mask: int) -> tuple[int, ...]:
@@ -143,24 +137,9 @@ def _indices(mask: int) -> tuple[int, ...]:
 SpinSupport = namedtuple("SpinSupport", "delta count multiplicity")
 
 
-def spin_counts(graph: DualGraph, delta) -> SpinSupport:
-    """Count and multiplicity of the spin structures supported on delta.
-
-    count = 2^{2 sum(g_v)} * 2^{b1(delta-subgraph)} (line bundles on the
-    normalization times gluings); multiplicity = 2^{b1(graph) - b1(delta)}.
-    """
-    delta = tuple(sorted(delta))
-    total, basis = _reduce(graph.edges, delta)
-    if total:
-        raise ValueError("subset is not even")
-    b_delta = len(basis)
-    count = 1 << (2 * sum(graph.genera) + b_delta)
-    return SpinSupport(delta, count, 1 << (graph.b1 - b_delta))
-
-
 def spin_scheme(graph: DualGraph) -> tuple[SpinSupport, ...]:
-    """One SpinSupport per even subset, sorted by delta, as `spin_counts`
-    gives them; total degree sums to 2^{2g}.
+    """One SpinSupport per even subset, sorted by delta; total degree sums
+    to 2^{2g}.
 
     basis[j] is the fundamental cycle C_j of the spanning forest made of
     `_reduce`'s pivot edges: one non-forest edge and the forest path between
@@ -171,15 +150,22 @@ def spin_scheme(graph: DualGraph) -> tuple[SpinSupport, ...]:
     b1(span[k]) = |k| - rank{sig(e) & k of even weight}.  A signature of one
     bit never counts, so only the distinct ones of two or more bits are
     kept: each chain of degree-2 vertices and each parallel class is one.
+
+    An edge of nonzero signature lies in half the supports and a bridge in
+    none, so the deltas hold m 2^(b1 - 1) edges for m edges on a cycle; past
+    MAX_LISTED that raises ValueError before any support is built.
     """
-    basis = _reduce(graph.edges, range(len(graph.edges)))[1]
-    span = [0]  # span[k] is the XOR of basis[j] over the set bits j of k
-    for tag in basis:
-        span += [s ^ tag for s in span]
+    basis = _reduce(graph.edges)
     signature = [0] * len(graph.edges)
     for j, tag in enumerate(basis):
         for e in _indices(tag):
             signature[e] |= 1 << j
+    listed = (sum(map(bool, signature)) << len(basis)) >> 1
+    if listed > MAX_LISTED:
+        raise ValueError(f"the supports list {listed} edges in all, which exceeds {MAX_LISTED}")
+    span = [0]  # span[k] is the XOR of basis[j] over the set bits j of k
+    for tag in basis:
+        span += [s ^ tag for s in span]
     shared = {sig for sig in signature if sig & (sig - 1)}
     genus_bits = 2 * sum(graph.genera)
     supports = []

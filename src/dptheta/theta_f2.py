@@ -193,7 +193,8 @@ class QuadraticSpace(namedtuple("QuadraticSpace", "dim rows")):
     Vectors are int bitmasks, row i of any bit matrix B is rows[i], and the
     constructor (also under _make and _replace) checks 0 <= dim <= len(rows);
     rows and bits past dim are ignored.  `make_space` builds upper-triangular
-    B refining `bilinear`, the standard pairing of (e_0, e_1), (e_2, e_3), ...
+    B refining the standard symplectic pairing, under which e_{2i} and
+    e_{2i+1} pair to 1 and every other pair of basis vectors to 0.
     """
 
     __slots__ = ()
@@ -210,13 +211,6 @@ class QuadraticSpace(namedtuple("QuadraticSpace", "dim rows")):
         for i in range(self.dim):
             if (v >> i) & 1:
                 r ^= (self.rows[i] & v).bit_count() & 1
-        return r
-
-    def bilinear(self, u: int, v: int) -> int:
-        """Standard symplectic pairing sum(u_2i v_2i+1 + u_2i+1 v_2i)."""
-        r = 0
-        for i in range(0, self.dim, 2):
-            r ^= ((u >> i) & (v >> (i + 1)) & 1) ^ ((u >> (i + 1)) & (v >> i) & 1)
         return r
 
     def shift(self, eta: int) -> "QuadraticSpace":

@@ -371,6 +371,16 @@ def test_detrep_coefficient_size_capped_exit2(capsys, expansion_guard, tmp_path,
     assert f"exceeds {poly.MAX_COEFF_BITS}" in err
 
 
+def test_spin_listing_capped_exit2(capsys, tmp_path):
+    """One edge on a cycle past the largest listing: one short line."""
+    bad = tmp_path / "ring.gr"
+    bad.write_text(listing(spin.MAX_LISTED + 2 ** 11))
+    code, out, err = run(capsys, "spin", str(bad))
+    assert one_error_line(code, out, err) and len(err.encode()) <= 200
+    assert err == (f"error: the supports list {spin.MAX_LISTED + 2 ** 11} edges in all, "
+                   f"which exceeds {spin.MAX_LISTED}\n")
+
+
 def test_spin_genus_capped_exit2(capsys, tmp_path):
     bad = tmp_path / "big.gr"
     bad.write_text("v 8000\n")
@@ -588,6 +598,14 @@ def loops(n):
     return "v 1\n" + "e 0 0\n" * n
 
 
+def listing(edges):
+    """A ring of genus-1 vertices with eleven loops (b1 = 12) whose supports
+    list `edges` edges in all, a multiple of 2^11."""
+    n = (edges >> 11) - 11
+    return ("v 1\n" * n + "".join(f"e {v} {(v + 1) % n}\n" for v in range(n))
+            + "e 0 0\n" * 11)
+
+
 def monomials():
     """The 969 monomials of degree <= MAX_DEGREE in x0, x1, x2."""
     found = ["*".join(f"{v}^{e}" for v, e in zip(("x0", "x1", "x2"), exp) if e) or "1"
@@ -645,6 +663,9 @@ BOUNDS = {
     "b1-cap": (loops(B1_CAP), ("spin", FILE, *TSV), answers(
         lambda lines: len(lines) == 2 ** B1_CAP + 2
         and lines[-1].endswith(f"= 2^{2 * (B1_CAP + 1)}"))),
+    "listed-cap": (listing(spin.MAX_LISTED), ("spin", FILE, *TSV), answers(
+        lambda lines: len(lines) == 2 ** 12 + 2
+        and sum(line.count("(") for line in lines) == spin.MAX_LISTED)),
     "detrep-literal-cap": (None, ("detrep", str(DATA / "detrep_cap.txt"), *CHECK, *TSV),
                            tangent_at_literal_cap),
     "detrep-rational": (None, ("detrep", str(DATA / "detrep_rational.txt"), *CHECK, *TSV), TANGENT),
@@ -662,6 +683,7 @@ BOUNDS = {
     "negative-nodes": (None, ("spin-table", "--genus", str(GENUS_CAP), "--nodes", "-1"), one_error),
     "genus-over": (None, ("spin-table", "--genus", str(GENUS_CAP + 1), "--nodes", "0"), one_error),
     "b1-over": (loops(B1_CAP + 1), ("spin", FILE), one_error),
+    "listed-over": (listing(spin.MAX_LISTED + 2 ** 11), ("spin", FILE), one_error),
     # not a cubic: the parser meets the wide factor once, not once per `*1`
     "wide-product": ("H: (" + " + ".join(monomials()) + ")" + "*1" * 2000 + "\n",
                      ("detrep", FILE, *CHECK), one_error),

@@ -8,6 +8,7 @@ import pytest
 
 from dptheta import detrep, kernels, lattice as lt, nodal, poly, spin, text, theta_f2
 from dptheta.poly import MultiPoly, parse_poly
+from test_cli import listing
 
 LAT2, LAT3 = lt.make_lattice(2), lt.make_lattice(3)
 V = ("x", "y")
@@ -44,8 +45,9 @@ GUARDS = [
      ValueError, "requires degree 3"),
     ("double-six-not-blowdown", lambda: lt.double_six_partner(LAT3, E1),
      ValueError, "not a blow-down"),
-    ("contracted-not-blowdown", lambda: lt.contracted_lines(LAT3, E1),
-     ValueError, "not a blow-down"),
+    ("contracted-not-blowdown",
+     lambda: theta_f2.even_theta_of_blowdown(LAT2, lt.class_E(LAT2, 1)),
+     ValueError, "^not a blow-down class$"),
     ("parse-class-empty", lambda: lt.parse_class("[ ]"), ValueError, "empty divisor"),
     # one optional bracket pair, and one comma at most between two entries
     ("parse-class-unbalanced", lambda: lt.parse_class("[3, -1, -1, 0"),
@@ -102,6 +104,10 @@ GUARDS = [
      ValueError, "nonnegative"),
     ("graph-no-vertex", lambda: spin.DualGraph((), ()),
      ValueError, "^graph needs at least one vertex$"),
+    # one edge on a cycle more than the largest listing spin_scheme accepts
+    ("spin-listing-over-cap",
+     lambda: spin.spin_scheme(spin.parse_graph(listing(spin.MAX_LISTED + 2 ** 11))), ValueError,
+     f"^the supports list {spin.MAX_LISTED + 2 ** 11} edges in all, which exceeds {spin.MAX_LISTED}$"),
     ("theta-counts-negative", lambda: spin.theta_counts(-1), ValueError, "nonnegative"),
     ("odd-subset-class", lambda: theta_f2.EvenSubsetClass([1]),
      ValueError, "not an even subset"),
@@ -126,8 +132,8 @@ GUARDS = [
     # quoted by text.echo: each check ends in its own one-line message
     ("class-E-huge-index", lambda: lt.class_E(LAT3, HUGE),
      ValueError, "^index <int of 16610 bits> out of range$"),
-    ("edge-index-huge", lambda: spin.spin_counts(spin.DualGraph((1, 1), ((0, 1),)), (HUGE,)),
-     ValueError, "^edge index <int of 16610 bits> is repeated or out of range$"),
+    ("edge-index-huge", lambda: spin.DualGraph((1, 1), ((0, HUGE),)),
+     ValueError, "^edge <tuple of length 2> out of range$"),
     ("quadratic-space-huge-dim", lambda: theta_f2.QuadraticSpace(HUGE, ()),
      ValueError, r"^dimension <int of 16610 bits> needs 0 <= dim <= len\(rows\) = 0$"),
     ("make-space-huge-genus", lambda: theta_f2.make_space(HUGE),

@@ -71,6 +71,24 @@ def elimination_even_subsets(graph):
     return tuple(sorted(subsets))
 
 
+def betti_all_vertices(n_vertices, edges):
+    """The former `spin.betti`: a union-find labelling all n vertices."""
+    edges = list(edges)
+    return len(edges) - n_vertices + len(set(kernels.components(n_vertices, edges)))
+
+
+def spin_counts(graph, delta):
+    """Oracle: the SpinSupport of an even subset delta, read from the
+    per-vertex degree count and an all-vertex union-find b1 of its edges.
+    count = 2^{2 sum(g_v)} * 2^{b1(delta-subgraph)} (line bundles on the
+    normalization times gluings); multiplicity = 2^{b1(graph) - b1(delta)}."""
+    delta = tuple(sorted(delta))
+    assert degree_even(graph, delta), delta
+    b_delta = betti_all_vertices(len(graph.genera), [graph.edges[i] for i in delta])
+    return spin.SpinSupport(delta, 1 << (2 * sum(graph.genera) + b_delta),
+                            1 << (graph.b1 - b_delta))
+
+
 def random_graph(rng):
     """A random connected stable dual graph with at most 10 edges."""
     while True:
@@ -171,29 +189,30 @@ def test_even_subsets_against_elimination():
 
 
 def test_is_even_subset_against_degree_count():
-    """spin_counts refuses a subset as not even exactly when the per-vertex
-    degree count finds an odd vertex."""
+    """spin_scheme's deltas are exactly the subsets in which the per-vertex
+    degree count finds no odd vertex."""
     rng = random.Random(29)
     for _ in range(40):
         g = random_graph(rng)
         m = len(g.edges)
-        for k in range(m + 1):
-            for combo in itertools.combinations(range(m), k):
-                if degree_even(g, combo):
-                    spin.spin_counts(g, combo)
-                else:
-                    with pytest.raises(ValueError, match="subset is not even"):
-                        spin.spin_counts(g, combo)
+        even = {combo for k in range(m + 1) for combo in itertools.combinations(range(m), k)
+                if degree_even(g, combo)}
+        assert set(deltas(g)) == even, g
 
 
-@pytest.mark.parametrize("delta", [(0, 0), (5,), (2,), (-1, -2)],
+@pytest.mark.parametrize("edge", [(0, 1), (0, 5), (0, 2), (-1, -2)],
                          ids=["repeated", "far-past-end", "just-past-end", "negative"])
-def test_edge_subset_must_list_distinct_edges(delta):
-    """A repeated, negative or out-of-range edge index is refused, not
-    counted twice, read from the end or left to raise IndexError."""
-    g = DualGraph((1, 1), ((0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="repeated or out of range"):
-        spin.spin_counts(g, delta)
+def test_edge_subset_must_list_distinct_edges(edge):
+    """DualGraph, the one range check, refuses an endpoint outside its
+    vertices rather than read it from the end or raise IndexError; a
+    repeated edge is a second node, which b1 counts."""
+    edges = ((0, 1), edge)
+    if edge == (0, 1):
+        graph = DualGraph((1, 1), edges)
+        assert graph.b1 == 1 and deltas(graph) == ((), (0, 1))
+    else:
+        with pytest.raises(ValueError, match=rf"^edge \({min(edge)}, {max(edge)}\) out of range$"):
+            DualGraph((1, 1), edges)
 
 
 def caterpillar(n):
@@ -251,15 +270,15 @@ def test_spin_scheme_against_spin_counts():
     """spin_scheme reads each support's b1 off the cycle signatures; on
     seeded graphs with loops, multi-edges, bridges, genus-0 vertices and
     genus-1 chains, and on a 200-vertex ring whose long chains collapse, it
-    equals spin_counts over the elimination oracle's even subsets, which
-    reduces each support anew."""
+    equals the spin_counts oracle over the elimination oracle's even
+    subsets, which counts each support's b1 by union-find."""
     rng = random.Random(41)
     graphs = [random_chained_graph(rng) for _ in range(150)]
     graphs.append(ring_with_chords(200, 6, rng))
     seen = Counter()
     for g in graphs:
         subsets = elimination_even_subsets(g)
-        assert spin.spin_scheme(g) == tuple(spin.spin_counts(g, d) for d in subsets), g
+        assert spin.spin_scheme(g) == tuple(spin_counts(g, d) for d in subsets), g
         degree = Counter(v for e in g.edges for v in e)
         seen["loop"] += any(i == j for i, j in g.edges)
         seen["multi-edge"] += len(set(g.edges)) < len(g.edges)
@@ -270,22 +289,41 @@ def test_spin_scheme_against_spin_counts():
 
 
 def test_spin_scheme_reduces_once(monkeypatch):
-    """One spin_scheme call runs `_reduce` once, for the whole graph, and
-    counts no support through spin_counts."""
+    """One spin_scheme call runs `_reduce` once, for the whole graph."""
     calls = Counter()
     reduce = spin._reduce
 
-    def counting(edges, delta):
+    def counting(edges):
         calls["_reduce"] += 1
-        return reduce(edges, delta)
-
-    def refuse(graph, delta):
-        raise AssertionError("spin_counts called")
+        return reduce(edges)
 
     monkeypatch.setattr(spin, "_reduce", counting)
-    monkeypatch.setattr(spin, "spin_counts", refuse)
     scheme = spin.spin_scheme(ring_with_chords(30, 5, random.Random(3)))
     assert len(scheme) == 2 ** 6 and calls == {"_reduce": 1}
+
+
+def test_listed_edges_closed_form(monkeypatch):
+    """The deltas hold m 2^(b1 - 1) edges in all, m the edges on a cycle:
+    those whose removal lowers the all-vertex b1.  On the seeded corpus and
+    one b1 = MAX_B1 graph, MAX_LISTED set to that total is accepted and one
+    below it refused, so the bound reads the same count."""
+    rng = random.Random(5)
+    graphs = [random_graph(rng) for _ in range(200)]
+    rng = random.Random(41)
+    graphs += [random_chained_graph(rng) for _ in range(150)]
+    graphs.append(DualGraph([0, 1, 1], [(0, 1)] * 9 + [(0, 2)] * 9))
+    for g in graphs:
+        n, edges = len(g.genera), g.edges
+        on_cycle = sum(betti_all_vertices(n, edges[:e] + edges[e + 1:]) < g.b1
+                       for e in range(len(edges)))
+        listed = (on_cycle << g.b1) >> 1
+        monkeypatch.setattr(spin, "MAX_LISTED", listed)
+        assert sum(len(s.delta) for s in spin.spin_scheme(g)) == listed, g
+        if listed:
+            monkeypatch.setattr(spin, "MAX_LISTED", listed - 1)
+            with pytest.raises(ValueError, match=f"^the supports list {listed} edges in all"):
+                spin.spin_scheme(g)
+    assert listed == 18 << 15
 
 
 def test_components_on_long_path():
@@ -334,12 +372,6 @@ def test_genus_capped():
         edges = [(0, 1)] if len(genera) == 2 else []
         with pytest.raises(ValueError, match=f"exceeds {top}"):
             DualGraph(genera, edges)
-
-
-def betti_all_vertices(n_vertices, edges):
-    """The former `spin.betti`: a union-find labelling all n vertices."""
-    edges = list(edges)
-    return len(edges) - n_vertices + len(set(kernels.components(n_vertices, edges)))
 
 
 def test_betti_against_all_vertex_oracle():
@@ -399,11 +431,12 @@ def test_b1_is_the_graph_betti_number():
 
 
 def test_odd_subset_refused():
+    """The loop alone is a support; an odd subset is no support."""
     g = DualGraph([1, 1], [(0, 1), (0, 1), (0, 0)])  # edge 0 is the loop
-    assert spin.spin_counts(g, (0,)).count == 2 ** 5
+    by_delta = {s.delta: s for s in spin.spin_scheme(g)}
+    assert by_delta[(0,)].count == 2 ** 5
     for delta in [(1,), (0, 1), (0, 2)]:
-        with pytest.raises(ValueError, match="subset is not even"):
-            spin.spin_counts(g, delta)
+        assert delta not in by_delta
 
 
 def test_parse_graph():

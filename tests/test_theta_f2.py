@@ -12,6 +12,7 @@ import pytest
 
 from dptheta import lattice as lt, nodal, theta_f2 as tf
 from dptheta.lattice import ClassKind
+from test_lattice import contracted_lines
 from test_nodal import UNSATURATED, random_configs
 
 
@@ -144,6 +145,15 @@ def test_shift_by_zero_preserves_arf():
         assert tf.arf(shifted) == 1
 
 
+def bilinear(dim, u, v):
+    """The standard symplectic pairing on F2^dim, sum(u_2i v_2i+1 + u_2i+1 v_2i),
+    which pairs e_{2i} with e_{2i+1}."""
+    r = 0
+    for i in range(0, dim, 2):
+        r ^= ((u >> i) & (v >> (i + 1)) & 1) ^ ((u >> (i + 1)) & (v >> i) & 1)
+    return r
+
+
 def _conic_pairs_oracle(rng=None):
     """The former `count_conic_pairs`: enumerate the 4096 vectors of F2^12."""
     q1 = tf.make_space(6, arf_invariant=1)
@@ -156,7 +166,7 @@ def _conic_pairs_oracle(rng=None):
     assert q2.evaluate(eta) == 0
     # common zeros: q1(v) = 0 and <v, eta> = 0; they pair off as {v, v+eta}
     common = [v for v in range(1 << q1.dim)
-              if q1.evaluate(v) == 0 and q1.bilinear(v, eta) == 0]
+              if q1.evaluate(v) == 0 and bilinear(q1.dim, v, eta) == 0]
     assert len(common) % 2 == 0
     z = [v for v in zeros1 if v != eta and q2.evaluate(v) == 0]
     assert len(z) == len(common) - 2 and len(z) % 2 == 0
@@ -179,7 +189,7 @@ def test_common_zeros_by_two_zero_counts():
             space = random_space(rng, dim)
             eta = rng.randrange(1, 1 << dim)
             common = sum(1 for v in range(1 << dim)
-                         if space.evaluate(v) == 0 and space.bilinear(v, eta) == 0)
+                         if space.evaluate(v) == 0 and bilinear(dim, v, eta) == 0)
             closed = tf.count_zeros(space) + tf.count_zeros(space.shift(eta)) - (1 << (dim - 1))
             assert closed == 2 * common, (space, eta)
 
@@ -282,10 +292,10 @@ def test_conic_pair_numbers_by_zero_count():
 
 
 def _shift_oracle(space, eta):
-    """The former `QuadraticSpace.shift`: one `bilinear` call per basis vector."""
+    """The former `QuadraticSpace.shift`: one pairing per basis vector."""
     rows = list(space.rows)
     for j in range(space.dim):
-        if space.bilinear(1 << j, eta):
+        if bilinear(space.dim, 1 << j, eta):
             rows[j] ^= 1 << j
     return tf.QuadraticSpace(space.dim, tuple(rows))
 
@@ -337,7 +347,7 @@ def _odd_label_oracle(d):
 def _blowdown_oracle(lat, blowdown):
     """The former blow-down labeling: label the seven contracted lines by
     the dictionary and add them up as an Aronhold set."""
-    lines = lt.contracted_lines(lat, blowdown)
+    lines = contracted_lines(lat, blowdown)
     assert len(lines) == 7
     return tf.even_theta_of_aronhold(tuple(_odd_label_oracle(d) for d in lines))
 
@@ -418,7 +428,7 @@ def test_blowdown_lines_are_constructed_aronhold_sets():
     sets = set(tf.enumerate_aronhold())
     pairs_of = {}
     for bd in lt.enumerate_classes(lat, ClassKind.BLOWDOWN):
-        labels = tuple(sorted(map(tf.mod2_label, lt.contracted_lines(lat, bd))))
+        labels = tuple(sorted(map(tf.mod2_label, contracted_lines(lat, bd))))
         assert labels in sets, bd
         assert tf.even_theta_of_aronhold(labels) == tf.even_theta_of_blowdown(lat, bd)
         pairs_of.setdefault(labels, set()).add(frozenset((bd, lt.geiser(lat, bd))))
@@ -601,6 +611,42 @@ def test_bitangents_match_odd_transvections():
         profile = nodal.scheme(cfg, "bitangents").multiplicity_profile()
         assert profile == transvection_profile(cfg, tf.odd_classes()), cfg.roots
         assert profile == orbit_profile(cfg, tf.mod2_label, ClassKind.EXCEPTIONAL), cfg.roots
+
+
+@cache
+def _aronhold_transvection(v):
+    """The action of a root with label v on the 288 Aronhold sets, member by
+    member, theta -> theta + (1 + q_theta(v)) v, as a tuple of set indices:
+    every image is one of the 288 sets."""
+    sets = tf.enumerate_aronhold()
+    index = {s: k for k, s in enumerate(sets)}
+    return tuple(index[tuple(sorted(t + v if tf.q_theta(t, v) == 0 else t for t in s))]
+                 for s in sets)
+
+
+def test_aronhold_matches_transvection_components():
+    """The transvection components of the 288 Aronhold sets have the profile
+    of the W(N)-orbits of the 576 blow-downs labelled by their Geiser pair,
+    on the 128 E7 simple-root subsets and the 5 unsaturated spans.  The
+    congruence scheme `aronhold` (nodal.scheme) has that profile on exactly
+    21 of the subsets and none of the spans; the others are recorded
+    divergences of the congruence rule."""
+    lat = lt.make_lattice(2)
+    geiser_pair = {c: min(c, lt.geiser(lat, c))
+                   for c in lt.enumerate_classes(lat, ClassKind.BLOWDOWN)}
+    simple = lt.simple_roots(lat)
+    subsets = [nodal.NodalConfig(lat, [r for k, r in enumerate(simple) if mask >> k & 1])
+               for mask in range(1 << len(simple))]
+    spans = [nodal.NodalConfig(lat, roots) for _, roots in UNSATURATED[2].values()]
+    agree = Counter()
+    for cfg in subsets + spans:
+        orbits = orbit_profile(cfg, geiser_pair.__getitem__, ClassKind.BLOWDOWN)
+        joins = ((k, image) for r in cfg.roots
+                 for k, image in enumerate(_aronhold_transvection(tf.mod2_label(r))))
+        assert join_profile(range(288), joins) == orbits, cfg.roots
+        congruence = nodal.scheme(cfg, "aronhold").multiplicity_profile()
+        agree[cfg in spans, congruence == orbits] += 1
+    assert agree == {(False, True): 21, (False, False): 107, (True, False): 5}
 
 
 def test_even_theta_of_blowdown_rejects():

@@ -23,7 +23,7 @@ def instances():
         (cfg, {"roots": (lt.divisor(LAT2, 0, 1, 1),)}),  # E1 + E2: K.r = -2
         (nodal.scheme(cfg, "lines"), None),
         (graph, {"edges": ()}),  # two vertices and no edge: not connected
-        (spin.spin_counts(graph, ()), None),
+        (spin.spin_scheme(graph)[0], None),
         (spin.spin_table_irreducible(3, 1)[0], None),
         (theta_f2.make_space(2, 1), {"rows": (1,)}),  # dim 4 needs four rows
         (theta_f2.EvenSubsetClass((1, 2)), None),
