@@ -5,9 +5,12 @@ Q1], [L12, L22, Q2], [Q1, Q2, H]] (linear / quadratic / cubic entries in
 x0, x1, x2) and its cofactors: the plane quintic det M, the cubic threefold
 u^T M u containing the line {x0 = x1 = x2 = 0}, and the contact conic
 L11*L22 - L12^2, a cofactor, totally tangent to the quintic.  A 2x2 matrix
-[[L, Q], [Q, H]] gives a quartic with bitangent L.  One certificate checks
-both, for any two plane curves: with denominators cleared and a seeded
-shear, their resultant is `poly.packed_sylvester`, one int determinant of
+[[L, Q], [Q, H]] gives a quartic with bitangent L.  det M, the conic and
+the quartic L*H - Q^2 are each one int determinant, `_packed_det`: every
+entry, denominators cleared, is Kronecker-packed term by term into one int,
+the packing `poly` uses for the resultant.  One certificate checks both,
+for any two plane curves: with denominators cleared and a seeded shear,
+their resultant is `poly.packed_sylvester`, one int determinant of
 Kronecker-packed entries, TotallyTangent when it is a constant times a
 square (`total_tangency_check` says what that proves).
 """
@@ -18,7 +21,7 @@ import random
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm, prod
 
 from .poly import MultiPoly, integral_terms, pack_digits, packed_sylvester, parse_poly, unpack_digits
 from .text import data_lines, echo
@@ -72,16 +75,45 @@ def _matrix(data) -> tuple[tuple, tuple, tuple]:
 
 def _cofactor(m, i: int, j: int):
     """The (i, j) cofactor of a 3x3 matrix: the rows after i and the columns
-    after j, taken cyclically, whose cyclic order supplies the sign."""
+    after j, taken cyclically, whose cyclic order supplies the sign.  It reads
+    only rows and columns 0 and 1 at (2, 2), so there it is the determinant
+    of a 2x2 matrix."""
     a, b, c, d = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
     return m[a][c] * m[b][d] - m[a][d] * m[b][c]
 
 
+def _packed_det(m, degree: int) -> MultiPoly:
+    """The determinant of a 2x2 or 3x3 matrix m of plane forms, a form of
+    the given degree (at most 5), as one int determinant.
+
+    With s the lcm of the denominators, det(s*m) = s^n * det(m).  Each entry
+    of s*m is packed term by term, c*x0^i*x1^j*x2^(degree-i-j) as
+    c*2^(k*(i + 6*j)): x2 is implied by the degree, and i < 6 in a form of
+    degree at most 5, so distinct monomials land on distinct digits.  As in
+    `poly._pack_bits`, each coefficient is at most the product over rows of
+    the summed l1 norms of the row's entries, below 2^(k-1), so the
+    balanced digits of the int determinant are its coefficients.  A zero
+    determinant is the zero form."""
+    scale = lcm(*(c.denominator for row in m for p in row for c in p.terms.values()))
+    k = int(prod(scale * sum(abs(c) for p in row for c in p.terms.values())
+                 for row in m)).bit_length() + 1
+    packed = [[sum(c.numerator * (scale // c.denominator) << k * (e[0] + 6 * e[1])
+                   for e, c in p.terms.items()) for p in row] for row in m]
+    det = (_cofactor(packed, 2, 2) if len(m) == 2
+           else sum(packed[0][j] * _cofactor(packed, 0, j) for j in range(3)))
+    den, terms = scale ** len(m), {}
+    for place, c in enumerate(unpack_digits(det, k)):
+        if c:
+            i, j = place % 6, place // 6
+            terms[i, j, degree - i - j] = c if den == 1 else Fraction(c, den)
+    return MultiPoly._new(PLANE_VARS, terms)
+
+
 def discriminant_quintic(data: SymThetaData) -> MultiPoly:
-    """det M, expanded along the first row: a quintic, since SymThetaData
-    checked every degree and so each term has degree 1+1+3 or 1+2+2."""
-    m = _matrix(data)
-    d = sum((m[0][j] * _cofactor(m, 0, j) for j in range(3)), MultiPoly.zero(PLANE_VARS))
+    """det M, one packed int determinant (`_packed_det`): a quintic, since
+    SymThetaData checked every degree and so each term has degree 1+1+3 or
+    1+2+2."""
+    d = _packed_det(_matrix(data), 5)
     if d.is_zero():
         raise DegenerateError("determinant is identically zero")
     return d
@@ -119,8 +151,9 @@ def extract_matrix(cubic: MultiPoly) -> SymThetaData:
 
 
 def contact_conic(data: SymThetaData) -> MultiPoly:
-    """The conic L11*L22 - L12^2, the cofactor A33 of M."""
-    t = _cofactor(_matrix(data), 2, 2)
+    """The conic L11*L22 - L12^2, the cofactor A33 of M, as the packed int
+    determinant (`_packed_det`) of the minor [[L11, L12], [L12, L22]]."""
+    t = _packed_det(((data.l11, data.l12), (data.l12, data.l22)), 2)
     if t.is_zero():
         raise DegenerateError("contact conic is identically zero")
     return t
@@ -204,12 +237,13 @@ def quartic_from_odd_theta(
 ) -> tuple[MultiPoly, MultiPoly]:
     """Quartic with marked bitangent from a 2x2 matrix [[L, Q], [Q, H]].
 
-    Returns (F, L) with F = L*H - Q^2, which is -Q^2 on {L = 0}: so
+    Returns (F, L) with F = L*H - Q^2, the matrix's packed int determinant
+    (`_packed_det`), which is -Q^2 on {L = 0}: so
     `total_tangency_check`, exact for a line, certifies L as a bitangent
     unless Q vanishes on all of the line, and then L divides F.
     """
     lf, q, h = map(_check_form, (lf, q, h), (1, 2, 3), QUARTIC_KEYS)
-    f = lf * h - q * q
+    f = _packed_det(((lf, q), (q, h)), 4)
     if f.is_zero():
         raise DegenerateError("quartic is identically zero")
     if lf.is_zero():

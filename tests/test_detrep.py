@@ -8,7 +8,7 @@ import pytest
 import sympy
 from conftest import DATA
 
-from dptheta import detrep, poly
+from dptheta import detrep, poly, text
 from dptheta.detrep import (DegenerateError, SymThetaData, Tangency,
                             contact_conic, cubic_threefold,
                             discriminant_quintic, extract_matrix,
@@ -554,3 +554,91 @@ def test_not_is_right_where_two_points_share_a_line():
     assert total_tangency_check(f, t, seed=0).shear == (1, 1)
     for seed in range(1, 6):
         assert total_tangency_check(f, t, seed=seed).verdict is Tangency.NOT_TANGENT
+
+
+ONE_SIGN = {"C=1": 1, "C=3": 3, "C=2^64+1": 2 ** 64 + 1,
+            "C=literal": 10 ** text.MAX_LITERAL_DIGITS - 1}  # the longest literal a file may hold
+ZERO_ROWS = ((0, 1, 3), (1, 2, 4), (3, 4, 5))  # each row of M, as SymThetaData field indices
+
+
+def oracle_data(rng, kind):
+    """One seeded data set, each monomial kept with chance 0.7: int
+    coefficients in [-9, 9] ("integer", and "zeros" with entries or a whole
+    row of M set to zero), rational ones over denominators up to 7
+    ("rational"), or every coefficient C, or every one -C (ONE_SIGN)."""
+    c = rng.choice((1, -1)) * ONE_SIGN.get(kind, 1)
+
+    def draw():
+        if kind == "rational":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        return c if kind in ONE_SIGN else rng.randint(-9, 9)
+    entries = []
+    for degree in (1, 1, 1, 2, 2, 3):
+        combos = combinations_with_replacement(range(3), degree)
+        entries.append(MultiPoly(P, {tuple(map(combo.count, range(3))): draw()
+                                     for combo in combos if rng.random() < 0.7}))
+    if kind == "zeros":
+        zeroed = (ZERO_ROWS[rng.randrange(3)] if rng.random() < 0.4
+                  else [i for i in range(6) if rng.random() < 0.3])
+        for i in zeroed:
+            entries[i] = MultiPoly.zero(P)
+    return SymThetaData(*entries)
+
+
+def divides(lf, q):
+    """Whether the nonzero linear form lf divides q: q vanishes where one
+    variable of lf is solved from lf = 0."""
+    exp, a = next(iter(lf.terms.items()))
+    name = P[exp.index(1)]
+    return substitute_term_by_term(q, name, pp(name) - lf * (1 / Fraction(a))).is_zero()
+
+
+@pytest.mark.parametrize("kind,count", [("integer", 60), ("rational", 60), ("zeros", 40),
+                                        ("C=1", 15), ("C=3", 15), ("C=2^64+1", 15),
+                                        ("C=literal", 5)])
+def test_packed_det_matches_multipoly_oracles(kind, count):
+    """On 210 seeded data sets in all, discriminant_quintic, contact_conic
+    and quartic_from_odd_theta(L11, Q1, H) give the MultiPoly expansions of
+    det M along its first row, of its cofactor A33 and of L*H - Q^2; where
+    an expansion is zero, or L is, or L divides Q, the DegenerateError says
+    which."""
+    rng = random.Random(f"packed-det:{kind}")
+    messages = set()
+    for _ in range(count):
+        data = oracle_data(rng, kind)
+        m = detrep._matrix(data)
+        lf, q, h = data.l11, data.q1, data.h
+        quintic = sum((m[0][j] * detrep._cofactor(m, 0, j) for j in range(3)), MultiPoly.zero(P))
+        conic = detrep._cofactor(m, 2, 2)
+        quartic = lf * h - q * q
+        checks = [(lambda: discriminant_quintic(data), quintic,
+                   "determinant is identically zero" if quintic.is_zero() else None),
+                  (lambda: contact_conic(data), conic,
+                   "contact conic is identically zero" if conic.is_zero() else None),
+                  (lambda: quartic_from_odd_theta(lf, q, h), (quartic, lf),
+                   "quartic is identically zero" if quartic.is_zero()
+                   else "bitangent L is identically zero" if lf.is_zero()
+                   else "Q vanishes on the line L = 0, so L divides the quartic" if divides(lf, q)
+                   else None)]
+        for got, want, message in checks:
+            if message is None:
+                assert got() == want
+            else:
+                with pytest.raises(DegenerateError, match=f"^{message}$"):
+                    got()
+                messages.add(message)
+    if kind == "zeros":  # every degenerate branch is reached
+        assert len(messages) == 5
+
+
+def test_packed_det_takes_no_multipoly_product(monkeypatch):
+    """det M, A33 and L*H - Q^2 are int determinants: no MultiPoly is multiplied."""
+    want = (discriminant_quintic(SAMPLE), contact_conic(SAMPLE),
+            quartic_from_odd_theta(SAMPLE.l11, SAMPLE.q1, SAMPLE.h))
+
+    def refuse(*args):
+        raise AssertionError("a MultiPoly product")
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
+    assert (discriminant_quintic(SAMPLE), contact_conic(SAMPLE),
+            quartic_from_odd_theta(SAMPLE.l11, SAMPLE.q1, SAMPLE.h)) == want
